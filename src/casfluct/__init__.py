@@ -46,6 +46,7 @@ from .lifshitz import (
     ForceCurve,
     LifshitzSettings,
     PFAValidityError,
+    PlateTower,
     SpherePlateForce,
     TabulatedForceCurve,
     curvature_of,
@@ -54,6 +55,7 @@ from .lifshitz import (
     gradient_of,
     plate_energy,
     plate_pressure,
+    plate_tower,
     sphere_plate_force,
 )
 from .oracle import (

@@ -38,8 +38,8 @@ from .lifshitz import (
     PFAValidityError,
     SpherePlateForce,
     TabulatedForceCurve,
-    curvature_of,
     force_curve,
+    sphere_plate_force,
 )
 from .oracle import ProcessSpec, verify_second_order
 from .permittivity import (
@@ -286,8 +286,8 @@ def _fig1_rows(opts, geometry, settings, profile):
         row += [f_pc, f_pc * d_um**3]
         for casimir in (plasma, drude):
             f_c = casimir(d) / UDYNE
-            curv_total = bg.curvature(d) + curvature_of(casimir, d)
-            f_a = f_c + 0.5 * curv_total * delta**2 / UDYNE
+            curvature = bg.curvature(d) + casimir.curvature(d)
+            f_a = apparent_force(casimir, d, delta, curvature=curvature) / UDYNE
             row += [f_c, f_a, f_c * d_um**3, f_a * d_um**3]
         row.append(delta / UM)
         rows.append(row)
@@ -357,7 +357,9 @@ def _cmd_fit_beta(opts) -> int:
         sub_opts = SimpleNamespace(
             model=opts.subtract, omega_p=opts.omega_p, gamma=opts.gamma, eps_table=None
         )
-        subtractor = SpherePlateForce(_build_model(sub_opts), geometry, LifshitzSettings())
+        model = _build_model(sub_opts)
+        # F only: SpherePlateForce would also pay for F' and F''
+        subtractor = lambda d: sphere_plate_force(model, d, geometry)
     fit = fit_background(data, d_min=opts.d_min * UM, casimir_subtractor=subtractor)
     meta = _meta("fit-beta", opts, {"data": opts.data})
     payload = fit.to_json_dict()

@@ -10,7 +10,8 @@ primed sum giving the n = 0 term half weight, and Fresnel reflection
 coefficients evaluated at eps(i xi_n).  Attractive pressures and forces
 are reported as positive numbers.  The free energy per unit area uses the
 matching log-determinant form, and the sphere-plate force follows from
-the proximity-force approximation F = -2 pi R E(d).
+the proximity-force approximation F = -2 pi R E(d).  Its derivatives are
+exact kernels of the same sum: F' = -2 pi R P and F'' = -2 pi R dP/dd.
 
 Zero-frequency reflection is the physically loaded choice: TM -> 1 for
 every metallic model, TE -> 0 for Drude-like models, the finite plasma
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,6 +48,8 @@ __all__ = [
     "PFAValidityError",
     "plate_pressure",
     "plate_energy",
+    "PlateTower",
+    "plate_tower",
     "sphere_plate_force",
     "SpherePlateForce",
     "ForceCurve",
@@ -95,6 +98,7 @@ class LifshitzSettings:
 _DEFAULT_SETTINGS = LifshitzSettings()
 
 _LAG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LAG_ORDERS = (32, 64, 128, 256)
 
 
 def _lag_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,27 +125,67 @@ def _log_scaled(r2, y):
     return np.where(small, series, direct)
 
 
-def _inner_scaled(a: float, r2_of_y: Callable, kind: str, rel_tol: float) -> float:
-    """exp(a) * integral over y in [a, inf) of the pressure/energy kernel.
+# kernel -> (power p of d in the prefactor, sign).  The thermal prefactor is
+# k_B T / (8 pi d^p), the zero-temperature one hbar c / (32 pi^2 d^(p+1)).
+# "slope" is dP/dd: d/dd acts only on exp(-2 kappa d) at fixed (xi, k).
+_KERNELS = {"energy": (2, 1.0), "pressure": (3, 1.0), "slope": (4, -1.0)}
+# n = 0 TM term of each scaled kernel (r_TM = 1, a = 0)
+_N0_TM = {"energy": -_ZETA3, "pressure": 2.0 * _ZETA3, "slope": 6.0 * _ZETA3}
+# int_0^inf da of each scaled kernel for a perfect conductor at T = 0
+_PC_ZERO_T = {"energy": -2.0 * math.pi**4 / 45.0, "pressure": 2.0 * math.pi**4 / 15.0,
+              "slope": 8.0 * math.pi**4 / 15.0}
+# kernels that raise ConvergenceError instead of returning an unconverged value
+_STRICT = frozenset({"pressure", "slope"})
+
+
+def _integrand(kind: str, y, r_tm2, r_te2):
+    """exp(y) times the y-integrand of one kernel, summed over TM and TE."""
+    if kind == "energy":
+        return y * (_log_scaled(r_tm2, y) + _log_scaled(r_te2, y))
+    e = np.exp(-y)
+    den_tm, den_te = 1.0 - r_tm2 * e, 1.0 - r_te2 * e
+    if kind == "pressure":
+        return y * y * (r_tm2 / den_tm + r_te2 / den_te)
+    return y**3 * (r_tm2 / den_tm**2 + r_te2 / den_te**2)
+
+
+def _inner_scaled(
+    a: float, r2_of_y: Callable, kinds: tuple, rel_tol: float, strict: bool = True
+) -> list[float]:
+    """exp(a) * integral over y in [a, inf) of each kernel in ``kinds``.
 
     Gauss-Laguerre in t = y - a; the exp(a) scaling keeps every factor
-    O(1) so terms at any Matsubara index can be composed stably.
+    O(1) so terms at any Matsubara index can be composed stably.  The
+    nodes and reflection coefficients are shared; each kernel stops at the
+    first order that agrees with the one before, so its value does not
+    depend on which other kernels were requested.  With ``strict``, a
+    pressure or slope kernel still unconverged at the last order raises
+    ConvergenceError; the energy kernel returns its last value.
     """
-    prev = None
-    for order in (32, 64, 128, 256):
+    vals: dict[str, float] = {}
+    pending = kinds
+    for order in _LAG_ORDERS:
         t, w = _lag_nodes(order)
         y = a + t
         r_tm2, r_te2 = r2_of_y(y)
-        if kind == "pressure":
-            e = np.exp(-y)
-            g = y * y * (r_tm2 / (1.0 - r_tm2 * e) + r_te2 / (1.0 - r_te2 * e))
-        else:
-            g = y * (_log_scaled(r_tm2, y) + _log_scaled(r_te2, y))
-        val = float(np.dot(w, g))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-    return val
+        still = []
+        for kind in pending:
+            val = float(np.dot(w, _integrand(kind, y, r_tm2, r_te2)))
+            prev = vals.get(kind)
+            if not (prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300)):
+                still.append(kind)
+            vals[kind] = val
+        pending = still
+        if not pending:
+            break
+    for kind in pending:
+        if strict and kind in _STRICT:
+            raise ConvergenceError(
+                f"{kind} k-integral did not converge at Gauss-Laguerre order {order}",
+                partial_sum=vals[kind],
+                terms=order,
+            )
+    return [vals[kind] for kind in kinds]
 
 
 def _r2_factory(model: MaterialModel, eps: float, a: float) -> Callable:
@@ -150,11 +194,11 @@ def _r2_factory(model: MaterialModel, eps: float, a: float) -> Callable:
     return lambda y: _r2_metal(eps, y, a)
 
 
-def _n0_scaled(model: MaterialModel, d: float, kind: str, rel_tol: float) -> float:
-    """Zero-frequency term of the scaled sum (a = 0, model-specific TE)."""
-    tm = 2.0 * _ZETA3 if kind == "pressure" else -_ZETA3
+def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> list[float]:
+    """Zero-frequency term of each scaled sum (a = 0, model-specific TE)."""
+    tm = [_N0_TM[kind] for kind in kinds]
     if isinstance(model, PerfectConductor):
-        return 2.0 * tm
+        return [2.0 * v for v in tm]
     if isinstance(model, (Drude, Tabulated)):
         return tm  # TE reflection vanishes at zero frequency
     if isinstance(model, Plasma):
@@ -166,11 +210,10 @@ def _n0_scaled(model: MaterialModel, d: float, kind: str, rel_tol: float) -> flo
             r = (y - s) / (y + s)
             return r * r
 
-        if kind == "pressure":
-            te = _inner_scaled(0.0, lambda y: (np.zeros_like(y), r2_te(y)), kind, rel_tol)
-        else:
+        te = {}
+        if "energy" in kinds:
             # y*log(...) has a log singularity at y = 0; adaptive quadrature
-            te = quad(
+            te["energy"] = quad(
                 lambda y: y * math.log1p(-float(r2_te(np.asarray(y))) * math.exp(-y)),
                 0.0,
                 np.inf,
@@ -178,7 +221,11 @@ def _n0_scaled(model: MaterialModel, d: float, kind: str, rel_tol: float) -> flo
                 epsrel=1e-11,
                 limit=200,
             )[0]
-        return tm + te
+        laguerre = tuple(kind for kind in kinds if kind != "energy")
+        if laguerre:
+            r2 = lambda y: (np.zeros_like(y), r2_te(y))
+            te.update(zip(laguerre, _inner_scaled(0.0, r2, laguerre, rel_tol)))
+        return [v + te[kind] for kind, v in zip(kinds, tm)]
     raise TypeError(f"unknown material model {model!r}")
 
 
@@ -186,51 +233,57 @@ def _xi1_rad(T: float) -> float:
     return 2.0 * math.pi * CONSTANTS.k_B * T / CONSTANTS.hbar
 
 
-def _thermal_sum(model, d, T, kind, settings) -> float:
-    """sum'_n exp(-a_n) * inner_scaled(a_n), the scale-free Matsubara series."""
+def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
+    """sum'_n exp(-a_n) * inner_scaled(a_n) of each kernel, the scale-free Matsubara series.
+
+    Each kernel stops at its own converged term count.
+    """
     rel = settings.quad_rel_tol
-    acc = 0.5 * _n0_scaled(model, d, kind, rel)
+    acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
     xi1 = _xi1_rad(T)
     is_pc = isinstance(model, PerfectConductor)
+    pending = kinds
     for n in range(1, settings.matsubara_max_terms + 1):
         a = 2.0 * d * n * xi1 / CONSTANTS.c
         if a > 700.0:
-            return acc  # remaining terms underflow to zero
+            break  # remaining terms underflow to zero
         eps = None if is_pc else eps_imag_axis(model, n * xi1 * CONSTANTS.hbar / EV)
-        term = math.exp(-a) * _inner_scaled(a, _r2_factory(model, eps, a), kind, rel)
-        acc += term
-        if abs(term) <= settings.matsubara_rel_tol * abs(acc):
-            return acc
-    raise ConvergenceError(
-        f"Matsubara sum did not converge within {settings.matsubara_max_terms} terms "
-        f"(d={d:g} m, T={T:g} K)",
-        partial_sum=acc,
-        terms=settings.matsubara_max_terms,
-    )
+        scale = math.exp(-a)
+        still = []
+        for kind, inner in zip(pending, _inner_scaled(a, _r2_factory(model, eps, a), pending, rel)):
+            term = scale * inner
+            acc[kind] += term
+            if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
+                still.append(kind)
+        pending = tuple(still)
+        if not pending:
+            break
+    else:
+        raise ConvergenceError(
+            f"Matsubara sum did not converge within {settings.matsubara_max_terms} terms "
+            f"(d={d:g} m, T={T:g} K)",
+            partial_sum=acc[pending[0]],
+            terms=settings.matsubara_max_terms,
+        )
+    return [acc[kind] for kind in kinds]
 
 
-def _zero_t_integral(model, d, kind, settings) -> float:
-    """int_0^inf I(a) da via Gauss-Laguerre; I(a) = exp(-a)*inner_scaled(a)."""
-    rel = settings.quad_rel_tol
-    is_pc = isinstance(model, PerfectConductor)
-    prev = None
-    for order in (64, 128):
-        A, W = _lag_nodes(order)
-        if is_pc:
-            eps = np.full_like(A, np.nan)
-        else:
-            xi_ev = A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV)
-            eps = eps_imag_axis(model, xi_ev)
-        total = 0.0
-        for j in range(order):
-            e_j = None if is_pc else float(eps[j])
-            total += float(W[j]) * _inner_scaled(
-                float(A[j]), _r2_factory(model, e_j, float(A[j])), kind, rel
-            )
-        if prev is not None and abs(total - prev) <= 10 * rel * max(abs(total), 1e-300):
-            return total
-        prev = total
-    return total
+def _zero_t_integral(model, d, kinds, settings) -> list[float]:
+    """int_0^inf I(a) da of each kernel, I(a) = exp(-a)*inner_scaled(a), by 128-node Gauss-Laguerre.
+
+    The rule is not checked for convergence, and neither are its
+    k-integrals: for Drude-like models both stop short of ``quad_rel_tol``
+    (the 64-node rule differs by ~2e-4).
+    """
+    A, W = _lag_nodes(128)
+    eps = eps_imag_axis(model, A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV))
+    sums = [0.0] * len(kinds)
+    for a, w, e in zip(A, W, eps):
+        a = float(a)
+        inner = _inner_scaled(a, _r2_factory(model, float(e), a), kinds, settings.quad_rel_tol, strict=False)
+        for i, v in enumerate(inner):
+            sums[i] += float(w) * v
+    return sums
 
 
 def _check_d_T(d: float, T: float) -> None:
@@ -238,6 +291,27 @@ def _check_d_T(d: float, T: float) -> None:
         raise DomainError(f"separation must be > 0, got {d}")
     if T < 0:
         raise DomainError(f"temperature must be >= 0, got {T}")
+
+
+def _plate_kernels(model, d, T, kinds: tuple, settings) -> list[float]:
+    """SI values of the requested kernels from one Matsubara (or T = 0) pass."""
+    settings = settings or _DEFAULT_SETTINGS
+    _check_d_T(d, T)
+    zero_t = settings.zero_temperature_mode or T == 0.0
+    if zero_t and isinstance(model, PerfectConductor):
+        values = [_PC_ZERO_T[kind] for kind in kinds]
+    elif zero_t:
+        values = _zero_t_integral(model, d, kinds, settings)
+    else:
+        values = _thermal_sum(model, d, T, kinds, settings)
+    out = []
+    for kind, v in zip(kinds, values):
+        power, sign = _KERNELS[kind]
+        if zero_t:
+            out.append(sign * (CONSTANTS.hbar_c / (32.0 * math.pi**2 * d ** (power + 1)) * v))
+        else:
+            out.append(sign * (CONSTANTS.k_B * T / (8.0 * math.pi * d**power) * v))
+    return out
 
 
 def plate_pressure(
@@ -249,15 +323,10 @@ def plate_pressure(
     """Attractive parallel-plate pressure in Pa (positive), at separation d (m).
 
     With ``zero_temperature_mode`` (or T = 0) the Matsubara sum is replaced
-    by the continuous imaginary-frequency integral.
+    by the continuous imaginary-frequency integral, in closed form for a
+    perfect conductor.
     """
-    settings = settings or _DEFAULT_SETTINGS
-    _check_d_T(d, T)
-    if settings.zero_temperature_mode or T == 0.0:
-        integral = _zero_t_integral(model, d, "pressure", settings)
-        return CONSTANTS.hbar_c / (32.0 * math.pi**2 * d**4) * integral
-    s = _thermal_sum(model, d, T, "pressure", settings)
-    return CONSTANTS.k_B * T / (8.0 * math.pi * d**3) * s
+    return _plate_kernels(model, d, T, ("pressure",), settings)[0]
 
 
 def plate_energy(
@@ -267,13 +336,45 @@ def plate_energy(
     settings: LifshitzSettings | None = None,
 ) -> float:
     """Interaction free energy per unit area in J/m^2 (negative = binding)."""
-    settings = settings or _DEFAULT_SETTINGS
-    _check_d_T(d, T)
-    if settings.zero_temperature_mode or T == 0.0:
-        integral = _zero_t_integral(model, d, "energy", settings)
-        return CONSTANTS.hbar_c / (32.0 * math.pi**2 * d**3) * integral
-    s = _thermal_sum(model, d, T, "energy", settings)
-    return CONSTANTS.k_B * T / (8.0 * math.pi * d**2) * s
+    return _plate_kernels(model, d, T, ("energy",), settings)[0]
+
+
+class PlateTower(NamedTuple):
+    """Free energy per area E (J/m^2), pressure P = dE/dd (Pa) and dP/dd (Pa/m)."""
+
+    energy: float
+    pressure: float
+    pressure_slope: float
+
+
+def plate_tower(
+    model: MaterialModel,
+    d: float,
+    T: float,
+    settings: LifshitzSettings | None = None,
+) -> PlateTower:
+    """E, P and dP/dd from one pass over shared frequencies and k-nodes.
+
+    Each component equals what ``plate_energy``/``plate_pressure`` return
+    bit for bit, because each stops at its own convergence.
+    """
+    return PlateTower(*_plate_kernels(model, d, T, ("energy", "pressure", "slope"), settings))
+
+
+def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
+    """Reject d <= 0 and d/R >= 0.1; warn above d/R = 1e-3."""
+    if not d > 0:
+        raise DomainError(f"separation must be > 0, got {d}")
+    ratio = d / geometry.sphere_radius
+    if ratio >= 0.1:
+        raise PFAValidityError(
+            f"d/R = {ratio:.3g} >= 0.1: proximity-force approximation invalid"
+        )
+    if ratio > 1e-3:
+        warnings.warn(
+            f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
+            stacklevel=3,
+        )
 
 
 def sphere_plate_force(
@@ -287,24 +388,20 @@ def sphere_plate_force(
     Valid for d << R; d/R >= 0.1 is rejected and d/R > 1e-3 warned about.
     """
     geometry = geometry or ExperimentGeometry()
-    if not d > 0:
-        raise DomainError(f"separation must be > 0, got {d}")
-    ratio = d / geometry.sphere_radius
-    if ratio >= 0.1:
-        raise PFAValidityError(
-            f"d/R = {ratio:.3g} >= 0.1: proximity-force approximation invalid"
-        )
-    if ratio > 1e-3:
-        warnings.warn(
-            f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
-            stacklevel=2,
-        )
+    _check_pfa(d, geometry)
     energy = plate_energy(model, d, geometry.temperature, settings)
     return -2.0 * math.pi * geometry.sphere_radius * energy
 
 
 class SpherePlateForce:
-    """Callable sphere-plate force evaluator F(d) for a fixed model/geometry."""
+    """Sphere-plate force evaluator F(d) with exact F'(d) and F''(d).
+
+    Under the PFA F = -2 pi R E, F' = -2 pi R P and F'' = -2 pi R dP/dd.
+    All three come from one ``plate_tower`` pass per d, kept for the most
+    recent d so that F, F' and F'' at one separation cost a single pass.
+    The kept pass is keyed by d alone: treat ``model``, ``geometry`` and
+    ``settings`` as fixed after construction.
+    """
 
     def __init__(
         self,
@@ -315,9 +412,25 @@ class SpherePlateForce:
         self.model = model
         self.geometry = geometry or ExperimentGeometry()
         self.settings = settings or _DEFAULT_SETTINGS
+        self._last: tuple[float, PlateTower] | None = None
+
+    def _tower(self, d: float) -> PlateTower:
+        last = self._last
+        if last is not None and last[0] == d:
+            return last[1]
+        _check_pfa(d, self.geometry)
+        tower = plate_tower(self.model, d, self.geometry.temperature, self.settings)
+        self._last = (d, tower)
+        return tower
 
     def __call__(self, d: float) -> float:
-        return sphere_plate_force(self.model, d, self.geometry, self.settings)
+        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).energy
+
+    def gradient(self, d: float) -> float:
+        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).pressure
+
+    def curvature(self, d: float) -> float:
+        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).pressure_slope
 
 
 # --------------------------------------------------------------------------

@@ -239,8 +239,7 @@ def _below_table_integral(table: OpticalAbsorptionTable, xi: float) -> float:
     If the recovered g^2 is unphysical (first rows not metallic-like) the
     extension degrades to the plain 1/omega tail anchored at row one.
     """
-    w0, w1 = table.omega_ev[0], table.omega_ev[1] if len(table.omega_ev) > 1 else (0.0,)
-    e0 = table.eps_imag[0]
+    w0, e0 = table.omega_ev[0], table.eps_imag[0]
     g2 = -1.0
     if len(table.omega_ev) > 1:
         w1, e1 = table.omega_ev[1], table.eps_imag[1]

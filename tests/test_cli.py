@@ -113,6 +113,40 @@ class TestCorrectCommand:
         rc = main(["correct", "--emit", "fig9", "-o", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_unconverged_pressure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import functools
+
+        import casfluct.cli as cli
+
+        strict = functools.partial(cli.LifshitzSettings, quad_rel_tol=1e-16)
+        monkeypatch.setattr(cli, "LifshitzSettings", strict)
+        rc = main(["correct", "--points", "3", "-o", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "numerical" in capsys.readouterr().err
+
+    def test_one_kernel_pass_per_force_row(self, tmp_path, monkeypatch):
+        import casfluct.lifshitz as lif
+
+        passes = []
+        real = lif._thermal_sum
+
+        def counting(*args):
+            passes.append(args[1])
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("correct must not run this")
+
+        monkeypatch.setattr(lif, "_thermal_sum", counting)
+        monkeypatch.setattr(lif, "_zero_t_integral", forbidden)
+        monkeypatch.setattr(lif, "derivative", forbidden)
+        assert main(["correct", "--points", "25", "-o", str(tmp_path / "c.csv")]) == 0
+        assert len(passes) == 25
+        passes.clear()
+        assert main(["correct", "--emit", "fig1", "--points", "25",
+                     "-o", str(tmp_path / "f.csv")]) == 0
+        assert len(passes) == 50  # plasma and Drude; the T = 0 mirror is closed form
+
     def test_sqrt_profile(self, tmp_path):
         out = tmp_path / "sq.csv"
         rc = main(["correct", "--model", "drude", "--profile", "sqrt",

@@ -14,6 +14,7 @@ from casfluct.lifshitz import (
     force_curve,
     plate_energy,
     plate_pressure,
+    plate_tower,
     sphere_plate_force,
 )
 
@@ -65,6 +66,23 @@ class TestClosedFormLimits:
         d = 50e-6
         p = plate_pressure(cf.PerfectConductor(), d, 300.0)
         assert p == pytest.approx(ZETA3 * KB * 300.0 / (4.0 * math.pi * d**3), rel=1e-9)
+
+    def test_zero_temperature_integral_near_perfect_plasma(self, zero_t_settings):
+        # The perfect mirror's T = 0 values are closed forms, so anchor the
+        # T = 0 integral with a plasma metal of skin depth delta << d: E, P and
+        # dP/dd approach the mirror's closed forms as 1 - c*delta/d with
+        # c = 4, 16/3 and 20/3 (E ~ d^-3 (1 - 4 delta/d), differentiated).
+        d, omega_p_ev = 1e-6, 1e4
+        delta = HBAR * C / (omega_p_ev * 1.602176634e-19)
+        plasma = plate_tower(cf.Plasma(omega_p_ev), d, 0.0, zero_t_settings)
+        mirror = plate_tower(cf.PerfectConductor(), d, 0.0, zero_t_settings)
+        for got, ideal, c in zip(plasma, mirror, (4.0, 16.0 / 3.0, 20.0 / 3.0)):
+            assert got / ideal == pytest.approx(1.0 - c * delta / d, abs=1e-7)
+
+    def test_classical_limit_ideal_slope(self):
+        d = 50e-6
+        slope = plate_tower(cf.PerfectConductor(), d, 300.0).pressure_slope
+        assert slope == pytest.approx(-3.0 * ZETA3 * KB * 300.0 / (4.0 * math.pi * d**4), rel=1e-9)
 
     def test_classical_limit_drude_is_half(self):
         d = 50e-6
@@ -204,3 +222,88 @@ class TestDerivative:
         total = cf.TotalForceEvaluator(bg, SpherePlateForce(cf.GOLD_DRUDE, geometry))
         slope = abs(total.gradient(0.62e-6)) / (UDYNE / 1e-6)
         assert slope == pytest.approx(1000.0, rel=0.25)
+
+
+_XI = np.geomspace(1e-3, 1e3, 160)
+TOWER_MODELS = {
+    "perfect": cf.PerfectConductor(),
+    "plasma": cf.GOLD_PLASMA,
+    "drude": cf.GOLD_DRUDE,
+    "tabulated": cf.Tabulated(
+        xi_ev=_XI, eps=cf.eps_imag_axis(cf.GOLD_DRUDE, _XI), low_freq=cf.GOLD_DRUDE
+    ),
+}
+TOWER_D = np.geomspace(0.3e-6, 8e-6, 5)
+
+
+def _tower_case(name, T, **settings):
+    """(model, geometry, settings); T = 0 runs in zero-temperature mode."""
+    geometry = cf.ExperimentGeometry(temperature=T)
+    return TOWER_MODELS[name], geometry, LifshitzSettings(zero_temperature_mode=T == 0.0, **settings)
+
+
+@pytest.mark.parametrize("T", [0.0, 77.0, 300.0])
+@pytest.mark.parametrize("name", list(TOWER_MODELS))
+class TestDerivativeTower:
+    def test_force_is_sphere_plate_force(self, name, T):
+        model, geometry, settings = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry, settings)
+        for d in TOWER_D:
+            assert force(d) == sphere_plate_force(model, d, geometry, settings)
+
+    def test_gradient_is_pressure(self, name, T):
+        model, geometry, settings = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry, settings)
+        radius = geometry.sphere_radius
+        for d in TOWER_D:
+            assert force.gradient(d) == -2.0 * math.pi * radius * plate_pressure(model, d, T, settings)
+
+    def test_curvature_matches_richardson_of_gradient(self, name, T):
+        model, geometry, settings = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry, settings)
+        # For Drude-like models the T = 0 frequency integral (128 nodes) is
+        # ~2e-4 from the 64-node value for E, P and dP/dd alike, so P and
+        # dP/dd are each about that far from exact and from each other.
+        rel = 1e-3 if T == 0.0 and name in ("drude", "tabulated") else 1e-6
+        for d in TOWER_D:
+            reference = derivative(force.gradient, d, order=1).value
+            assert force.curvature(d) == pytest.approx(reference, rel=rel)
+
+
+@pytest.mark.parametrize("T", [77.0, 300.0])
+@pytest.mark.parametrize("name", list(TOWER_MODELS))
+def test_unconverged_pressure_and_slope_raise(name, T):
+    model, geometry, settings = _tower_case(name, T, quad_rel_tol=1e-16)
+    force = SpherePlateForce(model, geometry, settings)
+    with pytest.raises(ConvergenceError):
+        plate_pressure(model, 1e-6, T, settings)
+    with pytest.raises(ConvergenceError):
+        force.gradient(1e-6)
+    with pytest.raises(ConvergenceError):
+        force.curvature(1e-6)
+
+
+def test_tower_shares_one_pass_per_separation(geometry, monkeypatch):
+    import casfluct.lifshitz as lif
+
+    passes = []
+    real = lif.plate_tower
+
+    def counting(model, d, *args):
+        passes.append(d)
+        return real(model, d, *args)
+
+    monkeypatch.setattr(lif, "plate_tower", counting)
+    force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
+    for d in (1e-6, 1e-6, 2e-6, 2e-6):
+        force(d), force.gradient(d), force.curvature(d)
+    assert passes == [1e-6, 2e-6]
+
+
+def test_tower_checks_pfa(geometry):
+    g = cf.ExperimentGeometry(sphere_radius=1e-4, temperature=300.0)
+    force = SpherePlateForce(cf.PerfectConductor(), g)
+    with pytest.raises(PFAValidityError):
+        force.curvature(2e-5)
+    with pytest.raises(cf.DomainError):
+        SpherePlateForce(cf.GOLD_DRUDE, geometry).gradient(0.0)
