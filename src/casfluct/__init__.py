@@ -12,6 +12,7 @@ from .analysis import (
     BinningExcess,
     Chi2Report,
     ScanResult,
+    TheoryEvaluationError,
     binning_consistency,
     chi2_sf,
     chi_squared,
@@ -22,9 +23,7 @@ from .background import (
     ElectrostaticBackground,
     FitError,
     TotalForceEvaluator,
-    electrostatic_force,
     fit_background,
-    total_force,
 )
 from .corrections import (
     ConstantProfile,
@@ -35,7 +34,6 @@ from .corrections import (
     TableProfile,
     apparent_force,
     combine_delta_sources,
-    delta_profile_eval,
     inflated_sigma,
     tilt_noise_estimate,
 )

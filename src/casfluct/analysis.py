@@ -21,6 +21,7 @@ from .units import DomainError
 __all__ = [
     "Chi2Report",
     "TheoryEvaluationError",
+    "evaluate_theory",
     "chi2_sf",
     "chi_squared",
     "ScanResult",
@@ -35,6 +36,31 @@ _MAX_ITER = 600
 
 class TheoryEvaluationError(RuntimeError):
     """Theory evaluator failed at a data point; names the point."""
+
+
+def evaluate_theory(theory: Callable, d_m: np.ndarray) -> np.ndarray:
+    """``theory`` at every separation of ``d_m`` (meters), as a float array.
+
+    The whole array goes to ``theory`` in one call first; that result is
+    taken only when it is a float array of the same shape.  On any
+    exception or any other result each point is evaluated on its own, and
+    a failing point raises :class:`TheoryEvaluationError` naming its d.
+    """
+    try:
+        out = np.asarray(theory(d_m))
+        if out.dtype.kind == "f" and out.shape == d_m.shape:
+            return out.astype(float, copy=False)
+    except Exception:
+        pass  # a genuine failure recurs in the per-point pass, which names its d
+    preds = np.empty(d_m.shape)
+    for i, d in enumerate(d_m):
+        try:
+            preds[i] = float(theory(d))
+        except Exception as exc:
+            raise TheoryEvaluationError(
+                f"theory evaluation failed at d = {d / 1e-6:g} um: {exc}"
+            ) from exc
+    return preds
 
 
 def _upper_gamma_reg(a: float, x: float) -> float:
@@ -132,20 +158,15 @@ def chi_squared(
 ) -> Chi2Report:
     """chi^2 = sum ((F_i - theory(d_i)) / sigma_i)^2 with explicit dof accounting.
 
-    ``theory`` maps separation in meters to force in newtons.  Degrees of
+    ``theory`` maps separation in meters to force in newtons; one that
+    accepts an array is called once for all points (see
+    :func:`evaluate_theory`).  Degrees of
     freedom are never inferred: they are n - fitted_params, or exactly
     ``dof_override`` when given.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    preds = np.empty(len(data))
-    for i, d in enumerate(data.d_m):
-        try:
-            preds[i] = float(theory(d))
-        except Exception as exc:
-            raise TheoryEvaluationError(
-                f"theory evaluation failed at d = {data.d_um[i]:g} um: {exc}"
-            ) from exc
+    preds = evaluate_theory(theory, data.d_m)
     resid = (data.force_N - preds) / data.sigma_N
     chi2 = float(np.sum(resid**2))
     dof = dof_override if dof_override is not None else len(data) - fitted_params

@@ -16,16 +16,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .dataset import ForceDataset
-from .lifshitz import curvature_of, gradient_of
+from .lifshitz import curvature_of, float_or_array, gradient_of
 from .units import UDYNE, DomainError
 
 __all__ = [
     "ElectrostaticBackground",
     "FitError",
     "BackgroundFit",
-    "electrostatic_force",
     "fit_background",
-    "total_force",
     "TotalForceEvaluator",
 ]
 
@@ -62,23 +60,15 @@ class ElectrostaticBackground:
         return gap
 
     def force(self, d):
-        out = self.beta / self._gap(d)
-        return float(out) if out.ndim == 0 else out
+        return float_or_array(self.beta / self._gap(d))
 
     __call__ = force
 
     def gradient(self, d):
-        out = -self.beta / self._gap(d) ** 2
-        return float(out) if out.ndim == 0 else out
+        return float_or_array(-self.beta / self._gap(d) ** 2)
 
     def curvature(self, d):
-        out = 2.0 * self.beta / self._gap(d) ** 3
-        return float(out) if out.ndim == 0 else out
-
-
-def electrostatic_force(bg: ElectrostaticBackground, d) -> float:
-    """Background force beta/(d - d0); rejects d <= d0."""
-    return bg.force(d)
+        return float_or_array(2.0 * self.beta / self._gap(d) ** 3)
 
 
 @dataclass(frozen=True)
@@ -176,11 +166,6 @@ def fit_background(
         points_used=len(d),
         d0_at_bounds=bool(at_bounds),
     )
-
-
-def total_force(bg: ElectrostaticBackground, casimir: Callable, d: float) -> float:
-    """Total measured force F(d) = F_e(d) + F_c(d)."""
-    return bg.force(d) + casimir(d)
 
 
 class TotalForceEvaluator:

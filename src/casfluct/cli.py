@@ -377,7 +377,9 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
     """
     header: list[str] | None = None
     rows: list[list[str]] = []
-    for raw in open(path).read().splitlines():
+    with open(path) as fh:
+        text = fh.read()
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .lifshitz import curvature_of
+from .lifshitz import curvature_of, float_or_array
 from .units import DomainError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "SqrtLawProfile",
     "TableProfile",
     "FluctuationProfile",
-    "delta_profile_eval",
     "FluctuationSource",
     "FluctuationBudget",
     "DeltaCombination",
@@ -113,11 +112,6 @@ class TableProfile:
 FluctuationProfile = Union[ConstantProfile, SqrtLawProfile, TableProfile]
 
 
-def delta_profile_eval(profile: FluctuationProfile, d: float) -> float:
-    """Evaluate an rms-fluctuation profile at distance d (> 0)."""
-    return profile(d)
-
-
 _BANDS = ("in-band", "out-of-band")
 
 
@@ -173,31 +167,32 @@ def combine_delta_sources(budget: FluctuationBudget) -> DeltaCombination:
 
 def apparent_force(
     force: Callable,
-    d: float,
+    d: float | np.ndarray,
     delta_rms: float,
-    curvature: Callable | float | None = None,
+    curvature: Callable | float | np.ndarray | None = None,
     step: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Time-averaged apparent force F(d) + (1/2) F''(d) delta_rms^2.
 
     The curvature comes from, in order of preference: the ``curvature``
     argument (a value or a callable of d), the evaluator's own
     ``curvature`` attribute, or the shared Richardson finite-difference
-    operator.
+    operator.  ``d`` may be an array when the force and its curvature
+    accept one (finite differences do not); the result is then an array.
     """
-    if not d > 0:
-        raise DomainError(f"distance must be > 0, got {d}")
+    if not np.all(np.asarray(d) > 0):
+        raise DomainError(f"distance must be > 0, got {d if np.ndim(d) == 0 else np.min(d)}")
     if delta_rms < 0:
         raise DomainError(f"delta_rms must be >= 0, got {delta_rms}")
-    base = float(force(d))
+    base = float_or_array(force(d))
     if delta_rms == 0.0:
         return base
     if curvature is None:
         second = curvature_of(force, d, step=step)
     elif callable(curvature):
-        second = float(curvature(d))
+        second = float_or_array(curvature(d))
     else:
-        second = float(curvature)
+        second = float_or_array(curvature)
     return base + 0.5 * second * delta_rms**2
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .provenance import atomic_write_text
 from .units import UDYNE
 
 __all__ = ["DatasetError", "ForceDataset", "load_dataset", "save_dataset"]
@@ -168,7 +169,7 @@ def load_dataset(path, label: str | None = None) -> ForceDataset:
 
 
 def save_dataset(ds: ForceDataset, path, comments: list[str] | None = None) -> None:
-    """Write a dataset back to CSV; numeric content round-trips bit-identically."""
+    """Write a dataset back to CSV atomically; numeric content round-trips bit-identically."""
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(_COLUMNS))
     for i in range(len(ds)):
@@ -177,5 +178,4 @@ def save_dataset(ds: ForceDataset, path, comments: list[str] | None = None) -> N
             f"{float(ds.sigma_udyne[i])!r},{int(ds.n_samples[i])},"
             f"{float(ds.bin_width_um[i])!r}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")

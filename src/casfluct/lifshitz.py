@@ -516,19 +516,13 @@ class TabulatedForceCurve:
         return x
 
     def __call__(self, x):
-        x = self._check(x)
-        out = self._spline(x)
-        return float(out) if out.ndim == 0 else out
+        return float_or_array(self._spline(self._check(x)))
 
     def gradient(self, x):
-        x = self._check(x)
-        out = self._d1(x)
-        return float(out) if out.ndim == 0 else out
+        return float_or_array(self._d1(self._check(x)))
 
     def curvature(self, x):
-        x = self._check(x)
-        out = self._d2(x)
-        return float(out) if out.ndim == 0 else out
+        return float_or_array(self._d2(self._check(x)))
 
 
 # --------------------------------------------------------------------------
@@ -571,17 +565,35 @@ def derivative(func: Callable, x: float, order: int = 1, step: float | None = No
     return DerivativeResult(value=value, error=error, flagged=flagged, step=h)
 
 
-def gradient_of(force: Callable, x: float, step: float | None = None) -> float:
-    """dF/dx, using the evaluator's analytic gradient when it advertises one."""
+def float_or_array(value) -> float | np.ndarray:
+    """A scalar result as a Python float, an array result as a float array."""
+    out = np.asarray(value, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def gradient_of(
+    force: Callable, x: float | np.ndarray, step: float | None = None
+) -> float | np.ndarray:
+    """dF/dx, using the evaluator's analytic gradient when it advertises one.
+
+    An analytic gradient may be taken on an array of x; finite differences
+    need a scalar x.
+    """
     g = getattr(force, "gradient", None)
     if callable(g):
-        return float(g(x))
+        return float_or_array(g(x))
     return derivative(force, x, order=1, step=step).value
 
 
-def curvature_of(force: Callable, x: float, step: float | None = None) -> float:
-    """d2F/dx2, using the evaluator's analytic curvature when it advertises one."""
+def curvature_of(
+    force: Callable, x: float | np.ndarray, step: float | None = None
+) -> float | np.ndarray:
+    """d2F/dx2, using the evaluator's analytic curvature when it advertises one.
+
+    An analytic curvature may be taken on an array of x; finite differences
+    need a scalar x.
+    """
     c2 = getattr(force, "curvature", None)
     if callable(c2):
-        return float(c2(x))
+        return float_or_array(c2(x))
     return derivative(force, x, order=2, step=step).value

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .analysis import TheoryEvaluationError, evaluate_theory
 from .corrections import apparent_force
 from .lifshitz import gradient_of
 from .units import DomainError
@@ -146,16 +147,6 @@ class TimeAverageReport:
         }
 
 
-def _evaluate(force: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(force(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(force(v)) for v in x])
-
-
 def _batch_se(values: np.ndarray, n_blocks: int = 32) -> float:
     """Standard error of the mean by batch means (robust to correlation)."""
     n = len(values)
@@ -173,7 +164,8 @@ def time_averaged_force(force: Callable, d: float, series: np.ndarray) -> TimeAv
     The analytic mean is the quadratic-order apparent force at the series'
     realized rms; the analytic scatter is |F'(d)| times that rms.  The
     standard error of the Monte Carlo mean uses batch means, which stay
-    honest for band-limited (correlated) samples.
+    honest for band-limited (correlated) samples.  A sample the evaluator
+    rejects raises :class:`TheoryEvaluationError` naming it.
     """
     series = np.asarray(series, dtype=float)
     x = d + series
@@ -183,7 +175,7 @@ def time_averaged_force(force: Callable, d: float, series: np.ndarray) -> TimeAv
             f"sample {worst} takes the separation to {x[worst]:g} m (<= 0); "
             "fluctuations too large for this distance"
         )
-    values = _evaluate(force, x)
+    values = evaluate_theory(force, x)
     realized_rms = math.sqrt(float(np.mean(series**2)))
     mean = float(np.mean(values))
     var = float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
@@ -294,7 +286,10 @@ def verify_second_order(
         series = sample_process(trial_spec)
         try:
             report = time_averaged_force(force, d, series)
-        except DomainError:
+        except (DomainError, TheoryEvaluationError) as exc:
+            # a sample outside the evaluator's domain reaches here wrapped
+            if not isinstance(exc, DomainError) and not isinstance(exc.__cause__, DomainError):
+                raise
             verdicts.append(
                 TrialVerdict(
                     seed=trial_spec.seed,

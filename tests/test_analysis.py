@@ -153,6 +153,72 @@ class TestChiSquared:
         assert set(blob["residuals"][0]) == {"d_um", "resid_sigma"}
 
 
+class TestArrayEvaluation:
+    @pytest.fixture
+    def dataset(self, synthetic_dataset):
+        d_um = np.linspace(0.6, 6.0, 200)
+        return synthetic_dataset(d_um, extra=lambda x: 33.76 / x**3, rng=np.random.default_rng(4))
+
+    @staticmethod
+    def _total():
+        knots = np.geomspace(0.4, 8.0, 120) * UM
+        casimir = cf.TabulatedForceCurve(knots, 33.76 * UDYNE * UM**3 / knots**3)
+        return cf.TotalForceEvaluator(cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM), casimir)
+
+    def test_array_theory_called_once(self, dataset):
+        shapes = []
+
+        def theory(d_m):
+            shapes.append(np.shape(d_m))
+            return 215.0 / (d_m / UM) * UDYNE
+
+        chi_squared(dataset, theory)
+        assert shapes == [(200,)]
+
+    def test_spline_equals_per_point(self, dataset):
+        spline = self._total().casimir
+        assert chi_squared(dataset, spline) == chi_squared(dataset, lambda d: spline(float(d)))
+
+    def test_apparent_force_equals_per_point(self, dataset):
+        total = self._total()
+
+        def theory(d):
+            return cf.apparent_force(total, d, 0.1 * UM, curvature=total.curvature)
+
+        got = chi_squared(dataset, theory, fitted_params=1)
+        want = chi_squared(dataset, lambda d: theory(float(d)), fitted_params=1)
+        assert got.chi2 == pytest.approx(want.chi2, rel=1e-15, abs=0.0)
+        assert got.p_value == pytest.approx(want.p_value, rel=1e-12, abs=0.0)
+        assert got.dof == want.dof
+
+    def test_wrong_shape_falls_back_to_points(self, synthetic_dataset):
+        ds = synthetic_dataset([1.0, 2.0, 3.0])
+        per_point = chi_squared(ds, lambda d: 215.0 / (d / UM) * UDYNE)
+        # np.sum returns one number for the whole array: not a per-point result
+        summed = chi_squared(ds, lambda d: np.sum(215.0 / (d / UM) * UDYNE))
+        assert summed == per_point
+
+    def test_spline_out_of_range_names_point(self, synthetic_dataset):
+        ds = synthetic_dataset([1.0, 2.0, 3.0])
+        knots = np.linspace(0.5, 2.5, 10) * UM
+        spline = cf.TabulatedForceCurve(knots, 215.0 * UDYNE * UM / knots)
+        with pytest.raises(TheoryEvaluationError, match="d = 3 um") as info:
+            chi_squared(ds, spline)
+        assert isinstance(info.value.__cause__, cf.DomainError)
+
+    def test_scalar_only_theory_names_point(self, synthetic_dataset):
+        ds = synthetic_dataset([1.0, 2.0, 3.0])
+
+        def theory(d_m):
+            d_m = float(d_m)  # TypeError on an array
+            if d_m > 1.5e-6:
+                raise FloatingPointError("laboratory accident")
+            return 0.0
+
+        with pytest.raises(TheoryEvaluationError, match="d = 2 um: laboratory accident"):
+            chi_squared(ds, theory)
+
+
 class TestScanDelta:
     def _family(self):
         bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)

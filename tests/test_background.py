@@ -8,9 +8,7 @@ from casfluct.background import (
     ElectrostaticBackground,
     FitError,
     TotalForceEvaluator,
-    electrostatic_force,
     fit_background,
-    total_force,
 )
 
 UDYNE_UM = 1e-17
@@ -32,7 +30,7 @@ class TestElectrostaticForce:
         with pytest.raises(cf.DomainError):
             bg.force(0.5)
         with pytest.raises(cf.DomainError):
-            electrostatic_force(bg, 0.2)
+            bg.force(0.2)
 
     def test_force_times_gap_constant(self):
         bg = ElectrostaticBackground(beta=215.0, d0=0.07)
@@ -139,24 +137,35 @@ class TestFit:
 class TestTotalForce:
     def test_zero_casimir(self):
         bg = ElectrostaticBackground(beta=215.0)
-        assert total_force(bg, lambda d: 0.0, 1.3) == bg.force(1.3)
+        assert TotalForceEvaluator(bg, lambda d: 0.0)(1.3) == bg.force(1.3)
 
     def test_zero_background_limit(self):
         # beta must stay positive; a vanishingly small one recovers Casimir-only
         bg = ElectrostaticBackground(beta=1e-300)
-        assert total_force(bg, lambda d: 42.0, 1.0) == pytest.approx(42.0, rel=0)
+        assert TotalForceEvaluator(bg, lambda d: 42.0)(1.0) == pytest.approx(42.0, rel=0)
 
     def test_additivity_bitwise(self):
         bg = ElectrostaticBackground(beta=215.0)
         cas = lambda d: 33.76 / d**3
         for d in (0.7, 1.0, 2.5):
-            assert total_force(bg, cas, d) == bg.force(d) + cas(d)
+            assert TotalForceEvaluator(bg, cas)(d) == bg.force(d) + cas(d)
 
     def test_reference_sum(self, geometry_t0, zero_t_settings):
         bg = ElectrostaticBackground(beta=215.0 * UDYNE_UM)
         f_c = cf.sphere_plate_force(cf.PerfectConductor(), 1e-6, geometry_t0, zero_t_settings)
-        got = total_force(bg, lambda d: f_c, 1e-6) / 1e-11
+        got = TotalForceEvaluator(bg, lambda d: f_c)(1e-6) / 1e-11
         assert got == pytest.approx(215.0 + 33.76, rel=1e-3)
+
+    def test_evaluator_on_array_equals_points(self):
+        bg = ElectrostaticBackground(beta=215.0 * UDYNE_UM, d0=0.03 * UM)
+        knots = np.geomspace(0.4, 8.0, 120) * UM
+        total = TotalForceEvaluator(bg, cf.TabulatedForceCurve(knots, 3.4e-28 / knots**3))
+        d = np.linspace(0.5, 7.5, 200) * UM
+        for method in (total, total.gradient, total.curvature):
+            got = method(d)
+            assert got.shape == d.shape
+            # array powers of the background gap may differ from scalar ones in the last bit
+            np.testing.assert_allclose(got, [method(x) for x in d], rtol=1e-15, atol=0.0)
 
     def test_evaluator_derivatives(self):
         bg = ElectrostaticBackground(beta=215.0)

@@ -14,7 +14,6 @@ from casfluct.corrections import (
     TableProfile,
     apparent_force,
     combine_delta_sources,
-    delta_profile_eval,
     inflated_sigma,
     tilt_noise_estimate,
 )
@@ -64,6 +63,37 @@ class TestApparentForce:
         for d_um in (0.5, 1.5, 6.0):
             d = d_um * 1e-6
             assert apparent_force(total, d, 0.1e-6, curvature=total.curvature) >= total(d)
+
+
+class TestApparentForceOnArrays:
+    def _spline(self):
+        knots = np.geomspace(0.4e-6, 8e-6, 120)
+        return cf.TabulatedForceCurve(knots, 3.4e-28 / knots**3)
+
+    def test_spline_equals_points(self):
+        cas = self._spline()
+        d = np.linspace(0.5e-6, 7.5e-6, 200)
+        got = apparent_force(cas, d, 0.1e-6)
+        assert got.shape == d.shape
+        assert np.array_equal(got, [apparent_force(cas, x, 0.1e-6) for x in d])
+        assert np.array_equal(apparent_force(cas, d, 0.0), cas(d))
+
+    def test_total_force_equals_points(self):
+        total = cf.TotalForceEvaluator(cf.ElectrostaticBackground(beta=215e-17), self._spline())
+        d = np.linspace(0.5e-6, 7.5e-6, 200)
+        got = apparent_force(total, d, 0.1e-6, curvature=total.curvature)
+        want = [apparent_force(total, x, 0.1e-6, curvature=total.curvature) for x in d]
+        # array powers of the background gap may differ from scalar ones in the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_curvature_value_array(self):
+        d = np.array([1.0, 2.0])
+        got = apparent_force(lambda x: 0.0 * x, d, 2.0, curvature=np.array([10.0, 4.0]))
+        assert np.array_equal(got, [20.0, 8.0])
+
+    def test_domain_checks_every_point(self):
+        with pytest.raises(cf.DomainError, match="got 0.0"):
+            apparent_force(lambda x: x, np.array([1.0, 0.0, 2.0]), 0.1)
 
 
 class TestInflatedSigma:
@@ -137,22 +167,22 @@ class TestCombineSources:
 class TestProfiles:
     def test_sqrt_law_reference_points(self):
         p = SqrtLawProfile()  # amplitude 1 um, scale 3 um
-        assert delta_profile_eval(p, 3e-6) == pytest.approx(1e-6, rel=1e-12)
-        assert delta_profile_eval(p, 0.75e-6) == pytest.approx(0.5e-6, rel=1e-12)
+        assert p(3e-6) == pytest.approx(1e-6, rel=1e-12)
+        assert p(0.75e-6) == pytest.approx(0.5e-6, rel=1e-12)
 
     def test_constant_profile(self):
         p = ConstantProfile(100e-9)
         for d in (0.6e-6, 3e-6, 42e-6):
-            assert delta_profile_eval(p, d) == 100e-9
+            assert p(d) == 100e-9
 
     def test_table_profile_interpolates(self):
         p = TableProfile(d=np.array([1e-6, 3e-6]), delta=np.array([0.1e-6, 0.3e-6]))
-        assert delta_profile_eval(p, 2e-6) == pytest.approx(0.2e-6, rel=1e-12)
+        assert p(2e-6) == pytest.approx(0.2e-6, rel=1e-12)
 
     def test_domain(self):
         p = ConstantProfile(1e-7)
         with pytest.raises(cf.DomainError):
-            delta_profile_eval(p, 0.0)
+            p(0.0)
         with pytest.raises(ValueError):
             SqrtLawProfile(scale=0.0)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,21 @@ def test_roundtrip_preserves_awkward_floats(tmp_path):
     ds2 = load_dataset(out)
     assert np.array_equal(ds.d_um, ds2.d_um)
     assert np.array_equal(ds.force_udyne, ds2.force_udyne)
+
+
+def test_save_is_atomic(write_dataset_csv, tmp_path, monkeypatch):
+    ds = load_dataset(write_dataset_csv(VALID_ROWS))
+    out = tmp_path / "kept.csv"
+    out.write_text("old contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(ds, out)
+    assert out.read_text() == "old contents\n"
+    assert list(tmp_path.glob(".tmp-*.part")) == []
 
 
 def test_constructor_invariants():

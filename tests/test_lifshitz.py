@@ -10,8 +10,10 @@ from casfluct.lifshitz import (
     PFAValidityError,
     SpherePlateForce,
     TabulatedForceCurve,
+    curvature_of,
     derivative,
     force_curve,
+    gradient_of,
     plate_energy,
     plate_pressure,
     plate_tower,
@@ -188,6 +190,24 @@ class TestForceCurve:
         ev = TabulatedForceCurve(d, 215.0 / d)
         assert ev.gradient(1.0) == pytest.approx(-215.0, rel=1e-6)
         assert ev.curvature(1.0) == pytest.approx(430.0, rel=1e-3)
+
+    def test_tabulated_array_equals_points(self):
+        knots = np.geomspace(0.4e-6, 8e-6, 120)
+        ev = TabulatedForceCurve(knots, PFA_FD3 / knots**3)
+        x = np.linspace(0.5e-6, 7.5e-6, 200)
+        for method in (ev, ev.gradient, ev.curvature):
+            got = method(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, [method(v) for v in x])
+
+    def test_analytic_derivatives_pass_arrays_through(self):
+        knots = np.geomspace(0.4e-6, 8e-6, 120)
+        ev = TabulatedForceCurve(knots, PFA_FD3 / knots**3)
+        x = np.linspace(0.5e-6, 7.5e-6, 200)
+        assert np.array_equal(gradient_of(ev, x), ev.gradient(x))
+        assert np.array_equal(curvature_of(ev, x), ev.curvature(x))
+        assert type(gradient_of(ev, 1e-6)) is float
+        assert type(curvature_of(ev, 1e-6)) is float
 
 
 class TestDerivative:

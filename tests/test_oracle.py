@@ -123,6 +123,14 @@ class TestTimeAveragedForce:
         with pytest.raises(cf.DomainError, match="sample 1"):
             time_averaged_force(lambda x: 1.0 / x, 1e-6, s)
 
+    def test_sample_outside_evaluator_range_named(self):
+        knots = np.linspace(0.9, 1.1, 12) * UM
+        spline = cf.TabulatedForceCurve(knots, 1.0 / knots)
+        s = np.array([0.0, 0.05, 0.2, -0.05]) * UM
+        with pytest.raises(cf.TheoryEvaluationError, match="d = 1.2 um") as info:
+            time_averaged_force(spline, 1e-6, s)
+        assert isinstance(info.value.__cause__, cf.DomainError)
+
     def test_report_fields(self):
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
         rep = time_averaged_force(lambda x: x, 1e-6, sample_process(spec))
@@ -168,6 +176,21 @@ class TestVerifySecondOrder:
         record = verify_second_order(bg, 1e-6, spec, trials=10)
         assert any(v.expansion_breakdown for v in record.verdicts)
         assert not record.all_passed
+
+    def test_sample_outside_evaluator_range_is_breakdown(self):
+        knots = np.linspace(0.9, 1.1, 12) * UM
+        spline = cf.TabulatedForceCurve(knots, 1.0 / knots)
+        spec = ProcessSpec(target_rms=0.1 * UM, seed=300, **FAST)
+        record = verify_second_order(spline, 1e-6, spec, trials=10)
+        assert all(v.expansion_breakdown and v.report is None for v in record.verdicts)
+
+    def test_other_evaluator_failures_propagate(self):
+        def force(x):
+            raise ZeroDivisionError("not a domain problem")
+
+        spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
+        with pytest.raises(cf.TheoryEvaluationError):
+            verify_second_order(force, 1e-6, spec, trials=10)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
