@@ -54,9 +54,10 @@ class ElectrostaticBackground:
             raise ValueError(f"beta_sigma must be >= 0, got {self.beta_sigma}")
 
     def _gap(self, d):
-        gap = np.asarray(d, dtype=float) - self.d0
+        d = np.asarray(d, dtype=float)
+        gap = d - self.d0
         if np.any(gap <= 0):
-            raise DomainError(f"require d > d0 = {self.d0:g}, got d = {d}")
+            raise DomainError(f"require d > d0 = {self.d0:g}, got d = {float(d.min()):g}")
         return gap
 
     def force(self, d):

@@ -470,13 +470,8 @@ def _cmd_simulate(opts) -> int:
     casimir = None
     if opts.model:
         geometry = _geometry(opts)
-        lo = d - 10.0 * delta
-        if lo <= 0:
-            raise ValueError(
-                f"delta_rms {opts.delta_rms} um too large at d = {opts.d} um: "
-                "sampled separations would reach zero"
-            )
-        dense = np.geomspace(lo, d + 10.0 * delta, 80)
+        # samples outside the span are recorded as expansion breakdowns
+        dense = np.geomspace(max(d - 10.0 * delta, 0.1 * d), d + 10.0 * delta, 80)
         casimir = force_curve(_build_model(opts), geometry, dense).as_evaluator()
     if bg and casimir:
         force = TotalForceEvaluator(bg, casimir)

@@ -149,49 +149,56 @@ def _integrand(kind: str, y, r_tm2, r_te2):
     return y**3 * (r_tm2 / den_tm**2 + r_te2 / den_te**2)
 
 
-def _inner_scaled(
-    a: float, r2_of_y: Callable, kinds: tuple, rel_tol: float, strict: bool = True
-) -> list[float]:
-    """exp(a) * integral over y in [a, inf) of each kernel in ``kinds``.
+def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float):
+    """exp(a_i) * integral over y in [a_i, inf) of each kernel in ``kinds``, for each a_i.
 
-    Gauss-Laguerre in t = y - a; the exp(a) scaling keeps every factor
-    O(1) so terms at any Matsubara index can be composed stably.  The
-    nodes and reflection coefficients are shared; each kernel stops at the
-    first order that agrees with the one before, so its value does not
-    depend on which other kernels were requested.  With ``strict``, a
-    pressure or slope kernel still unconverged at the last order raises
-    ConvergenceError; the energy kernel returns its last value.
+    Gauss-Laguerre in t = y - a_i, evaluated as a (rows x order) grid; the
+    exp(a) scaling keeps every factor O(1) so terms at any Matsubara index
+    can be composed stably.  ``r2_of_y(y, rows)`` gives the squared TM and
+    TE reflection coefficients on the grid ``y`` of the listed rows.  Each
+    row and each kernel stops at the first order that agrees with the one
+    before, and each row is reduced on its own with ``np.dot``, so a value
+    depends neither on the other rows nor on which other kernels were
+    requested.  Returns the values and the mask of those still unconverged
+    at the last order, both shaped (rows x kinds); callers decide whether
+    an unconverged value is an error.
     """
-    vals: dict[str, float] = {}
-    pending = kinds
-    for order in _LAG_ORDERS:
-        t, w = _lag_nodes(order)
-        y = a + t
-        r_tm2, r_te2 = r2_of_y(y)
-        still = []
-        for kind in pending:
-            val = float(np.dot(w, _integrand(kind, y, r_tm2, r_te2)))
-            prev = vals.get(kind)
-            if not (prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300)):
-                still.append(kind)
-            vals[kind] = val
-        pending = still
-        if not pending:
+    vals = np.zeros((a.size, len(kinds)))
+    pending = np.ones(vals.shape, dtype=bool)
+    for step, order in enumerate(_LAG_ORDERS):
+        rows = np.flatnonzero(pending.any(axis=1))
+        if rows.size == 0:
             break
-    for kind in pending:
-        if strict and kind in _STRICT:
-            raise ConvergenceError(
-                f"{kind} k-integral did not converge at Gauss-Laguerre order {order}",
-                partial_sum=vals[kind],
-                terms=order,
-            )
-    return [vals[kind] for kind in kinds]
+        t, w = _lag_nodes(order)
+        y = a[rows, None] + t
+        r_tm2, r_te2 = r2_of_y(y, rows)
+        for j, kind in enumerate(kinds):
+            sub = pending[rows, j]
+            if not sub.any():
+                continue
+            f = _integrand(kind, y[sub], r_tm2[sub], r_te2[sub])
+            val = np.array([np.dot(w, row) for row in f])
+            idx = rows[sub]
+            if step:
+                prev = vals[idx, j]
+                pending[idx, j] = ~(np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300))
+            vals[idx, j] = val
+    return vals, pending
 
 
-def _r2_factory(model: MaterialModel, eps: float, a: float) -> Callable:
+def _unconverged_k_integral(kind: str, value: float) -> ConvergenceError:
+    order = _LAG_ORDERS[-1]
+    return ConvergenceError(
+        f"{kind} k-integral did not converge at Gauss-Laguerre order {order}",
+        partial_sum=value,
+        terms=order,
+    )
+
+
+def _r2_factory(model: MaterialModel, eps, a: np.ndarray) -> Callable:
     if isinstance(model, PerfectConductor):
-        return lambda y: (np.ones_like(y), np.ones_like(y))
-    return lambda y: _r2_metal(eps, y, a)
+        return lambda y, rows: (np.ones_like(y), np.ones_like(y))
+    return lambda y, rows: _r2_metal(eps[rows, None], y, a[rows, None])
 
 
 def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> list[float]:
@@ -204,27 +211,29 @@ def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> 
     if isinstance(model, Plasma):
         omega_p = model.omega_p_ev * EV / CONSTANTS.hbar  # rad/s
         b = 2.0 * d * omega_p / CONSTANTS.c
-
-        def r2_te(y):
-            s = np.sqrt(y * y + b * b)
-            r = (y - s) / (y + s)
-            return r * r
-
         te = {}
         if "energy" in kinds:
+
+            def energy(y: float) -> float:
+                s = math.sqrt(y * y + b * b)
+                r = (y - s) / (y + s)
+                return y * math.log1p(-r * r * math.exp(-y))
+
             # y*log(...) has a log singularity at y = 0; adaptive quadrature
-            te["energy"] = quad(
-                lambda y: y * math.log1p(-float(r2_te(np.asarray(y))) * math.exp(-y)),
-                0.0,
-                np.inf,
-                epsabs=1e-13,
-                epsrel=1e-11,
-                limit=200,
-            )[0]
+            te["energy"] = quad(energy, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
         laguerre = tuple(kind for kind in kinds if kind != "energy")
         if laguerre:
-            r2 = lambda y: (np.zeros_like(y), r2_te(y))
-            te.update(zip(laguerre, _inner_scaled(0.0, r2, laguerre, rel_tol)))
+
+            def r2(y, rows):
+                s = np.sqrt(y * y + b * b)
+                r = (y - s) / (y + s)
+                return np.zeros_like(y), r * r
+
+            vals, unconverged = _inner_rows(np.zeros(1), r2, laguerre, rel_tol)
+            for kind, value, bad in zip(laguerre, vals[0].tolist(), unconverged[0]):
+                if bad:
+                    raise _unconverged_k_integral(kind, value)
+                te[kind] = value
         return [v + te[kind] for kind, v in zip(kinds, tm)]
     raise TypeError(f"unknown material model {model!r}")
 
@@ -233,43 +242,62 @@ def _xi1_rad(T: float) -> float:
     return 2.0 * math.pi * CONSTANTS.k_B * T / CONSTANTS.hbar
 
 
-def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
-    """sum'_n exp(-a_n) * inner_scaled(a_n) of each kernel, the scale-free Matsubara series.
+# The Matsubara series is computed in blocks of terms: the first block holds
+# the terms with a_n <= _BLOCK_A (the default 1e-9 stop lands at a_n ~ 15-40),
+# every later block as many again, and no block more than _BLOCK_MAX terms.
+_BLOCK_A = 30.0
+_BLOCK_MAX = 256
 
-    Each kernel stops at its own converged term count.
+
+def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
+    """sum'_n exp(-a_n) * inner(a_n) of each kernel, the scale-free Matsubara series.
+
+    inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  The
+    k-integrals of a block of terms come from one ``_inner_rows`` call
+    and one ``eps_imag_axis`` call; the terms are then added one at a time
+    in n, each kernel stopping at its own converged term count.  A block
+    may compute terms past the stop; only a consumed term can raise.
     """
     rel = settings.quad_rel_tol
     acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
     xi1 = _xi1_rad(T)
     is_pc = isinstance(model, PerfectConductor)
+    n_max = settings.matsubara_max_terms
+    n = np.arange(1, n_max + 1)
+    a_all = 2.0 * d * n * xi1 / CONSTANTS.c
+    stop = int(np.searchsorted(a_all, 700.0, side="right"))  # later terms underflow to zero
+    size = min(max(int(np.searchsorted(a_all, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
     pending = kinds
-    for n in range(1, settings.matsubara_max_terms + 1):
-        a = 2.0 * d * n * xi1 / CONSTANTS.c
-        if a > 700.0:
-            break  # remaining terms underflow to zero
-        eps = None if is_pc else eps_imag_axis(model, n * xi1 * CONSTANTS.hbar / EV)
-        scale = math.exp(-a)
-        still = []
-        for kind, inner in zip(pending, _inner_scaled(a, _r2_factory(model, eps, a), pending, rel)):
-            term = scale * inner
-            acc[kind] += term
-            if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
-                still.append(kind)
-        pending = tuple(still)
-        if not pending:
-            break
-    else:
+    for lo in range(0, stop, size):
+        a = a_all[lo : lo + size]
+        eps = None if is_pc else eps_imag_axis(model, n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV)
+        vals, unconverged = _inner_rows(a, _r2_factory(model, eps, a), pending, rel)
+        column = {kind: j for j, kind in enumerate(pending)}
+        for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
+            scale = math.exp(-a_n)
+            still = []
+            for kind in pending:
+                inner = row[column[kind]]
+                if bad[column[kind]] and kind in _STRICT:
+                    raise _unconverged_k_integral(kind, inner)
+                term = scale * inner
+                acc[kind] += term
+                if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
+                    still.append(kind)
+            pending = tuple(still)
+            if not pending:
+                return [acc[kind] for kind in kinds]
+    if stop == n_max:
         raise ConvergenceError(
-            f"Matsubara sum did not converge within {settings.matsubara_max_terms} terms "
-            f"(d={d:g} m, T={T:g} K)",
+            f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
             partial_sum=acc[pending[0]],
-            terms=settings.matsubara_max_terms,
+            terms=n_max,
         )
     return [acc[kind] for kind in kinds]
 
 
 def _zero_t_integral(model, d, kinds, settings) -> list[float]:
-    """int_0^inf I(a) da of each kernel, I(a) = exp(-a)*inner_scaled(a), by 128-node Gauss-Laguerre.
+    """int_0^inf I(a) da of each kernel, I(a) = exp(-a)*inner(a), by 128-node Gauss-Laguerre.
 
     The rule is not checked for convergence, and neither are its
     k-integrals: for Drude-like models both stop short of ``quad_rel_tol``
@@ -277,12 +305,11 @@ def _zero_t_integral(model, d, kinds, settings) -> list[float]:
     """
     A, W = _lag_nodes(128)
     eps = eps_imag_axis(model, A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV))
+    vals, _ = _inner_rows(A, _r2_factory(model, eps, A), kinds, settings.quad_rel_tol)
     sums = [0.0] * len(kinds)
-    for a, w, e in zip(A, W, eps):
-        a = float(a)
-        inner = _inner_scaled(a, _r2_factory(model, float(e), a), kinds, settings.quad_rel_tol, strict=False)
-        for i, v in enumerate(inner):
-            sums[i] += float(w) * v
+    for w, row in zip(W.tolist(), vals.tolist()):
+        for i, v in enumerate(row):
+            sums[i] += w * v
     return sums
 
 

@@ -32,6 +32,15 @@ class TestElectrostaticForce:
         with pytest.raises(cf.DomainError):
             bg.force(0.2)
 
+    def test_domain_error_names_worst_point(self):
+        bg = ElectrostaticBackground(beta=215.0, d0=0.5e-6)
+        d = np.linspace(0.1e-6, 8e-6, 200)
+        with pytest.raises(cf.DomainError) as err:
+            bg.force(d)
+        message = str(err.value)
+        assert len(message) < 80
+        assert message.endswith(f"got d = {d[0]:g}")
+
     def test_force_times_gap_constant(self):
         bg = ElectrostaticBackground(beta=215.0, d0=0.07)
         vals = [bg.force(d) * (d - 0.07) for d in (0.5, 1.0, 2.7, 6.0)]

@@ -354,12 +354,6 @@ class TestWorkerCap:
         assert out.read_bytes() == serial
 
 
-SIMULATE_DRUDE_DEFECT = (
-    "the simulate spline spans d +- 10 delta, which reaches 0 at the defaults "
-    "d = 1 um, delta = 0.1 um"
-)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -370,10 +364,7 @@ SIMULATE_DRUDE_DEFECT = (
         pytest.param(["chi2", "--data", "{data}", "--theory", "{theory}"], id="chi2"),
         pytest.param(["scan-delta", "--data", "{data}"], id="scan-delta"),
         pytest.param(["simulate"], id="simulate"),
-        pytest.param(
-            ["simulate", "--model", "drude"], id="simulate-drude",
-            marks=pytest.mark.xfail(strict=True, reason=SIMULATE_DRUDE_DEFECT),
-        ),
+        pytest.param(["simulate", "--model", "drude"], id="simulate-drude"),
         pytest.param(["tilt-estimate"], id="tilt-estimate"),
         pytest.param(["kk", "--table", "{table}"], id="kk"),
     ],

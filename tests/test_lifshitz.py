@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import casfluct as cf
 from casfluct.lifshitz import (
@@ -24,6 +25,7 @@ HBAR = 1.054571817e-34
 C = 299792458.0
 KB = 1.380649e-23
 ZETA3 = 1.2020569031595942
+EV = 1.602176634e-19
 UDYNE = 1e-11
 
 # Frozen closed forms (independent of the Matsubara machinery):
@@ -327,3 +329,167 @@ def test_tower_checks_pfa(geometry):
         force.curvature(2e-5)
     with pytest.raises(cf.DomainError):
         SpherePlateForce(cf.GOLD_DRUDE, geometry).gradient(0.0)
+
+
+# Exact E, P and dP/dd (J/m^2, Pa, Pa/m) recorded when every Matsubara term
+# was its own k-integral call; batching the sum must not move a bit.
+PINNED_TOWERS = {
+    ("perfect", 0.0, 4e-07): (-6.771488398165381e-09, 0.05078616298624037, -507861.62986240373),
+    ("perfect", 0.0, 1.3e-06): (-1.9725774123012488e-10, 0.0004552101720695189, -1400.6466832908275),
+    ("perfect", 0.0, 6e-06): (-2.0063669327897427e-12, 1.0031834663948712e-06, -0.6687889775965808),
+    ("perfect", 300.0, 4e-07): (-6.78427211192357e-09, 0.050788205677880664, -507861.62949617393),
+    ("perfect", 300.0, 1.3e-06): (-2.0820299158159913e-10, 0.00045725286227961057, -1400.6473694480458),
+    ("perfect", 300.0, 6e-06): (-5.5079529666478134e-12, 1.8436230345212983e-06, -0.934390279761074),
+    ("plasma", 0.0, 4e-07): (-5.537029744690154e-09, 0.03897343173956338, -366442.3627610016),
+    ("plasma", 0.0, 1.3e-06): (-1.847186701808123e-10, 0.00041719018393262635, -1256.5334969733358),
+    ("plasma", 0.0, 6e-06): (-1.9774218860280347e-12, 9.839496142823843e-07, -0.6528129501268014),
+    ("plasma", 300.0, 4e-07): (-5.551124365579016e-09, 0.038979202252698034, -366461.0015940573),
+    ("plasma", 300.0, 1.3e-06): (-1.959427770669703e-10, 0.00041958576417097275, -1257.077555592463),
+    ("plasma", 300.0, 6e-06): (-5.467813994776628e-12, 1.8231480280456827e-06, -0.9200105669890213),
+    ("drude", 0.0, 4e-07): (-5.437019635502313e-09, 0.03826484842784144, -359850.4614646171),
+    ("drude", 0.0, 1.3e-06): (-1.81677145066079e-10, 0.0004099585158375365, -1234.071357065892),
+    ("drude", 0.0, 6e-06): (-1.953614498042731e-12, 9.710073910760675e-07, -0.6436822748406225),
+    ("drude", 300.0, 4e-07): (-5.00336941194449e-09, 0.03635618860882283, -347558.08849682746),
+    ("drude", 300.0, 1.3e-06): (-1.4040996259401373e-10, 0.00033581702904674545, -1067.0444147566975),
+    ("drude", 300.0, 6e-06): (-2.7561368678581535e-12, 9.257607064364518e-07, -0.4744848629640833),
+    ("tabulated", 0.0, 4e-07): (-5.436994275811651e-09, 0.038264690189394844, -359849.4019143753),
+    ("tabulated", 0.0, 1.3e-06): (-1.8167637540100992e-10, 0.00040995658251753334, -1234.0651084907354),
+    ("tabulated", 0.0, 6e-06): (-1.9536115507459827e-12, 9.710054707159176e-07, -0.6436807398025864),
+    ("tabulated", 300.0, 4e-07): (-5.003343320983771e-09, 0.036356014784003056, -347556.78474609536),
+    ("tabulated", 300.0, 1.3e-06): (-1.404094736322151e-10, 0.0003358155084424956, -1067.038925533839),
+    ("tabulated", 300.0, 6e-06): (-2.7561368426970233e-12, 9.257606603728061e-07, -0.4744847777770834),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_TOWERS), ids=lambda k: f"{k[0]}-{k[1]:g}K-{k[2]:g}m")
+def test_pinned_values_are_bit_identical(key):
+    name, T, d = key
+    model = TOWER_MODELS[name]
+    energy, pressure, slope = PINNED_TOWERS[key]
+    assert plate_tower(model, d, T) == (energy, pressure, slope)
+    assert plate_energy(model, d, T) == energy
+    assert plate_pressure(model, d, T) == pressure
+
+
+# Partial sums at d = 0.5 um, 300 K when the series is cut at 3 terms: the
+# first pending kernel's (energy for the tower), scaled.
+PINNED_MAX_TERMS_3 = {
+    ("perfect", "plate_energy"): -4.620957862631257,
+    ("perfect", "plate_pressure"): 12.264613040995654,
+    ("perfect", "plate_tower"): -4.620957862631257,
+    ("plasma", "plate_energy"): -4.031178345702794,
+    ("plasma", "plate_pressure"): 10.341750387030311,
+    ("plasma", "plate_tower"): -4.031178345702794,
+    ("drude", "plate_energy"): -3.493582703821733,
+    ("drude", "plate_pressure"): 9.317009126139176,
+    ("drude", "plate_tower"): -3.493582703821733,
+    ("tabulated", "plate_energy"): -3.493562215497278,
+    ("tabulated", "plate_pressure"): 9.316947191995077,
+    ("tabulated", "plate_tower"): -3.493562215497278,
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_MAX_TERMS_3), ids="-".join)
+def test_matsubara_max_terms_still_raises(key):
+    name, func = key
+    settings = LifshitzSettings(matsubara_max_terms=3)
+    evaluate = {"plate_energy": plate_energy, "plate_pressure": plate_pressure, "plate_tower": plate_tower}[func]
+    with pytest.raises(ConvergenceError, match="within 3 terms") as err:
+        evaluate(TOWER_MODELS[name], 0.5e-6, 300.0, settings)
+    assert err.value.terms == 3
+    assert err.value.partial_sum == PINNED_MAX_TERMS_3[key]
+
+
+# The pressure k-integral of the first term the sum consumes (n = 1; the
+# n = 0 TE term for plasma) at d = 0.5 um, 300 K: with quad_rel_tol = 1e-16
+# no order agrees with the one before, so the sum stops there.
+PINNED_FIRST_UNCONVERGED = {
+    "perfect": 9.788559337691146,
+    "plasma": 1.8687383851406842,
+    "drude": 8.355525236729608,
+    "tabulated": 8.355445069859828,
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FIRST_UNCONVERGED))
+def test_unconverged_k_integral_raises_at_first_consumed_term(name):
+    settings = LifshitzSettings(quad_rel_tol=1e-16)
+    model = TOWER_MODELS[name]
+    for evaluate in (plate_pressure, plate_tower):
+        with pytest.raises(ConvergenceError, match="pressure k-integral") as err:
+            evaluate(model, 0.5e-6, 300.0, settings)
+        assert err.value.terms == 256
+        assert err.value.partial_sum == PINNED_FIRST_UNCONVERGED[name]
+    plate_energy(model, 0.5e-6, 300.0, settings)  # the energy kernel never raises
+
+
+def _reference_plate(model, d, T):
+    """E (J/m^2) and P (Pa) by adaptive quadrature over k and a plain Matsubara loop.
+
+    Shares nothing with the engine but the material parameters: the
+    integrals run over u = k d in [0, inf) with ``quad``, the reflection
+    coefficients and eps(i xi) are written out here, and the series is
+    summed term by term until a term is below 1e-12 of the sum.
+    """
+    xi1 = 2.0 * math.pi * KB * T / HBAR
+
+    def reflections(n, u):
+        """Squared TM and TE reflection coefficients at xi_n and u = k d."""
+        if isinstance(model, cf.PerfectConductor):
+            return 1.0, 1.0
+        omega_p = model.omega_p_ev * EV / HBAR
+        if n == 0:
+            if isinstance(model, cf.Drude):
+                return 1.0, 0.0
+            q_m = math.sqrt(u * u + (omega_p * d / C) ** 2)
+            return 1.0, ((u - q_m) / (u + q_m)) ** 2
+        xi = n * xi1
+        gamma = model.gamma_ev * EV / HBAR if isinstance(model, cf.Drude) else 0.0
+        eps = 1.0 + omega_p**2 / (xi * (xi + gamma))
+        q = math.sqrt(u * u + (xi * d / C) ** 2)
+        q_m = math.sqrt(u * u + eps * (xi * d / C) ** 2)
+        return ((eps * q - q_m) / (eps * q + q_m)) ** 2, ((q - q_m) / (q + q_m)) ** 2
+
+    def term(n):
+        q0 = n * xi1 * d / C
+
+        def energy(u):
+            e = math.exp(-2.0 * math.sqrt(u * u + q0 * q0))
+            return u * sum(math.log1p(-r2 * e) for r2 in reflections(n, u))
+
+        def pressure(u):
+            q = math.sqrt(u * u + q0 * q0)
+            e = math.exp(-2.0 * q)
+            return u * q * sum(r2 * e / (1.0 - r2 * e) for r2 in reflections(n, u))
+
+        return [quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0] for f in (energy, pressure)]
+
+    sums = [0.5 * v for v in term(0)]
+    n = 0
+    while True:
+        n += 1
+        values = term(n)
+        sums = [s + v for s, v in zip(sums, values)]
+        if all(abs(v) <= 1e-12 * abs(s) for v, s in zip(values, sums)):
+            break
+    return KB * T / (2.0 * math.pi * d * d) * sums[0], KB * T / (math.pi * d**3) * sums[1]
+
+
+@pytest.mark.parametrize("T", [77.0, 300.0])
+@pytest.mark.parametrize("name", ["perfect", "plasma", "drude"])
+def test_engine_matches_independent_reference(name, T):
+    model = TOWER_MODELS[name]
+    for d in (0.5e-6, 1.5e-6, 4e-6):
+        energy, pressure = _reference_plate(model, d, T)
+        assert plate_energy(model, d, T) == pytest.approx(energy, rel=1e-7)
+        assert plate_pressure(model, d, T) == pytest.approx(pressure, rel=1e-7)
+
+
+@pytest.mark.parametrize("block_max", [1, 3])
+def test_block_size_does_not_move_a_bit(block_max, monkeypatch):
+    import casfluct.lifshitz as lif
+
+    cases = [(TOWER_MODELS[name], d, T) for name in TOWER_MODELS for d in (0.4e-6, 3e-6) for T in (77.0, 300.0)]
+    batched = [plate_tower(*case) for case in cases]
+    monkeypatch.setattr(lif, "_BLOCK_MAX", block_max)
+    assert [plate_tower(*case) for case in cases] == batched
