@@ -46,6 +46,7 @@ from .permittivity import (
     Drude,
     PerfectConductor,
     Plasma,
+    _load_two_column,
     kk_transform,
     load_eps_table,
     load_optical_table,
@@ -62,127 +63,6 @@ from .units import UDYNE, DomainError, ExperimentGeometry, UnitError
 
 UM = 1e-6
 UDYNE_UM = UDYNE * UM  # beta unit in SI
-
-_DEFAULTS: dict[str, dict] = {
-    "force": {
-        "model": "drude",
-        "omega_p": 9.0,
-        "gamma": 0.035,
-        "eps_table": None,
-        "d_min": 0.5,
-        "d_max": 6.0,
-        "points": 50,
-        "log_spacing": False,
-        "radius_cm": 12.4,
-        "temperature": 300.0,
-        "zero_temperature": False,
-        "output": "force_curve.csv",
-    },
-    "correct": {
-        "model": "drude",
-        "omega_p": 9.0,
-        "gamma": 0.035,
-        "eps_table": None,
-        "beta": 215.0,
-        "d0": 0.0,
-        "delta_rms": 0.1,
-        "profile": "const",
-        "profile_table": None,
-        "amplitude": 1.0,
-        "scale": 3.0,
-        "d_min": 0.6,
-        "d_max": 6.0,
-        "points": 25,
-        "radius_cm": 12.4,
-        "temperature": 300.0,
-        "emit": None,
-        "output": "corrected_curve.csv",
-    },
-    "fit-beta": {
-        "data": None,
-        "d_min": 2.0,
-        "subtract": None,
-        "omega_p": 9.0,
-        "gamma": 0.035,
-        "radius_cm": 12.4,
-        "temperature": 300.0,
-        "output": "background_fit.json",
-    },
-    "chi2": {
-        "data": None,
-        "theory": None,
-        "column": None,
-        "dof": None,
-        "fitted_params": 0,
-        "output": "chi2_report.json",
-    },
-    "scan-delta": {
-        "data": None,
-        "model": "drude",
-        "omega_p": 9.0,
-        "gamma": 0.035,
-        "beta": 215.0,
-        "d0": 0.0,
-        "delta_min": 0.0,
-        "delta_max": 0.3,
-        "steps": 31,
-        "radius_cm": 12.4,
-        "temperature": 300.0,
-        "output": "delta_scan.csv",
-    },
-    "simulate": {
-        "d": 1.0,
-        "delta_rms": 0.1,
-        "beta": 215.0,
-        "model": None,
-        "omega_p": 9.0,
-        "gamma": 0.035,
-        "radius_cm": 12.4,
-        "temperature": 300.0,
-        "f_lo": 0.01,
-        "f_hi": 5.0,
-        "dt": 0.05,
-        "duration": 10000.0,
-        "seed": 0,
-        "trials": 10,
-        "kind": "white",
-        "output": "simulation_report.json",
-    },
-    "tilt-estimate": {
-        "ref_noise_nm": 20.0,
-        "ref_length_cm": 4.0,
-        "length_cm": 80.0,
-        "mode_freq_ratio": None,
-        "output": None,
-    },
-    "kk": {
-        "table": None,
-        "xi_min": 0.05,
-        "xi_max": 10.0,
-        "points": 40,
-        "log_spacing": True,
-        "output": "eps_imag_axis.csv",
-    },
-}
-
-
-def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
-    """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS[command])
-    explicit = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            file_conf = json.load(fh)
-        unknown = set(file_conf) - set(merged)
-        if unknown:
-            raise ValueError(
-                f"config file {config_path} has unknown keys for '{command}': {sorted(unknown)}"
-            )
-        merged.update(file_conf)
-    merged.update(explicit)
-    return SimpleNamespace(**merged)
-
 
 def _build_model(opts):
     name = opts.model
@@ -205,14 +85,16 @@ def _geometry(opts) -> ExperimentGeometry:
     )
 
 
-def _grid_um(opts) -> np.ndarray:
-    if not opts.d_min > 0 or not opts.d_max > opts.d_min:
-        raise ValueError(f"need 0 < d_min < d_max, got [{opts.d_min}, {opts.d_max}]")
+def _grid(opts, axis: str) -> np.ndarray:
+    """``--points`` values from ``--<axis>-min`` to ``--<axis>-max`` (log-spaced
+    with ``--log-spacing``)."""
+    lo, hi = getattr(opts, f"{axis}_min"), getattr(opts, f"{axis}_max")
+    if not lo > 0 or not hi > lo:
+        raise ValueError(f"need 0 < {axis}_min < {axis}_max, got [{lo}, {hi}]")
     if opts.points < 2:
-        raise ValueError(f"need >= 2 grid points, got {opts.points}")
-    if getattr(opts, "log_spacing", False):
-        return np.geomspace(opts.d_min, opts.d_max, opts.points)
-    return np.linspace(opts.d_min, opts.d_max, opts.points)
+        raise ValueError(f"need >= 2 grid points, got points = {opts.points}")
+    space = np.geomspace if getattr(opts, "log_spacing", False) else np.linspace
+    return space(lo, hi, opts.points)
 
 
 def _meta(command: str, opts, inputs: dict | None = None) -> dict:
@@ -236,13 +118,16 @@ def _write_json(path, meta: dict, payload: dict) -> None:
 
 
 def _profile(opts):
-    if getattr(opts, "profile", "const") == "sqrt":
+    if opts.profile == "sqrt":
         return SqrtLawProfile(scale=opts.scale * UM, amplitude=opts.amplitude * UM)
-    if getattr(opts, "profile", "const") == "table":
+    if opts.profile == "table":
         if not opts.profile_table:
             raise ValueError("--profile table requires --profile-table")
-        raw = np.loadtxt(opts.profile_table, delimiter=",", comments="#")
-        return TableProfile(d=raw[:, 0] * UM, delta=raw[:, 1] * UM)
+        d_um, delta_um = _load_two_column(opts.profile_table, ["d_um", "delta_um"])
+        try:
+            return TableProfile(d=d_um * UM, delta=delta_um * UM)
+        except ValueError as exc:
+            raise ValueError(f"{opts.profile_table}: {exc}") from None
     return ConstantProfile(delta_rms=opts.delta_rms * UM)
 
 
@@ -254,7 +139,7 @@ def _cmd_force(opts) -> int:
     model = _build_model(opts)
     geometry = _geometry(opts)
     settings = LifshitzSettings(zero_temperature_mode=opts.zero_temperature)
-    grid = _grid_um(opts) * UM
+    grid = _grid(opts, "d") * UM
     curve = force_curve(model, geometry, grid, settings)
     inputs = {"eps_table": opts.eps_table} if opts.eps_table else None
     meta = _meta("force", opts, inputs)
@@ -278,7 +163,7 @@ def _fig1_rows(opts, geometry, settings, profile):
         PerfectConductor(), geometry, LifshitzSettings(zero_temperature_mode=True)
     )
     rows = []
-    for d_um in _grid_um(opts):
+    for d_um in _grid(opts, "d"):
         d = d_um * UM
         delta = profile(d)
         row = [d_um]
@@ -335,7 +220,7 @@ def _cmd_correct(opts) -> int:
     total = TotalForceEvaluator(bg, SpherePlateForce(model, geometry, settings))
     meta["model"] = opts.model
     rows = []
-    for d_um in _grid_um(opts):
+    for d_um in _grid(opts, "d"):
         d = d_um * UM
         delta = profile(d)
         f = total(d)
@@ -530,12 +415,7 @@ def _cmd_kk(opts) -> int:
     if not opts.table:
         raise ValueError("kk requires --table")
     table = load_optical_table(opts.table)
-    if not opts.xi_min > 0 or not opts.xi_max > opts.xi_min:
-        raise ValueError("need 0 < xi_min < xi_max")
-    if opts.log_spacing:
-        grid = np.geomspace(opts.xi_min, opts.xi_max, opts.points)
-    else:
-        grid = np.linspace(opts.xi_min, opts.xi_max, opts.points)
+    grid = _grid(opts, "xi")
     eps = parallel_map(lambda xi: kk_transform(table, xi), grid)
     meta = _meta("kk", opts, {"table": opts.table})
     _write_csv(opts.output, meta, ["xi_ev", "eps"], zip(grid, eps))
@@ -543,7 +423,155 @@ def _cmd_kk(opts) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser
+# option table
+
+# subcommand -> (help, handler, options); an option is (dest, default,
+# argparse keywords).  Its flag is --dest with '_' written as '-' (output
+# is -o/--output) and its config-file key is dest.
+_MODELS = ("perfect", "plasma", "drude")
+_MODEL = ("model", "drude", {"choices": _MODELS + ("tabulated",), "help": "material model"})
+_METAL = (
+    ("omega_p", 9.0, {"type": float, "help": "plasma frequency (eV)"}),
+    ("gamma", 0.035, {"type": float, "help": "Drude relaxation (eV)"}),
+)
+_EPS_TABLE = ("eps_table", None, {"help": "CSV xi_ev,eps for the tabulated model"})
+_SPHERE = (
+    ("radius_cm", 12.4, {"type": float, "help": "sphere radius (cm)"}),
+    ("temperature", 300.0, {"type": float, "help": "temperature (K)"}),
+)
+_BETA = ("beta", 215.0, {"type": float, "help": "background strength (udyne um)"})
+_D0 = ("d0", 0.0, {"type": float, "help": "background distance offset (um)"})
+_DELTA_RMS = ("delta_rms", 0.1, {"type": float, "help": "rms fluctuation (um)"})
+_DATA = ("data", None, {"help": "measured dataset CSV"})
+_OUTPUT = {"help": "output path"}
+
+_COMMANDS = {
+    "force": ("compute a sphere-plate force curve", _cmd_force, (
+        _MODEL, *_METAL, _EPS_TABLE,
+        ("d_min", 0.5, {"type": float, "help": "min separation (um)"}),
+        ("d_max", 6.0, {"type": float, "help": "max separation (um)"}),
+        ("points", 50, {"type": int, "help": "grid size"}),
+        ("log_spacing", False, {"action": "store_true"}),
+        *_SPHERE,
+        ("zero_temperature", False, {
+            "action": "store_true", "help": "use the continuous-frequency (T=0) integral"}),
+        ("output", "force_curve.csv", _OUTPUT),
+    )),
+    "correct": ("apply the fluctuation correction to a force curve", _cmd_correct, (
+        _MODEL, *_METAL, _EPS_TABLE, _BETA, _D0, _DELTA_RMS,
+        ("profile", "const", {"choices": ("const", "sqrt", "table")}),
+        ("profile_table", None, {"help": "CSV d_um,delta_um"}),
+        ("amplitude", 1.0, {"type": float, "help": "sqrt-profile amplitude (um)"}),
+        ("scale", 3.0, {"type": float, "help": "sqrt-profile scale (um)"}),
+        ("d_min", 0.6, {"type": float, "help": "min separation (um)"}),
+        ("d_max", 6.0, {"type": float, "help": "max separation (um)"}),
+        ("points", 25, {"type": int, "help": "grid size"}),
+        *_SPHERE,
+        ("emit", None, {"help": "'fig1': corrected/uncorrected F*d^3 for both metal models"}),
+        ("output", "corrected_curve.csv", _OUTPUT),
+    )),
+    "fit-beta": ("fit the electrostatic background to long-distance data", _cmd_fit_beta, (
+        _DATA,
+        ("d_min", 2.0, {"type": float, "help": "fit points with d > this (um)"}),
+        ("subtract", None, {
+            "choices": _MODELS, "help": "subtract this dispersion-force model before fitting"}),
+        *_METAL, *_SPHERE,
+        ("output", "background_fit.json", _OUTPUT),
+    )),
+    "chi2": ("chi-squared of a theory curve against a dataset", _cmd_chi2, (
+        _DATA,
+        ("theory", None, {"help": "theory curve CSV (d_um,F_udyne)"}),
+        ("column", None, {"help": "named force column to compare (default: second column)"}),
+        ("dof", None, {"type": int, "help": "override degrees of freedom"}),
+        ("fitted_params", 0, {"type": int}),
+        ("output", "chi2_report.json", _OUTPUT),
+    )),
+    "scan-delta": ("chi-squared profile over fluctuation amplitude", _cmd_scan_delta, (
+        _DATA,
+        ("model", "drude", {"choices": _MODELS, "help": "material model"}),
+        *_METAL, _BETA, _D0,
+        ("delta_min", 0.0, {"type": float, "help": "scan start (um)"}),
+        ("delta_max", 0.3, {"type": float, "help": "scan end (um)"}),
+        ("steps", 31, {"type": int}),
+        *_SPHERE,
+        ("output", "delta_scan.csv", _OUTPUT),
+    )),
+    "simulate": ("Monte Carlo time-averaging check", _cmd_simulate, (
+        ("d", 1.0, {"type": float, "help": "separation (um)"}),
+        _DELTA_RMS,
+        ("beta", 215.0, {"type": float, "help": "background strength (udyne um); 0 disables"}),
+        ("model", None, {"choices": _MODELS, "help": "dispersion-force model (default: none)"}),
+        *_METAL, *_SPHERE,
+        ("f_lo", 0.01, {"type": float, "help": "band low edge (Hz)"}),
+        ("f_hi", 5.0, {"type": float, "help": "band high edge (Hz)"}),
+        ("dt", 0.05, {"type": float, "help": "sample interval (s)"}),
+        ("duration", 10000.0, {"type": float, "help": "series duration (s)"}),
+        ("seed", 0, {"type": int}),
+        ("trials", 10, {"type": int}),
+        ("kind", "white", {"choices": ("white", "one-over-f")}),
+        ("output", "simulation_report.json", _OUTPUT),
+    )),
+    "tilt-estimate": ("scale pendulum tilt noise to another length", _cmd_tilt, (
+        ("ref_noise_nm", 20.0, {"type": float}),
+        ("ref_length_cm", 4.0, {"type": float}),
+        ("length_cm", 80.0, {"type": float}),
+        ("mode_freq_ratio", None, {"type": float}),
+        ("output", None, _OUTPUT),
+    )),
+    "kk": ("eps(i*xi) from a real-axis absorption table", _cmd_kk, (
+        ("table", None, {"help": "absorption CSV (omega_ev,eps_imag)"}),
+        ("xi_min", 0.05, {"type": float}),
+        ("xi_max", 10.0, {"type": float}),
+        ("points", 40, {"type": int}),
+        ("log_spacing", True, {"action": "store_true"}),
+        ("output", "eps_imag_axis.csv", _OUTPUT),
+    )),
+}
+
+
+def _check_config_value(path, key: str, value, default, kwargs: dict) -> None:
+    """Reject a config value of another type or outside the option's choices.
+
+    Values are checked, never coerced, so a config keeps its config hash.
+    """
+    if kwargs.get("action") == "store_true":
+        want, ok = "true or false", isinstance(value, bool)
+    else:
+        kind = kwargs.get("type", str)
+        want = kind.__name__ + (" or null" if default is None else "")
+        number = (int, float) if kind is float else kind
+        ok = (value is None and default is None) or (
+            isinstance(value, number) and not isinstance(value, bool)
+        )
+    if not ok:
+        raise ValueError(f"config file {path}: {key} must be {want}, got {value!r}")
+    choices = kwargs.get("choices")
+    if choices and value is not None and value not in choices:
+        raise ValueError(
+            f"config file {path}: {key} must be one of {list(choices)}, got {value!r}"
+        )
+
+
+def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
+    """defaults < config file < explicit flags."""
+    options = {dest: (default, kwargs) for dest, default, kwargs in _COMMANDS[command][2]}
+    merged = {dest: default for dest, (default, _) in options.items()}
+    config_path = getattr(args, "config", None)
+    if config_path:
+        with open(config_path) as fh:
+            file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
+        unknown = set(file_conf) - set(merged)
+        if unknown:
+            raise ValueError(
+                f"config file {config_path} has unknown keys for '{command}': {sorted(unknown)}"
+            )
+        for key, value in file_conf.items():
+            _check_config_value(config_path, key, value, *options[key])
+        merged.update(file_conf)
+    merged.update({k: v for k, v in vars(args).items() if k not in ("func", "command", "config")})
+    return SimpleNamespace(**merged)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -554,118 +582,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new(name, func, help_text):
+    for name, (help_text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
+        for dest, _, kwargs in options:
+            flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)
+            p.add_argument(*flags, dest=dest, **kwargs)
         p.set_defaults(func=func, command=name)
-        return p
-
-    p = new("force", _cmd_force, "compute a sphere-plate force curve")
-    p.add_argument("--model", choices=["perfect", "plasma", "drude", "tabulated"])
-    p.add_argument("--omega-p", dest="omega_p", type=float, help="plasma frequency (eV)")
-    p.add_argument("--gamma", type=float, help="Drude relaxation (eV)")
-    p.add_argument("--eps-table", dest="eps_table", help="CSV xi_ev,eps for tabulated model")
-    p.add_argument("--d-min", dest="d_min", type=float, help="min separation (um)")
-    p.add_argument("--d-max", dest="d_max", type=float, help="max separation (um)")
-    p.add_argument("--points", type=int, help="grid size")
-    p.add_argument("--log-spacing", dest="log_spacing", action="store_true")
-    p.add_argument("--radius-cm", dest="radius_cm", type=float, help="sphere radius (cm)")
-    p.add_argument("--temperature", type=float, help="temperature (K)")
-    p.add_argument(
-        "--zero-temperature", dest="zero_temperature", action="store_true",
-        help="use the continuous-frequency (T=0) integral",
-    )
-    p.add_argument("-o", "--output", help="output CSV path")
-
-    p = new("correct", _cmd_correct, "apply the fluctuation correction to a force curve")
-    p.add_argument("--model", choices=["perfect", "plasma", "drude", "tabulated"])
-    p.add_argument("--omega-p", dest="omega_p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eps-table", dest="eps_table")
-    p.add_argument("--beta", type=float, help="background strength (udyne um)")
-    p.add_argument("--d0", type=float, help="background distance offset (um)")
-    p.add_argument("--delta-rms", dest="delta_rms", type=float, help="rms fluctuation (um)")
-    p.add_argument("--profile", choices=["const", "sqrt", "table"])
-    p.add_argument("--profile-table", dest="profile_table", help="CSV d_um,delta_um")
-    p.add_argument("--amplitude", type=float, help="sqrt-profile amplitude (um)")
-    p.add_argument("--scale", type=float, help="sqrt-profile scale (um)")
-    p.add_argument("--d-min", dest="d_min", type=float)
-    p.add_argument("--d-max", dest="d_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--radius-cm", dest="radius_cm", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--emit", help="'fig1': corrected/uncorrected F*d^3 for both metal models")
-    p.add_argument("-o", "--output")
-
-    p = new("fit-beta", _cmd_fit_beta, "fit the electrostatic background to long-distance data")
-    p.add_argument("--data", help="measured dataset CSV")
-    p.add_argument("--d-min", dest="d_min", type=float, help="fit points with d > this (um)")
-    p.add_argument(
-        "--subtract", choices=["perfect", "plasma", "drude"],
-        help="subtract this dispersion-force model before fitting",
-    )
-    p.add_argument("--omega-p", dest="omega_p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--radius-cm", dest="radius_cm", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("-o", "--output")
-
-    p = new("chi2", _cmd_chi2, "chi-squared of a theory curve against a dataset")
-    p.add_argument("--data", help="measured dataset CSV")
-    p.add_argument("--theory", help="theory curve CSV (d_um,F_udyne)")
-    p.add_argument("--column", help="named force column to compare (default: second column)")
-    p.add_argument("--dof", type=int, help="override degrees of freedom")
-    p.add_argument("--fitted-params", dest="fitted_params", type=int)
-    p.add_argument("-o", "--output")
-
-    p = new("scan-delta", _cmd_scan_delta, "chi-squared profile over fluctuation amplitude")
-    p.add_argument("--data")
-    p.add_argument("--model", choices=["perfect", "plasma", "drude", "tabulated"])
-    p.add_argument("--omega-p", dest="omega_p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--d0", type=float)
-    p.add_argument("--delta-min", dest="delta_min", type=float, help="scan start (um)")
-    p.add_argument("--delta-max", dest="delta_max", type=float, help="scan end (um)")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--radius-cm", dest="radius_cm", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("-o", "--output")
-
-    p = new("simulate", _cmd_simulate, "Monte Carlo time-averaging check")
-    p.add_argument("--d", type=float, help="separation (um)")
-    p.add_argument("--delta-rms", dest="delta_rms", type=float, help="rms fluctuation (um)")
-    p.add_argument("--beta", type=float, help="background strength; 0 disables")
-    p.add_argument("--model", choices=["perfect", "plasma", "drude", "tabulated"])
-    p.add_argument("--omega-p", dest="omega_p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--radius-cm", dest="radius_cm", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--f-lo", dest="f_lo", type=float, help="band low edge (Hz)")
-    p.add_argument("--f-hi", dest="f_hi", type=float, help="band high edge (Hz)")
-    p.add_argument("--dt", type=float, help="sample interval (s)")
-    p.add_argument("--duration", type=float, help="series duration (s)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--kind", choices=["white", "one-over-f"])
-    p.add_argument("-o", "--output")
-
-    p = new("tilt-estimate", _cmd_tilt, "scale pendulum tilt noise to another length")
-    p.add_argument("--ref-noise-nm", dest="ref_noise_nm", type=float)
-    p.add_argument("--ref-length-cm", dest="ref_length_cm", type=float)
-    p.add_argument("--length-cm", dest="length_cm", type=float)
-    p.add_argument("--mode-freq-ratio", dest="mode_freq_ratio", type=float)
-    p.add_argument("-o", "--output")
-
-    p = new("kk", _cmd_kk, "eps(i*xi) from a real-axis absorption table")
-    p.add_argument("--table", help="absorption CSV (omega_ev,eps_imag)")
-    p.add_argument("--xi-min", dest="xi_min", type=float)
-    p.add_argument("--xi-max", dest="xi_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--log-spacing", dest="log_spacing", action="store_true")
-    p.add_argument("-o", "--output")
-
     return parser
 
 

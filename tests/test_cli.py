@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct.cli import main
+from casfluct.cli import _build_parser, _merge_opts, main
+from casfluct.provenance import config_hash
 
 DATA_ROWS = [
     "0.62, 380.0, 11.0, 10, 0.1",
@@ -46,6 +48,11 @@ def _theory_curve(path):
     d = np.linspace(0.5, 6.5, 40)
     lines = ["d_um,F_udyne"] + [f"{float(x)!r},{float(215.0 / x + 33.76 / x**3)!r}" for x in d]
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _profile_table(path, rows=("0.5,0.1", "6.5,0.2")):
+    path.write_text("d_um,delta_um\n" + "\n".join(rows) + "\n")
     return path
 
 
@@ -367,6 +374,8 @@ class TestWorkerCap:
         pytest.param(["simulate", "--model", "drude"], id="simulate-drude"),
         pytest.param(["tilt-estimate"], id="tilt-estimate"),
         pytest.param(["kk", "--table", "{table}"], id="kk"),
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{profile}"],
+                     id="correct-profile-table"),
     ],
 )
 def test_subcommand_runs_at_its_defaults(argv, tmp_path, data_csv):
@@ -374,11 +383,65 @@ def test_subcommand_runs_at_its_defaults(argv, tmp_path, data_csv):
         "data": str(data_csv),
         "theory": str(_theory_curve(tmp_path / "theory.csv")),
         "table": str(_optical_table(tmp_path / "optical.csv")),
+        "profile": str(_profile_table(tmp_path / "profile.csv")),
     }
     out = tmp_path / "out"
     argv = [a.format(**files) for a in argv] + ["-o", str(out)]
     assert main(argv) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("force", "15a9527d9e15"),
+        ("correct", "8912a45ee068"),
+        ("fit-beta", "60d26495bff7"),
+        ("chi2", "f9cd21dcc500"),
+        ("scan-delta", "5a2517f1cfe5"),
+        ("simulate", "b3e19b08be8b"),
+        ("tilt-estimate", "485bb2da4162"),
+        ("kk", "6e04a7f61443"),
+    ],
+)
+def test_default_config_hash(command, digest):
+    """Same keys, values and value types as ever: every output header keeps its hash."""
+    opts = _merge_opts(command, _build_parser().parse_args([command]))
+    assert config_hash(vars(opts)) == digest
+
+
+@pytest.mark.parametrize("argv", [["scan-delta", "--data", "{data}"], ["simulate"]],
+                         ids=["scan-delta", "simulate"])
+def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys):
+    argv = [a.format(data=data_csv) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", "tabulated", "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tabulated'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["kk", "--table", "{table}", "--points", "0"], "points = 0", id="kk-points"),
+        pytest.param(["kk", "--table", "{table}", "--xi-min", "0"], "xi_min", id="kk-xi-min"),
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{one_row}"],
+                     "{one_row}: need >= 2", id="profile-one-row"),
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{headerless}"],
+                     "{headerless}:1: header must be 'd_um, delta_um'", id="profile-headerless"),
+    ],
+)
+def test_bad_input_exits_1(argv, message, tmp_path, capsys):
+    files = {
+        "table": str(_optical_table(tmp_path / "optical.csv")),
+        "one_row": str(_profile_table(tmp_path / "one.csv", rows=["1.0,0.1"])),
+        "headerless": str(tmp_path / "bare.csv"),
+    }
+    (tmp_path / "bare.csv").write_text("0.5,0.1\n6.5,0.2\n")
+    out = tmp_path / "out"
+    assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 1
+    assert message.format(**files) in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigMerge:
@@ -397,3 +460,42 @@ class TestConfigMerge:
         cfg.write_text(json.dumps({"banana": 1}))
         rc = main(["force", "--config", str(cfg), "-o", str(tmp_path / "c.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "command, conf, key",
+        [
+            ("force", 5, None),
+            ("force", ["points", 3], None),
+            ("force", {"points": "3"}, "points"),
+            ("force", {"points": 3.0}, "points"),
+            ("force", {"points": True}, "points"),
+            ("force", {"d_min": "1"}, "d_min"),
+            ("force", {"log_spacing": 1}, "log_spacing"),
+            ("force", {"model": None}, "model"),
+            ("force", {"model": "gold"}, "model"),
+            ("scan-delta", {"model": "tabulated"}, "model"),
+            ("simulate", {"kind": "pink"}, "kind"),
+            ("chi2", {"data": 5}, "data"),
+        ],
+    )
+    def test_rejected_config(self, command, conf, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(conf))
+        rc = main([command, "--config", str(cfg), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert key is None or key in err
+
+    def test_config_values_not_coerced(self, tmp_path):
+        """An int where the default is a float is kept as an int, so the hash is the file's."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d_min": 1, "d_max": 2, "points": 3}))
+        out = tmp_path / "c.csv"
+        assert main(["force", "--config", str(cfg), "--log-spacing", "-o", str(out)]) == 0
+        defaults = vars(_merge_opts("force", argparse.Namespace()))
+        want = {**defaults, "d_min": 1, "d_max": 2, "points": 3, "log_spacing": True,
+                "output": str(out)}
+        comments, _, _ = read_csv(out)
+        assert f"# config_hash: {config_hash(want)}" in comments
+        assert config_hash(want) != config_hash({**want, "d_min": 1.0, "d_max": 2.0})
