@@ -31,7 +31,7 @@ from .corrections import (
     inflated_sigma,
     tilt_noise_estimate,
 )
-from .dataset import DatasetError, load_dataset
+from .dataset import DatasetError, load_dataset, read_csv, read_table
 from .lifshitz import (
     ConvergenceError,
     LifshitzSettings,
@@ -46,7 +46,6 @@ from .permittivity import (
     Drude,
     PerfectConductor,
     Plasma,
-    _load_two_column,
     kk_transform,
     load_eps_table,
     load_optical_table,
@@ -123,11 +122,9 @@ def _profile(opts):
     if opts.profile == "table":
         if not opts.profile_table:
             raise ValueError("--profile table requires --profile-table")
-        d_um, delta_um = _load_two_column(opts.profile_table, ["d_um", "delta_um"])
-        try:
-            return TableProfile(d=d_um * UM, delta=delta_um * UM)
-        except ValueError as exc:
-            raise ValueError(f"{opts.profile_table}: {exc}") from None
+        return read_table(
+            opts.profile_table, ["d_um", "delta_um"], lambda d, delta: TableProfile(d * UM, delta * UM)
+        )
     return ConstantProfile(delta_rms=opts.delta_rms * UM)
 
 
@@ -157,8 +154,8 @@ def _cmd_force(opts) -> int:
 def _fig1_rows(opts, geometry, settings, profile):
     """Theory-side corrected/uncorrected F*d^3 table for both metal models."""
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    plasma = SpherePlateForce(Plasma(opts.omega_p), geometry, settings)
-    drude = SpherePlateForce(Drude(opts.omega_p, opts.gamma), geometry, settings)
+    models = (Plasma(opts.omega_p), Drude(opts.omega_p, opts.gamma))
+    totals = [TotalForceEvaluator(bg, SpherePlateForce(m, geometry, settings)) for m in models]
     pc0 = SpherePlateForce(
         PerfectConductor(), geometry, LifshitzSettings(zero_temperature_mode=True)
     )
@@ -169,10 +166,9 @@ def _fig1_rows(opts, geometry, settings, profile):
         row = [d_um]
         f_pc = pc0(d) / UDYNE
         row += [f_pc, f_pc * d_um**3]
-        for casimir in (plasma, drude):
-            f_c = casimir(d) / UDYNE
-            curvature = bg.curvature(d) + casimir.curvature(d)
-            f_a = apparent_force(casimir, d, delta, curvature=curvature) / UDYNE
+        for total in totals:
+            f_c = total.casimir(d) / UDYNE
+            f_a = apparent_force(total.casimir, d, delta, curvature=total.curvature) / UDYNE
             row += [f_c, f_a, f_c * d_um**3, f_a * d_um**3]
         row.append(delta / UM)
         rows.append(row)
@@ -213,8 +209,6 @@ def _cmd_correct(opts) -> int:
         meta["emit"] = "fig1"
         _write_csv(opts.output, meta, columns, _fig1_rows(opts, geometry, settings, profile))
         return 0
-    if opts.emit is not None:
-        raise ValueError(f"unknown emit mode {opts.emit!r}; supported: fig1")
     model = _build_model(opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
     total = TotalForceEvaluator(bg, SpherePlateForce(model, geometry, settings))
@@ -254,43 +248,22 @@ def _cmd_fit_beta(opts) -> int:
 
 
 def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
-    """Spline evaluator from a theory CSV (d_um first, force column second).
+    """Spline evaluator from a theory CSV: d_um first, the force column second.
 
     ``column`` selects a named force column from the header instead, so
     e.g. the F_apparent_udyne column of a corrected-curve file can be
     compared directly.
     """
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    with open(path) as fh:
-        text = fh.read()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if header is None:
-            try:
-                float(fields[0])
-            except ValueError:
-                header = fields
-                continue
-            header = []  # headerless file
-        rows.append(fields)
-    idx = 1
-    if column is not None:
-        if not header:
-            raise ValueError(f"{path}: --column requires a header row")
-        if column not in header:
-            raise ValueError(f"{path}: no column {column!r}; header has {header}")
-        idx = header.index(column)
+    header, rows = read_csv(path, ["d_um"], exact=False)
+    if column is None and len(header) > 1:
+        column = header[1]
+    if column not in header[1:]:
+        raise ValueError(f"{path}: no column {column!r}; header has {header}")
     if len(rows) < 4:
         raise ValueError(f"{path}: need >= 4 theory rows for spline interpolation")
-    try:
-        d_um = np.array([float(r[0]) for r in rows])
-        f_ud = np.array([float(r[idx]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: bad theory row: {exc}") from exc
+    idx = header.index(column)
+    d_um = np.array([r[0] for r in rows.values()])
+    f_ud = np.array([r[idx] for r in rows.values()])
     return TabulatedForceCurve(d_um * UM, f_ud * UDYNE)
 
 
@@ -310,6 +283,10 @@ def _cmd_chi2(opts) -> int:
 def _cmd_scan_delta(opts) -> int:
     if not opts.data:
         raise ValueError("scan-delta requires --data")
+    if opts.steps < 1:
+        raise ValueError(f"need >= 1 scan step, got steps = {opts.steps}")
+    if not opts.delta_max > opts.delta_min >= 0:
+        raise ValueError("need 0 <= delta_min < delta_max")
     data = load_dataset(opts.data)
     geometry = _geometry(opts)
     model = _build_model(opts)
@@ -323,8 +300,6 @@ def _cmd_scan_delta(opts) -> int:
     def family(delta: float):
         return lambda d: apparent_force(total, d, delta, curvature=total.curvature)
 
-    if not opts.delta_max > opts.delta_min >= 0:
-        raise ValueError("need 0 <= delta_min < delta_max")
     grid = np.linspace(opts.delta_min, opts.delta_max, opts.steps) * UM
     if grid[0] == 0.0:
         grid[0] = 1e-15  # strictly ascending grid; zero handled as 'no fluctuation'
@@ -467,7 +442,8 @@ _COMMANDS = {
         ("d_max", 6.0, {"type": float, "help": "max separation (um)"}),
         ("points", 25, {"type": int, "help": "grid size"}),
         *_SPHERE,
-        ("emit", None, {"help": "'fig1': corrected/uncorrected F*d^3 for both metal models"}),
+        ("emit", None, {
+            "choices": ("fig1",), "help": "corrected/uncorrected F*d^3 for both metal models"}),
         ("output", "corrected_curve.csv", _OUTPUT),
     )),
     "fit-beta": ("fit the electrostatic background to long-distance data", _cmd_fit_beta, (

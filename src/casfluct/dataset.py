@@ -4,14 +4,14 @@ The on-disk schema is ``d_um, force_udyne, sigma_udyne, n_samples,
 bin_width_um`` with a mandatory header and ``#`` comment lines.  The
 dataset object keeps the file's native micrometer/microdyne values (so a
 load/save round trip is bit-identical) and exposes SI views for the
-physics layers.
+physics layers.  Every input CSV of the package, not only datasets, is
+read by :func:`read_csv`.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ _COLUMNS = ["d_um", "force_udyne", "sigma_udyne", "n_samples", "bin_width_um"]
 
 
 class DatasetError(ValueError):
-    """Malformed or invariant-violating dataset; carries offending line numbers."""
+    """Malformed input CSV or invariant-violating dataset; carries offending line numbers."""
 
     def __init__(self, message: str, lines: list[int] | None = None):
         super().__init__(message)
@@ -86,78 +86,95 @@ class ForceDataset:
         return self.sigma_udyne * UDYNE
 
 
-def _parse_row(fields: list[str], lineno: int, problems: list[str], lines: list[int]):
-    if len(fields) != len(_COLUMNS):
-        problems.append(f"line {lineno}: expected {len(_COLUMNS)} columns, got {len(fields)}")
-        lines.append(lineno)
-        return None
+def _floats(fields: list[str]) -> list[float]:
+    return [float(f) for f in fields]
+
+
+def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
+    """Header and parsed data rows, keyed by line number, of an input CSV.
+
+    Blank lines and ``#`` comment lines are skipped, and each line is split
+    into stripped fields by the ``csv`` module, so a quoted field may hold a
+    comma.  The first other line is the header: it must equal ``columns``
+    (case-insensitively) or, unless ``exact``, begin with them.  Every data
+    row must have as many fields as the header and is turned into a value
+    by ``parse``, which raises ValueError on a bad row.  Bad rows are
+    reported together in one :class:`DatasetError` naming ``path:line``.
+    """
+    with open(path, "r", newline="") as fh:
+        text = fh.read()
+    header = None
+    rows, problems = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in next(csv.reader([line], skipinitialspace=True))]
+        if header is None:
+            names = [f.lower() for f in fields]
+            if names[: len(columns)] != columns or (exact and len(names) != len(columns)):
+                must = "be" if exact else "begin with"
+                raise DatasetError(
+                    f"{path}:{lineno}: header must {must} '{', '.join(columns)}', got {line!r}",
+                    [lineno],
+                )
+            header = fields
+            continue
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(fields)}")
+            rows[lineno] = parse(fields)
+        except ValueError as exc:
+            problems[lineno] = f"{path}:{lineno}: {exc}"
+    if problems:
+        raise DatasetError(" | ".join(problems.values()), list(problems))
+    if not rows:
+        raise DatasetError(f"{path}: no data rows, the table is empty")
+    return header, rows
+
+
+def read_table(path, columns: list[str], build):
+    """``build(*arrays)``, one float array per column, of a numeric CSV whose
+    header is exactly ``columns``; a ValueError from ``build`` names ``path``."""
+    _, rows = read_csv(path, columns)
     try:
-        d = float(fields[0])
-        f = float(fields[1])
-        s = float(fields[2])
-        n = int(fields[3])
-        w = float(fields[4])
-    except ValueError:
-        problems.append(f"line {lineno}: non-numeric field in {fields!r}")
-        lines.append(lineno)
-        return None
-    row_problems = []
+        return build(*(np.array(column) for column in zip(*rows.values())))
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def _parse_bin(fields: list[str]) -> tuple:
+    d, f, s, w = (float(fields[i]) for i in (0, 1, 2, 4))
+    n = int(fields[3])
+    problems = []
     if d <= 0:
-        row_problems.append("d_um must be > 0")
+        problems.append("d_um must be > 0")
     if s <= 0:
-        row_problems.append("sigma_udyne must be > 0")
+        problems.append("sigma_udyne must be > 0")
     if n <= 0:
-        row_problems.append("n_samples must be >= 1")
+        problems.append("n_samples must be >= 1")
     if w < 0:
-        row_problems.append("bin_width_um must be >= 0")
-    if row_problems:
-        problems.append(f"line {lineno}: " + "; ".join(row_problems))
-        lines.append(lineno)
-        return None
-    return (d, f, s, n, w, lineno)
+        problems.append("bin_width_um must be >= 0")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return d, f, s, n, w
 
 
 def load_dataset(path, label: str | None = None) -> ForceDataset:
     """Load a force dataset from CSV, validating every row.
 
-    Rows that fail validation are reported together, each with its line
-    number, in a single :class:`DatasetError`.
+    Rows that fail validation are reported together, each as ``path:line``,
+    in a single :class:`DatasetError`.
     """
-    with open(path, "r", newline="") as fh:
-        text = fh.read()
-    header_seen = False
-    problems: list[str] = []
-    bad_lines: list[int] = []
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in next(csv.reader(io.StringIO(line)))]
-        if not header_seen:
-            if [f.lower() for f in fields] != _COLUMNS:
-                raise DatasetError(
-                    f"line {lineno}: header must be '{', '.join(_COLUMNS)}', got {line!r}",
-                    [lineno],
-                )
-            header_seen = True
-            continue
-        parsed = _parse_row(fields, lineno, problems, bad_lines)
-        if parsed is not None:
-            rows.append(parsed)
-    if not header_seen:
-        raise DatasetError(f"{path}: no header line found")
-    if problems:
-        raise DatasetError(f"{path}: " + " | ".join(problems), bad_lines)
-    if not rows:
-        raise DatasetError(f"{path}: header only, dataset is empty")
-    for prev, cur in zip(rows, rows[1:]):
+    _, rows = read_csv(path, _COLUMNS, _parse_bin)
+    items = list(rows.items())
+    for (_, prev), (lineno, cur) in zip(items, items[1:]):
         if cur[0] <= prev[0]:
             raise DatasetError(
-                f"line {cur[5]}: d_um={cur[0]} not strictly greater than previous {prev[0]}",
-                [cur[5]],
+                f"{path}:{lineno}: d_um={cur[0]} not strictly greater than previous {prev[0]}",
+                [lineno],
             )
-    cols = list(zip(*rows))
+    cols = list(zip(*rows.values()))
     return ForceDataset(
         d_um=np.array(cols[0]),
         force_udyne=np.array(cols[1]),

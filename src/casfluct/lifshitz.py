@@ -195,9 +195,11 @@ def _unconverged_k_integral(kind: str, value: float) -> ConvergenceError:
     )
 
 
-def _r2_factory(model: MaterialModel, eps, a: np.ndarray) -> Callable:
+def _r2_factory(model: MaterialModel, xi_ev: np.ndarray, a: np.ndarray) -> Callable:
+    """``r2_of_y`` of ``_inner_rows`` for the frequencies xi_ev (eV) at a = 2 xi d / c."""
     if isinstance(model, PerfectConductor):
         return lambda y, rows: (np.ones_like(y), np.ones_like(y))
+    eps = eps_imag_axis(model, xi_ev)
     return lambda y, rows: _r2_metal(eps[rows, None], y, a[rows, None])
 
 
@@ -261,7 +263,6 @@ def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
     rel = settings.quad_rel_tol
     acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
     xi1 = _xi1_rad(T)
-    is_pc = isinstance(model, PerfectConductor)
     n_max = settings.matsubara_max_terms
     n = np.arange(1, n_max + 1)
     a_all = 2.0 * d * n * xi1 / CONSTANTS.c
@@ -270,8 +271,8 @@ def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
     pending = kinds
     for lo in range(0, stop, size):
         a = a_all[lo : lo + size]
-        eps = None if is_pc else eps_imag_axis(model, n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV)
-        vals, unconverged = _inner_rows(a, _r2_factory(model, eps, a), pending, rel)
+        xi_ev = n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV
+        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), pending, rel)
         column = {kind: j for j, kind in enumerate(pending)}
         for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
             scale = math.exp(-a_n)
@@ -304,8 +305,8 @@ def _zero_t_integral(model, d, kinds, settings) -> list[float]:
     (the 64-node rule differs by ~2e-4).
     """
     A, W = _lag_nodes(128)
-    eps = eps_imag_axis(model, A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV))
-    vals, _ = _inner_rows(A, _r2_factory(model, eps, A), kinds, settings.quad_rel_tol)
+    xi_ev = A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV)
+    vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds, settings.quad_rel_tol)
     sums = [0.0] * len(kinds)
     for w, row in zip(W.tolist(), vals.tolist()):
         for i, v in enumerate(row):

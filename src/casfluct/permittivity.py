@@ -20,6 +20,8 @@ from typing import Union
 
 import numpy as np
 
+from .dataset import read_table
+
 __all__ = [
     "PerfectConductor",
     "Plasma",
@@ -287,47 +289,11 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev: float, rel_tol: float = 1
     return 1.0 + (2.0 / np.pi) * (below + inside)
 
 
-def _load_two_column(path, names: list[str]):
-    import csv as _csv
-    import io as _io
-
-    with open(path, "r") as fh:
-        text = fh.read()
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in next(_csv.reader(_io.StringIO(line)))]
-        if not header_seen:
-            if [f.lower() for f in fields] != names:
-                raise ValueError(
-                    f"{path}:{lineno}: header must be '{', '.join(names)}', got {line!r}"
-                )
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-        try:
-            rows.append((float(fields[0]), float(fields[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric field in {fields!r}") from None
-    if not header_seen:
-        raise ValueError(f"{path}: no header line found")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    a, b = zip(*rows)
-    return np.array(a), np.array(b)
-
-
 def load_optical_table(path) -> OpticalAbsorptionTable:
     """Read an absorption spectrum CSV with columns ``omega_ev, eps_imag``."""
-    w, e = _load_two_column(path, ["omega_ev", "eps_imag"])
-    return OpticalAbsorptionTable(omega_ev=w, eps_imag=e)
+    return read_table(path, ["omega_ev", "eps_imag"], OpticalAbsorptionTable)
 
 
 def load_eps_table(path, low_freq: Drude = Drude()) -> Tabulated:
     """Read a tabulated eps(i*xi) CSV with columns ``xi_ev, eps``."""
-    xi, e = _load_two_column(path, ["xi_ev", "eps"])
-    return Tabulated(xi_ev=xi, eps=e, low_freq=low_freq)
+    return read_table(path, ["xi_ev", "eps"], lambda xi, e: Tabulated(xi, e, low_freq))

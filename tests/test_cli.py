@@ -134,9 +134,12 @@ class TestCorrectCommand:
         assert "Fad3_plasma_udyne_um3" in header
         assert rows.shape[0] == 6
 
-    def test_unknown_emit_mode(self, tmp_path):
-        rc = main(["correct", "--emit", "fig9", "-o", str(tmp_path / "x.csv")])
-        assert rc == 1
+    def test_unknown_emit_mode(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correct", "--emit", "fig9", "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig9'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unconverged_pressure_exit_code(self, tmp_path, monkeypatch, capsys):
         import functools
@@ -244,6 +247,18 @@ class TestChi2ColumnSelection:
         plain = json.loads(out_plain.read_text())
         col = json.loads(out_col.read_text())
         assert plain["chi2"] != col["chi2"]
+
+    def test_quoted_column_name(self, tmp_path, data_csv):
+        plain = _theory_curve(tmp_path / "plain.csv")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(plain.read_text().replace("d_um,F_udyne", 'd_um, "F,udyne"', 1))
+        outs = [tmp_path / "plain.json", tmp_path / "quoted.json"]
+        assert main(["chi2", "--data", str(data_csv), "--theory", str(plain),
+                     "-o", str(outs[0])]) == 0
+        assert main(["chi2", "--data", str(data_csv), "--theory", str(quoted),
+                     "--column", "F,udyne", "-o", str(outs[1])]) == 0
+        chi2 = [json.loads(out.read_text())["chi2"] for out in outs]
+        assert chi2[0] == chi2[1]
 
     def test_unknown_column(self, tmp_path, data_csv, capsys):
         theory = tmp_path / "t.csv"
@@ -429,10 +444,21 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "{one_row}: need >= 2", id="profile-one-row"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{headerless}"],
                      "{headerless}:1: header must be 'd_um, delta_um'", id="profile-headerless"),
+        pytest.param(["scan-delta", "--data", "{data}", "--steps", "0"], "steps = 0",
+                     id="scan-delta-steps"),
+        pytest.param(["scan-delta", "--data", "{data}", "--delta-min", "0.3", "--delta-max", "0.1"],
+                     "delta_min < delta_max", id="scan-delta-range"),
     ],
 )
-def test_bad_input_exits_1(argv, message, tmp_path, capsys):
+def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
+    import casfluct.cli as cli
+
+    def no_lifshitz_work(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any force curve")
+
+    monkeypatch.setattr(cli, "force_curve", no_lifshitz_work)
     files = {
+        "data": str(data_csv),
         "table": str(_optical_table(tmp_path / "optical.csv")),
         "one_row": str(_profile_table(tmp_path / "one.csv", rows=["1.0,0.1"])),
         "headerless": str(tmp_path / "bare.csv"),
@@ -441,6 +467,39 @@ def test_bad_input_exits_1(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 1
     assert message.format(**files) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# input -> (argv reading it from {path}, header, two valid data rows)
+_INPUTS = {
+    "dataset": (["fit-beta", "--data", "{path}"],
+                "d_um,force_udyne,sigma_udyne,n_samples,bin_width_um", DATA_ROWS[:2]),
+    "absorption-table": (["kk", "--table", "{path}"], "omega_ev,eps_imag", ["0.1,50.0", "1.0,2.0"]),
+    "eps-table": (["force", "--model", "tabulated", "--eps-table", "{path}"], "xi_ev,eps",
+                  ["0.1,1000.0", "1.0,80.0"]),
+    "profile-table": (["correct", "--profile", "table", "--profile-table", "{path}"],
+                      "d_um,delta_um", ["0.5,0.1", "6.5,0.2"]),
+    "theory-curve": (["chi2", "--data", "{data}", "--theory", "{path}"], "d_um,F_udyne",
+                     ["0.5,430.0", "6.5,33.0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_INPUTS))
+@pytest.mark.parametrize("case", ["bad-row", "wrong-header", "missing-header"])
+def test_input_errors_name_file_and_line(name, case, tmp_path, data_csv, capsys):
+    """Every input CSV is read by one reader: errors exit 1 naming file:line."""
+    argv, header, (first, last) = _INPUTS[name]
+    lines, where = {
+        "bad-row": ([header, "# comments count", first, "1.0,not-a-number", last], ":4: "),
+        "wrong-header": (["x_" + header, first, last], ":1: header"),
+        "missing-header": ([first, last], ":1: header"),
+    }[case]
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = [a.format(path=path, data=data_csv) for a in argv] + ["-o", str(out)]
+    assert main(argv) == 1
+    assert f"{path}{where}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -476,6 +535,7 @@ class TestConfigMerge:
             ("scan-delta", {"model": "tabulated"}, "model"),
             ("simulate", {"kind": "pink"}, "kind"),
             ("chi2", {"data": 5}, "data"),
+            ("correct", {"emit": "fig2"}, "emit"),
         ],
     )
     def test_rejected_config(self, command, conf, key, tmp_path, capsys):
