@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dataset import ForceDataset
 from .lifshitz import curvature_of, float_or_array, gradient_of
@@ -136,6 +135,8 @@ def fit_background(
 
     lo, hi = d0_bounds
     hi = min(hi, float(d.min()) * (1.0 - 1e-9))  # keep the pole out of the data
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(
         lambda d0: _beta_profile(d0, d, f, w)[1],

@@ -31,7 +31,7 @@ from .corrections import (
     inflated_sigma,
     tilt_noise_estimate,
 )
-from .dataset import DatasetError, load_dataset, read_csv, read_table
+from .dataset import DatasetError, load_dataset, read_csv, read_table, require_ascending
 from .lifshitz import (
     ConvergenceError,
     LifshitzSettings,
@@ -255,6 +255,7 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
     compared directly.
     """
     header, rows = read_csv(path, ["d_um"], exact=False)
+    require_ascending(path, header, rows)
     if column is None and len(header) > 1:
         column = header[1]
     if column not in header[1:]:

@@ -133,10 +133,25 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     return header, rows
 
 
+def require_ascending(path, header: list[str], rows: dict) -> None:
+    """Raise a :class:`DatasetError` naming ``path:line`` at the first of the
+    ``read_csv`` rows whose first column does not exceed the row before."""
+    items = list(rows.items())
+    for (_, prev), (lineno, cur) in zip(items, items[1:]):
+        if cur[0] <= prev[0]:
+            raise DatasetError(
+                f"{path}:{lineno}: {header[0]} must be strictly ascending, "
+                f"got {cur[0]} after {prev[0]}",
+                [lineno],
+            )
+
+
 def read_table(path, columns: list[str], build):
     """``build(*arrays)``, one float array per column, of a numeric CSV whose
-    header is exactly ``columns``; a ValueError from ``build`` names ``path``."""
-    _, rows = read_csv(path, columns)
+    header is exactly ``columns`` and whose first column is strictly ascending;
+    a ValueError from ``build`` names ``path``."""
+    header, rows = read_csv(path, columns)
+    require_ascending(path, header, rows)
     try:
         return build(*(np.array(column) for column in zip(*rows.values())))
     except ValueError as exc:
@@ -166,14 +181,8 @@ def load_dataset(path, label: str | None = None) -> ForceDataset:
     Rows that fail validation are reported together, each as ``path:line``,
     in a single :class:`DatasetError`.
     """
-    _, rows = read_csv(path, _COLUMNS, _parse_bin)
-    items = list(rows.items())
-    for (_, prev), (lineno, cur) in zip(items, items[1:]):
-        if cur[0] <= prev[0]:
-            raise DatasetError(
-                f"{path}:{lineno}: d_um={cur[0]} not strictly greater than previous {prev[0]}",
-                [lineno],
-            )
+    header, rows = read_csv(path, _COLUMNS, _parse_bin)
+    require_ascending(path, header, rows)
     cols = list(zip(*rows.values()))
     return ForceDataset(
         d_um=np.array(cols[0]),

@@ -28,9 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_laguerre, zeta
 
 from .permittivity import (
     Drude,
@@ -40,7 +37,7 @@ from .permittivity import (
     Tabulated,
     eps_imag_axis,
 )
-from .units import CONSTANTS, EV, DomainError, ExperimentGeometry
+from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry
 
 __all__ = [
     "LifshitzSettings",
@@ -61,16 +58,8 @@ __all__ = [
     "curvature_of",
 ]
 
-_ZETA3 = float(zeta(3))
-
-
-class ConvergenceError(RuntimeError):
-    """Matsubara sum failed to converge; carries the partial sum and term count."""
-
-    def __init__(self, message: str, partial_sum: float, terms: int):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.terms = terms
+# float(scipy.special.zeta(3)), written out so importing this module loads no scipy
+_ZETA3 = 1.2020569031595942
 
 
 class PFAValidityError(ValueError):
@@ -103,6 +92,8 @@ _LAG_ORDERS = (32, 64, 128, 256)
 
 def _lag_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _LAG_CACHE:
+        from scipy.special import roots_laguerre
+
         _LAG_CACHE[n] = roots_laguerre(n)
     return _LAG_CACHE[n]
 
@@ -220,6 +211,8 @@ def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> 
                 s = math.sqrt(y * y + b * b)
                 r = (y - s) / (y + s)
                 return y * math.log1p(-r * r * math.exp(-y))
+
+            from scipy.integrate import quad
 
             # y*log(...) has a log singularity at y = 0; adaptive quadrature
             te["energy"] = quad(energy, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
@@ -520,6 +513,8 @@ class TabulatedForceCurve:
     """
 
     def __init__(self, d_m, force_N):
+        from scipy.interpolate import CubicSpline
+
         d = np.asarray(d_m, dtype=float)
         f = np.asarray(force_N, dtype=float)
         if len(d) < 4:

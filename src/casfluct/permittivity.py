@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import read_table
+from .units import ConvergenceError
 
 __all__ = [
     "PerfectConductor",
@@ -268,7 +269,8 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev: float, rel_tol: float = 1
     Below the first sample, eps'' is extended with the Drude low-frequency
     form recovered from the first two rows (closed-form kernel integral).
     Above the last sample the contribution is taken as zero and a
-    truncation estimate is logged.
+    truncation estimate is logged.  Raises :class:`ConvergenceError`, carrying
+    the order-128 value, when orders 64 and 128 still differ beyond ``rel_tol``.
     """
     xi = float(xi_ev)
     if xi <= 0:
@@ -280,7 +282,13 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev: float, rel_tol: float = 1
         if prev is not None and abs(inside - prev) <= rel_tol * max(abs(inside), 1e-300):
             break
         if order >= 128:
-            break
+            rel = abs(inside - prev) / max(abs(inside), 1e-300)
+            raise ConvergenceError(
+                f"kk_transform at xi = {xi:g} eV: orders 64 and 128 differ by {rel:.3g} "
+                f"(relative), above rel_tol {rel_tol:g}",
+                partial_sum=1.0 + (2.0 / np.pi) * (below + inside),
+                terms=order,
+            )
         prev, order = inside, order * 2
     # assume eps'' ~ w^-3 beyond the table (Drude tail) for the size estimate
     tail_est = (2.0 / np.pi) * table.eps_imag[-1] / 3.0

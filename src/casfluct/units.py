@@ -13,6 +13,7 @@ from dataclasses import dataclass
 __all__ = [
     "UnitError",
     "DomainError",
+    "ConvergenceError",
     "convert",
     "si_factor",
     "dimension_of",
@@ -57,6 +58,16 @@ class UnitError(ValueError):
 
 class DomainError(ValueError):
     """An argument left the physical domain of an operation (e.g. d <= 0)."""
+
+
+class ConvergenceError(RuntimeError):
+    """A sum or integral failed to converge; carries the partial value and the
+    number of terms (Matsubara terms, or the quadrature order of a KK integral)."""
+
+    def __init__(self, message: str, partial_sum: float, terms: int):
+        super().__init__(message)
+        self.partial_sum = partial_sum
+        self.terms = terms
 
 
 def _lookup(unit: str) -> tuple[str, float]:

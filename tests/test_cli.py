@@ -349,6 +349,16 @@ class TestKKCommand:
         want = cf.eps_imag_axis(cf.GOLD_DRUDE, rows[:, 0])
         assert np.max(np.abs(rows[:, 1] / want - 1.0)) < 5e-3
 
+    def test_unconverged_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "edge.csv"
+        table.write_text("omega_ev,eps_imag\n1.0,1e-300\n2.0,1e300\n")
+        out = tmp_path / "eps.csv"
+        rc = main(["kk", "--table", str(table), "--xi-min", "5", "--xi-max", "10",
+                   "--points", "2", "-o", str(out)])
+        assert rc == 2
+        assert "orders 64 and 128" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWorkerCap:
     def test_casimir_threads_env(self, tmp_path, monkeypatch):
@@ -485,14 +495,16 @@ _INPUTS = {
 
 
 @pytest.mark.parametrize("name", list(_INPUTS))
-@pytest.mark.parametrize("case", ["bad-row", "wrong-header", "missing-header"])
+@pytest.mark.parametrize("case", ["bad-row", "wrong-header", "missing-header", "non-ascending"])
 def test_input_errors_name_file_and_line(name, case, tmp_path, data_csv, capsys):
     """Every input CSV is read by one reader: errors exit 1 naming file:line."""
     argv, header, (first, last) = _INPUTS[name]
+    column = header.split(",")[0]
     lines, where = {
         "bad-row": ([header, "# comments count", first, "1.0,not-a-number", last], ":4: "),
         "wrong-header": (["x_" + header, first, last], ":1: header"),
         "missing-header": ([first, last], ":1: header"),
+        "non-ascending": ([header, first, last, first], f":4: {column} must be strictly ascending"),
     }[case]
     path = tmp_path / f"{name}.csv"
     path.write_text("\n".join(lines) + "\n")

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import zeta
 
 import casfluct as cf
+from casfluct import lifshitz
 from casfluct.lifshitz import (
     ConvergenceError,
     LifshitzSettings,
@@ -146,6 +148,11 @@ class TestSpherePlate:
             sphere_plate_force(cf.GOLD_DRUDE, 0.0, geometry)
         with pytest.raises(cf.DomainError):
             plate_pressure(cf.GOLD_DRUDE, 1e-6, -1.0)
+
+
+def test_zeta3_literal_is_scipy_zeta3():
+    # lifshitz spells zeta(3) out so that importing it loads no scipy
+    assert lifshitz._ZETA3 == float(zeta(3))
 
 
 def test_matsubara_non_convergence_carries_partial_sum():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import casfluct as cf
+from casfluct import lifshitz, units
 from casfluct.permittivity import (
     Drude,
     OpticalAbsorptionTable,
@@ -137,6 +138,19 @@ class TestDispersionIntegral:
         table = self.drude_table()
         got = kk_transform(table, 0.035)
         assert got == pytest.approx(eps_imag_axis(cf.GOLD_DRUDE, 0.035), rel=5e-3)
+
+    def test_unconverged_integral_raises(self):
+        # eps'' rising 600 decades across one segment: Gauss-Legendre orders
+        # 64 and 128 still differ by ~7e-5, so no value is returned
+        table = OpticalAbsorptionTable(np.array([1.0, 2.0]), np.array([1e-300, 1e300]))
+        with pytest.raises(units.ConvergenceError, match="orders 64 and 128") as err:
+            kk_transform(table, 10.0)
+        assert err.value.terms == 128
+        assert np.isfinite(err.value.partial_sum) and err.value.partial_sum > 1.0
+
+
+def test_one_convergence_error_class():
+    assert cf.ConvergenceError is lifshitz.ConvergenceError is units.ConvergenceError
 
 
 def test_csv_loaders(tmp_path):
