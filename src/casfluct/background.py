@@ -116,7 +116,9 @@ def fit_background(
     1-D search over the chi^2 profile with beta eliminated in closed form.
     By default nothing is subtracted from the data (the long-distance
     points are taken as background-only); ``casimir_subtractor`` may
-    remove a theoretical dispersion-force contribution first.
+    remove a theoretical dispersion-force contribution first.  It is
+    called once, on the array of selected d (m), and returns the force
+    (N) at each.
 
     Parameter uncertainties come from the Gauss-Newton covariance
     (J^T W J)^-1 at the optimum.
@@ -130,7 +132,7 @@ def fit_background(
     if np.ptp(d) == 0:
         raise FitError("degenerate design: all selected distances are equal")
     if casimir_subtractor is not None:
-        f = f - np.array([casimir_subtractor(x) for x in d])
+        f = f - casimir_subtractor(d)
     w = 1.0 / sig**2
 
     lo, hi = d0_bounds

@@ -154,13 +154,17 @@ def _cmd_force(opts) -> int:
 def _fig1_rows(opts, geometry, settings, profile):
     """Theory-side corrected/uncorrected F*d^3 table for both metal models."""
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    models = (Plasma(opts.omega_p), Drude(opts.omega_p, opts.gamma))
-    totals = [TotalForceEvaluator(bg, SpherePlateForce(m, geometry, settings)) for m in models]
+    grid = _grid(opts, "d")
+    totals = []
+    for model in (Plasma(opts.omega_p), Drude(opts.omega_p, opts.gamma)):
+        casimir = SpherePlateForce(model, geometry, settings)
+        casimir.preload(grid * UM)
+        totals.append(TotalForceEvaluator(bg, casimir))
     pc0 = SpherePlateForce(
         PerfectConductor(), geometry, LifshitzSettings(zero_temperature_mode=True)
     )
     rows = []
-    for d_um in _grid(opts, "d"):
+    for d_um in grid:
         d = d_um * UM
         delta = profile(d)
         row = [d_um]
@@ -211,10 +215,13 @@ def _cmd_correct(opts) -> int:
         return 0
     model = _build_model(opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    total = TotalForceEvaluator(bg, SpherePlateForce(model, geometry, settings))
+    casimir = SpherePlateForce(model, geometry, settings)
+    grid = _grid(opts, "d")
+    casimir.preload(grid * UM)
+    total = TotalForceEvaluator(bg, casimir)
     meta["model"] = opts.model
     rows = []
-    for d_um in _grid(opts, "d"):
+    for d_um in grid:
         d = d_um * UM
         delta = profile(d)
         f = total(d)

@@ -186,11 +186,11 @@ def _unconverged_k_integral(kind: str, value: float) -> ConvergenceError:
     )
 
 
-def _r2_factory(model: MaterialModel, xi_ev: np.ndarray, a: np.ndarray) -> Callable:
-    """``r2_of_y`` of ``_inner_rows`` for the frequencies xi_ev (eV) at a = 2 xi d / c."""
+def _r2_factory(model: MaterialModel, xi_ev: np.ndarray, a: np.ndarray, terms=slice(None)) -> Callable:
+    """``r2_of_y`` of ``_inner_rows`` for rows a = 2 xi d / c; row i is at frequency xi_ev[terms][i] (eV)."""
     if isinstance(model, PerfectConductor):
         return lambda y, rows: (np.ones_like(y), np.ones_like(y))
-    eps = eps_imag_axis(model, xi_ev)
+    eps = eps_imag_axis(model, xi_ev)[terms]
     return lambda y, rows: _r2_metal(eps[rows, None], y, a[rows, None])
 
 
@@ -240,54 +240,107 @@ def _xi1_rad(T: float) -> float:
 # The Matsubara series is computed in blocks of terms: the first block holds
 # the terms with a_n <= _BLOCK_A (the default 1e-9 stop lands at a_n ~ 15-40),
 # every later block as many again, and no block more than _BLOCK_MAX terms.
+# The first blocks of a grid of d share _inner_rows calls of at most
+# _BLOCK_MAX rows, which also bounds the memory of one call.
 _BLOCK_A = 30.0
 _BLOCK_MAX = 256
 
 
-def _thermal_sum(model, d, T, kinds, settings) -> list[float]:
-    """sum'_n exp(-a_n) * inner(a_n) of each kernel, the scale-free Matsubara series.
+def _first_blocks(model, plans, n, xi1, kinds, rel) -> list:
+    """(values, unconverged) of ``_inner_rows`` for the first block of each d, or None.
+
+    ``plans`` holds (a_all, stop, size) per d.  The blocks are packed in
+    grid order into ``_inner_rows`` calls of at most ``_BLOCK_MAX`` rows,
+    no block split between calls, with one ``eps_imag_axis`` call per
+    ``_inner_rows`` call.  Rows are reduced on their own, so each value
+    equals that of a call for its d alone.  A d with no terms, or with
+    a_1 not > 0 (a d or T its checks reject), gets None and is left to
+    its own series.
+    """
+    blocks = [a_all[:size] if stop and a_all[0] > 0 else None for a_all, stop, size in plans]
+    groups, rows = [], _BLOCK_MAX
+    for i, a in enumerate(blocks):
+        if a is None:
+            continue
+        if rows + a.size > _BLOCK_MAX:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += a.size
+    out = [None] * len(blocks)
+    for members in groups:
+        a = np.concatenate([blocks[i] for i in members])
+        terms = np.concatenate([np.arange(blocks[i].size) for i in members])
+        xi_ev = n[: terms.max() + 1] * xi1 * CONSTANTS.hbar / EV
+        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a, terms), kinds, rel)
+        lo = 0
+        for i in members:
+            hi = lo + blocks[i].size
+            out[i] = (vals[lo:hi], unconverged[lo:hi])
+            lo = hi
+    return out
+
+
+def _thermal_sum(model, ds, T, kinds, settings, ready) -> list[list[float]]:
+    """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
     inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  The
-    k-integrals of a block of terms come from one ``_inner_rows`` call
-    and one ``eps_imag_axis`` call; the terms are then added one at a time
-    in n, each kernel stopping at its own converged term count.  A block
-    may compute terms past the stop; only a consumed term can raise.
+    first block of terms of every d comes from ``_first_blocks``; each
+    later block of one d from one ``_inner_rows`` and one
+    ``eps_imag_axis`` call.  Then, one d at a time in grid order,
+    ``ready(d)`` runs and the terms are added one at a time in n, each
+    kernel stopping at its own converged term count, so a grid raises
+    what its first failing d raises alone.  A block may compute terms
+    past the stop; only a consumed term can raise.
     """
     rel = settings.quad_rel_tol
-    acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
     xi1 = _xi1_rad(T)
     n_max = settings.matsubara_max_terms
     n = np.arange(1, n_max + 1)
-    a_all = 2.0 * d * n * xi1 / CONSTANTS.c
-    stop = int(np.searchsorted(a_all, 700.0, side="right"))  # later terms underflow to zero
-    size = min(max(int(np.searchsorted(a_all, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
-    pending = kinds
-    for lo in range(0, stop, size):
-        a = a_all[lo : lo + size]
-        xi_ev = n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV
-        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), pending, rel)
-        column = {kind: j for j, kind in enumerate(pending)}
-        for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
-            scale = math.exp(-a_n)
-            still = []
-            for kind in pending:
-                inner = row[column[kind]]
-                if bad[column[kind]] and kind in _STRICT:
-                    raise _unconverged_k_integral(kind, inner)
-                term = scale * inner
-                acc[kind] += term
-                if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
-                    still.append(kind)
-            pending = tuple(still)
-            if not pending:
-                return [acc[kind] for kind in kinds]
-    if stop == n_max:
-        raise ConvergenceError(
-            f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
-            partial_sum=acc[pending[0]],
-            terms=n_max,
-        )
-    return [acc[kind] for kind in kinds]
+    plans = []
+    for d in ds:
+        a_all = 2.0 * d * n * xi1 / CONSTANTS.c
+        stop = int(np.searchsorted(a_all, 700.0, side="right"))  # later terms underflow to zero
+        size = min(max(int(np.searchsorted(a_all, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
+        # keep only the terms a block can reach, not n_max of them per d
+        plans.append((a_all[: stop + size].copy(), stop, size))
+
+    def series(d, a_all, stop, size, first) -> list[float]:
+        ready(d)
+        acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
+        pending = kinds
+        for lo in range(0, stop, size):
+            a = a_all[lo : lo + size]
+            if lo == 0 and first is not None:
+                vals, unconverged = first
+            else:
+                xi_ev = n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV
+                vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), pending, rel)
+            column = {kind: j for j, kind in enumerate(pending)}
+            for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
+                scale = math.exp(-a_n)
+                still = []
+                for kind in pending:
+                    inner = row[column[kind]]
+                    if bad[column[kind]] and kind in _STRICT:
+                        raise _unconverged_k_integral(kind, inner)
+                    term = scale * inner
+                    acc[kind] += term
+                    if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
+                        still.append(kind)
+                pending = tuple(still)
+                if not pending:
+                    return [acc[kind] for kind in kinds]
+        if stop == n_max:
+            raise ConvergenceError(
+                f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
+                partial_sum=acc[pending[0]],
+                terms=n_max,
+            )
+        return [acc[kind] for kind in kinds]
+
+    firsts = _first_blocks(model, plans, n, xi1, kinds, rel)
+    return [series(d, *plan, first) for d, plan, first in zip(ds, plans, firsts)]
 
 
 def _zero_t_integral(model, d, kinds, settings) -> list[float]:
@@ -314,24 +367,39 @@ def _check_d_T(d: float, T: float) -> None:
         raise DomainError(f"temperature must be >= 0, got {T}")
 
 
-def _plate_kernels(model, d, T, kinds: tuple, settings) -> list[float]:
-    """SI values of the requested kernels from one Matsubara (or T = 0) pass."""
+def _plate_kernels(model, ds, T, kinds: tuple, settings, check=None) -> list[list[float]]:
+    """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
+
+    ``check(d)``, when given, runs just before d's own checks and sum.
+    """
     settings = settings or _DEFAULT_SETTINGS
-    _check_d_T(d, T)
+
+    def ready(d):
+        if check is not None:
+            check(d)
+        _check_d_T(d, T)
+
     zero_t = settings.zero_temperature_mode or T == 0.0
-    if zero_t and isinstance(model, PerfectConductor):
-        values = [_PC_ZERO_T[kind] for kind in kinds]
-    elif zero_t:
-        values = _zero_t_integral(model, d, kinds, settings)
+    if zero_t:
+        values = []
+        for d in ds:
+            ready(d)
+            if isinstance(model, PerfectConductor):
+                values.append([_PC_ZERO_T[kind] for kind in kinds])
+            else:
+                values.append(_zero_t_integral(model, d, kinds, settings))
     else:
-        values = _thermal_sum(model, d, T, kinds, settings)
+        values = _thermal_sum(model, ds, T, kinds, settings, ready)
     out = []
-    for kind, v in zip(kinds, values):
-        power, sign = _KERNELS[kind]
-        if zero_t:
-            out.append(sign * (CONSTANTS.hbar_c / (32.0 * math.pi**2 * d ** (power + 1)) * v))
-        else:
-            out.append(sign * (CONSTANTS.k_B * T / (8.0 * math.pi * d**power) * v))
+    for d, row in zip(ds, values):
+        si = []
+        for kind, v in zip(kinds, row):
+            power, sign = _KERNELS[kind]
+            if zero_t:
+                si.append(sign * (CONSTANTS.hbar_c / (32.0 * math.pi**2 * d ** (power + 1)) * v))
+            else:
+                si.append(sign * (CONSTANTS.k_B * T / (8.0 * math.pi * d**power) * v))
+        out.append(si)
     return out
 
 
@@ -347,7 +415,7 @@ def plate_pressure(
     by the continuous imaginary-frequency integral, in closed form for a
     perfect conductor.
     """
-    return _plate_kernels(model, d, T, ("pressure",), settings)[0]
+    return _plate_kernels(model, (d,), T, ("pressure",), settings)[0][0]
 
 
 def plate_energy(
@@ -357,7 +425,10 @@ def plate_energy(
     settings: LifshitzSettings | None = None,
 ) -> float:
     """Interaction free energy per unit area in J/m^2 (negative = binding)."""
-    return _plate_kernels(model, d, T, ("energy",), settings)[0]
+    return _plate_kernels(model, (d,), T, ("energy",), settings)[0][0]
+
+
+_TOWER = ("energy", "pressure", "slope")
 
 
 class PlateTower(NamedTuple):
@@ -379,7 +450,7 @@ def plate_tower(
     Each component equals what ``plate_energy``/``plate_pressure`` return
     bit for bit, because each stops at its own convergence.
     """
-    return PlateTower(*_plate_kernels(model, d, T, ("energy", "pressure", "slope"), settings))
+    return PlateTower(*_plate_kernels(model, (d,), T, _TOWER, settings)[0])
 
 
 def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
@@ -400,18 +471,24 @@ def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
 
 def sphere_plate_force(
     model: MaterialModel,
-    d: float,
+    d: float | np.ndarray,
     geometry: ExperimentGeometry | None = None,
     settings: LifshitzSettings | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Attractive sphere-plate force in N (positive) via F = -2 pi R E(d).
 
-    Valid for d << R; d/R >= 0.1 is rejected and d/R > 1e-3 warned about.
+    ``d`` may be an array: its forces come from one batched Matsubara pass
+    and equal the scalar ones bit for bit.  Valid for d << R; d/R >= 0.1
+    is rejected and d/R > 1e-3 warned about.
     """
     geometry = geometry or ExperimentGeometry()
-    _check_pfa(d, geometry)
-    energy = plate_energy(model, d, geometry.temperature, settings)
-    return -2.0 * math.pi * geometry.sphere_radius * energy
+    grid = np.asarray(d, dtype=float)
+    ds = (d,) if grid.ndim == 0 else grid.ravel()
+    energies = _plate_kernels(
+        model, ds, geometry.temperature, ("energy",), settings, lambda x: _check_pfa(x, geometry)
+    )
+    forces = [-2.0 * math.pi * geometry.sphere_radius * energy for (energy,) in energies]
+    return forces[0] if grid.ndim == 0 else np.array(forces).reshape(grid.shape)
 
 
 class SpherePlateForce:
@@ -419,9 +496,10 @@ class SpherePlateForce:
 
     Under the PFA F = -2 pi R E, F' = -2 pi R P and F'' = -2 pi R dP/dd.
     All three come from one ``plate_tower`` pass per d, kept for the most
-    recent d so that F, F' and F'' at one separation cost a single pass.
-    The kept pass is keyed by d alone: treat ``model``, ``geometry`` and
-    ``settings`` as fixed after construction.
+    recent d so that F, F' and F'' at one separation cost a single pass;
+    ``preload`` keeps the towers of a whole grid from one batched pass.
+    The kept passes are keyed by d alone: treat ``model``, ``geometry``
+    and ``settings`` as fixed after construction.
     """
 
     def __init__(
@@ -433,15 +511,27 @@ class SpherePlateForce:
         self.model = model
         self.geometry = geometry or ExperimentGeometry()
         self.settings = settings or _DEFAULT_SETTINGS
-        self._last: tuple[float, PlateTower] | None = None
+        self._kept: dict[float, PlateTower] = {}
+
+    def preload(self, d_m) -> None:
+        """Compute the towers at every d of ``d_m`` in one batched pass.
+
+        Calls at those d reuse them, bit-identical to a pass per d, until a
+        call at any other d replaces them.
+        """
+        ds = np.asarray(d_m, dtype=float).ravel()
+        towers = _plate_kernels(
+            self.model, ds, self.geometry.temperature, _TOWER, self.settings,
+            lambda x: _check_pfa(x, self.geometry),
+        )
+        self._kept = dict(zip(ds.tolist(), map(PlateTower._make, towers)))
 
     def _tower(self, d: float) -> PlateTower:
-        last = self._last
-        if last is not None and last[0] == d:
-            return last[1]
-        _check_pfa(d, self.geometry)
-        tower = plate_tower(self.model, d, self.geometry.temperature, self.settings)
-        self._last = (d, tower)
+        tower = self._kept.get(float(d))
+        if tower is None:
+            _check_pfa(d, self.geometry)
+            tower = plate_tower(self.model, d, self.geometry.temperature, self.settings)
+            self._kept = {float(d): tower}
         return tower
 
     def __call__(self, d: float) -> float:
@@ -495,12 +585,10 @@ def force_curve(
     d_m,
     settings: LifshitzSettings | None = None,
 ) -> ForceCurve:
-    """Evaluate the sphere-plate force on a distance grid (may run threaded)."""
-    from .provenance import parallel_map
-
+    """Evaluate the sphere-plate force on a distance grid in one batched pass."""
     d = np.asarray(d_m, dtype=float)
-    forces = parallel_map(lambda x: sphere_plate_force(model, x, geometry, settings), d)
-    return ForceCurve(model=model, geometry=geometry, d_m=d, force_N=np.array(forces))
+    forces = sphere_plate_force(model, d, geometry, settings)
+    return ForceCurve(model=model, geometry=geometry, d_m=d, force_N=forces)
 
 
 class TabulatedForceCurve:

@@ -96,7 +96,7 @@ class TestForceCommand:
         def boom(*a, **k):
             raise lif.ConvergenceError("no convergence", partial_sum=0.1, terms=3)
 
-        monkeypatch.setattr(lif, "plate_energy", boom)
+        monkeypatch.setattr(lif, "_thermal_sum", boom)
         rc = main(["force", "--points", "3", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "numerical" in capsys.readouterr().err
@@ -159,7 +159,7 @@ class TestCorrectCommand:
         real = lif._thermal_sum
 
         def counting(*args):
-            passes.append(args[1])
+            passes.extend(args[1])  # the separations summed
             return real(*args)
 
         def forbidden(*args, **kwargs):
@@ -198,6 +198,34 @@ class TestFitBetaCommand:
         assert abs(blob["d0_um"]) < 1e-6
         assert blob["points_used"] == 5
         assert "_meta" in blob and "input_hash:data" in blob["_meta"]
+
+    def test_subtract_drude_output_is_pinned(self, tmp_path, monkeypatch, write_dataset_csv):
+        # recorded when the subtractor was called once per selected point
+        pinned = """{
+  "_meta": {
+    "command": "fit-beta",
+    "config_hash": "9fa680c6a615",
+    "input_hash:data": "10489b8db603",
+    "tool_version": "0.1.0"
+  },
+  "beta_sigma": 5.281579763585888,
+  "beta_udyne_um": 220.63991854612237,
+  "chi2": 0.43725088729676553,
+  "d0_at_bounds": false,
+  "d0_sigma": 0.04935784013503638,
+  "d0_um": -0.11164171734244188,
+  "dof": 9,
+  "points_used": 11
+}
+"""
+        points = [(1.2, 181.0, 4.0), (1.5, 144.5, 3.5), (2.0, 108.1, 3.0), (2.5, 86.9, 2.5),
+                  (3.0, 72.2, 2.5), (3.5, 61.6, 2.0), (4.0, 54.1, 2.0), (4.5, 48.0, 2.0),
+                  (5.0, 43.3, 2.0), (5.5, 39.1, 2.0), (6.0, 35.9, 2.0)]
+        write_dataset_csv([f"{d}, {f}, {s}, 100, 0.2" for d, f, s in points])
+        monkeypatch.chdir(tmp_path)  # relative paths keep the config hash fixed
+        argv = ["fit-beta", "--data", "data.csv", "--subtract", "drude", "--d-min", "1"]
+        assert main(argv + ["-o", "fit.json"]) == 0
+        assert (tmp_path / "fit.json").read_text() == pinned
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["fit-beta", "--data", str(tmp_path / "nope.csv"),

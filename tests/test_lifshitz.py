@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -500,3 +501,126 @@ def test_block_size_does_not_move_a_bit(block_max, monkeypatch):
     batched = [plate_tower(*case) for case in cases]
     monkeypatch.setattr(lif, "_BLOCK_MAX", block_max)
     assert [plate_tower(*case) for case in cases] == batched
+
+
+# --------------------------------------------------------------------------
+# a grid of separations in one pass
+
+
+def _recording_inner_rows(monkeypatch):
+    """Patch ``_inner_rows`` to record the ``a`` array of every call."""
+    import casfluct.lifshitz as lif
+
+    calls = []
+    real = lif._inner_rows
+
+    def recording(a, *args):
+        calls.append(a.copy())
+        return real(a, *args)
+
+    monkeypatch.setattr(lif, "_inner_rows", recording)
+    return calls
+
+
+def test_curve_shares_inner_rows_calls(monkeypatch):
+    """The count gate: an 80-point Drude curve takes 13 _inner_rows calls, not one per d (87)."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("force_curve must not start a thread pool")
+
+    calls = _recording_inner_rows(monkeypatch)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", no_pool)
+    geometry = cf.ExperimentGeometry(temperature=300.0)
+    force_curve(cf.GOLD_DRUDE, geometry, np.geomspace(0.3e-6, 8e-6, 80))
+    sizes = [a.size for a in calls]
+    assert len(sizes) == 13
+    assert sum(sizes) == 1414  # the rows evaluated with one call per block per d
+    assert max(sizes) <= lifshitz._BLOCK_MAX
+
+
+GRID_D = np.geomspace(0.3e-6, 8e-6, 30)
+_SCALAR = {("energy",): plate_energy, ("pressure",): plate_pressure, lifshitz._TOWER: plate_tower}
+
+
+@pytest.mark.parametrize("T", [77.0, 300.0])
+@pytest.mark.parametrize("name", list(TOWER_MODELS))
+def test_grid_equals_scalar_bit_for_bit(name, T, monkeypatch):
+    model = TOWER_MODELS[name]
+    calls = _recording_inner_rows(monkeypatch)
+    for kinds, scalar in _SCALAR.items():
+        for grid in (GRID_D[:1], GRID_D):
+            calls.clear()
+            values = lifshitz._plate_kernels(model, grid, T, kinds, None)
+            want = [scalar(model, d, T) for d in grid]
+            if len(kinds) == 1:
+                want = [[v] for v in want]
+            assert values == [list(v) for v in want]
+    # the tower pass over GRID_D stacked the first blocks of several d into
+    # more than one call, and some d needed a later block of its own
+    assert sum(bool(np.any(np.diff(a) < 0)) for a in calls) >= 2
+    assert any(a[0] > lifshitz._BLOCK_A for a in calls)
+
+
+def _raised(call) -> tuple:
+    with pytest.raises(ConvergenceError) as err:
+        call()
+    return str(err.value), err.value.partial_sum, err.value.terms
+
+
+@pytest.mark.parametrize("kinds", list(_SCALAR), ids="-".join)
+@pytest.mark.parametrize("name", list(TOWER_MODELS))
+def test_grid_raises_first_failing_d_like_scalar(name, kinds):
+    model = TOWER_MODELS[name]
+    settings = LifshitzSettings(matsubara_max_terms=3)
+    scalar = _SCALAR[kinds]
+    scalar(model, 8e-6, 300.0, settings)  # converges within 3 terms
+    grid = [8e-6, 0.5e-6, 1e-6]
+    got = _raised(lambda: lifshitz._plate_kernels(model, grid, 300.0, kinds, settings))
+    assert got == _raised(lambda: scalar(model, 0.5e-6, 300.0, settings))
+    assert got != _raised(lambda: scalar(model, 1e-6, 300.0, settings))
+
+
+def test_unconverged_pressure_inside_tower_grid():
+    # plate_pressure(GOLD_DRUDE, 0.1 um, 77 K) fails its k-integral at order 256
+    geometry = cf.ExperimentGeometry(temperature=77.0)
+    want = _raised(lambda: plate_tower(cf.GOLD_DRUDE, 0.1e-6, 77.0))
+    assert want != _raised(lambda: plate_tower(cf.GOLD_DRUDE, 0.12e-6, 77.0))
+    force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
+    assert _raised(lambda: force.preload([0.3e-6, 0.1e-6, 0.12e-6])) == want
+    grid = GRID_D[::-1].tolist() + [0.1e-6, 0.12e-6]
+    assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, grid, 77.0, lifshitz._TOWER, None)) == want
+
+
+def _with_warnings(call) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def test_grid_warns_like_points():
+    geometry = cf.ExperimentGeometry(sphere_radius=1e-3, temperature=300.0)
+    grid = np.geomspace(0.5e-6, 8e-6, 6)
+    points, want = _with_warnings(lambda: [sphere_plate_force(cf.GOLD_DRUDE, d, geometry) for d in grid])
+    assert len(want) == 4  # one per d with d/R > 1e-3
+    forces, got = _with_warnings(lambda: sphere_plate_force(cf.GOLD_DRUDE, grid, geometry))
+    assert got == want and forces.tolist() == points
+    curve, got = _with_warnings(lambda: force_curve(cf.GOLD_DRUDE, geometry, grid))
+    assert got == want and curve.force_N.tolist() == points
+    force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
+    _, got = _with_warnings(lambda: force.preload(grid))
+    assert got == want
+
+
+def test_preloaded_towers_equal_fresh_passes(geometry, monkeypatch):
+    import casfluct.lifshitz as lif
+
+    grid = np.geomspace(0.6e-6, 6e-6, 25)
+    force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
+    force.preload(grid)
+    monkeypatch.setattr(lif, "plate_tower", lambda *a: pytest.fail("preloaded d summed again"))
+    got = [(force(d), force.gradient(d), force.curvature(d)) for d in grid]
+    monkeypatch.undo()
+    fresh = SpherePlateForce(cf.GOLD_DRUDE, geometry)
+    assert got == [(fresh(d), fresh.gradient(d), fresh.curvature(d)) for d in grid]
