@@ -56,7 +56,6 @@ from .provenance import (
     config_hash,
     file_hash,
     meta_comment_lines,
-    parallel_map,
 )
 from .units import UDYNE, DomainError, ExperimentGeometry, UnitError
 
@@ -399,7 +398,7 @@ def _cmd_kk(opts) -> int:
         raise ValueError("kk requires --table")
     table = load_optical_table(opts.table)
     grid = _grid(opts, "xi")
-    eps = parallel_map(lambda xi: kk_transform(table, xi), grid)
+    eps = [kk_transform(table, xi) for xi in grid]
     meta = _meta("kk", opts, {"table": opts.table})
     _write_csv(opts.output, meta, ["xi_ev", "eps"], zip(grid, eps))
     return 0

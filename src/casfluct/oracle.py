@@ -6,6 +6,10 @@ time average and scatter are then compared against the quadratic-order
 predictions (mean shift (1/2) F'' delta_rms^2, excess scatter
 |F'| delta_rms) without any Taylor expansion on the sampling side.
 
+One run of trials reuses one set of buffers (the band shape, the
+spectrum and the series), so a trial of n samples adds no n-sized
+allocation of its own; every number is what the one-shot functions give.
+
 The synthesis rescales each realization so its sample rms equals the
 requested value exactly; the analytic predictions therefore see the
 realized second moment, and the comparison isolates the truncation error
@@ -14,6 +18,7 @@ of the quadratic formula itself.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -88,39 +93,78 @@ class BandError(ValueError):
     """Requested band contains no frequency bins at this dt/duration."""
 
 
-def sample_process(spec: ProcessSpec) -> np.ndarray:
+_BLOCK = 1 << 16  # samples per evaluator call in time_averaged_force
+
+
+class _Workspace:
+    """The buffers one run of trials reuses, so no trial allocates its own.
+
+    The band shape is built once.  ``series`` is a view of the buffer the
+    normals are drawn into, ahead of the inverse transform that overwrites
+    them; ``values`` is the spectrum's memory, free for squares and force
+    samples once the spectrum has been transformed.  A series returned
+    from here is overwritten by the next synthesis.
+    """
+
+    def __init__(self, spec: ProcessSpec):
+        n = spec.n_samples
+        m = n // 2 + 1
+        # np.fft.rfftfreq puts bin k at k * step, and that is monotone in k, so
+        # the band's edges are found without building all m frequencies
+        step = 1.0 / (n * spec.dt)
+        lo = max(bisect.bisect_left(range(m), spec.f_lo, key=lambda k: k * step), 1)
+        hi = bisect.bisect_right(range(m), spec.f_hi, key=lambda k: k * step)
+        if lo >= hi:
+            raise BandError(
+                f"band [{spec.f_lo}, {spec.f_hi}] Hz contains no bins for "
+                f"n={n}, dt={spec.dt}"
+            )
+        self.band = slice(lo, hi)
+        if spec.kind == "white":
+            self.shape = 1.0
+        else:
+            self.shape = 1.0 / np.sqrt(np.arange(lo, hi) * step)
+        self.spectrum = np.empty(m, dtype=complex)
+        self._normals = np.empty(2 * m)
+        self.series = self._normals[:n]
+        self.values = self.spectrum.view(float)[:n]
+
+    def synthesize(self, spec: ProcessSpec) -> np.ndarray:
+        n, m = len(self.series), len(self.spectrum)
+        if spec.target_rms == 0.0:
+            self.series[:] = 0.0
+            return self.series
+        rng = np.random.default_rng(spec.seed)
+        re, im = self._normals[:m], self._normals[m:]  # every bin, so the stream is fixed
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+        spectrum, band = self.spectrum, self.band
+        spectrum[: band.start] = 0.0
+        spectrum[band.stop :] = 0.0
+        np.multiply(self.shape, re[band], out=spectrum.real[band])
+        np.multiply(self.shape, im[band], out=spectrum.imag[band])
+        if n % 2 == 0:
+            spectrum.imag[-1] = 0.0  # Nyquist bin must be real
+        series = np.fft.irfft(spectrum, n=n, out=self.series)
+        series -= series.mean()
+        rms = math.sqrt(float(np.mean(np.square(series, out=self.values))))
+        if rms == 0.0:
+            raise BandError("degenerate realization with zero power")
+        series *= spec.target_rms / rms
+        return series
+
+
+def sample_process(spec: ProcessSpec, *, _work: _Workspace | None = None) -> np.ndarray:
     """Synthesize one realization of the displacement process, in meters.
 
     Gaussian amplitudes are drawn on the in-band rfft bins (flat for
     'white', power ~ 1/f for 'one-over-f'), inverse-transformed, mean
     removed, and rescaled so the sample rms equals target_rms exactly.
-    Identical specs (including seed) give bit-identical series.
+    Identical specs (including seed) give bit-identical series.  Given
+    ``_work`` (built from a spec that differs at most in its seed), the
+    series is a view of its buffers, overwritten by the next call.
     """
-    n = spec.n_samples
-    freqs = np.fft.rfftfreq(n, spec.dt)
-    mask = (freqs >= spec.f_lo) & (freqs <= spec.f_hi) & (freqs > 0)
-    if not np.any(mask):
-        raise BandError(
-            f"band [{spec.f_lo}, {spec.f_hi}] Hz contains no bins for "
-            f"n={n}, dt={spec.dt}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    shape = np.zeros(len(freqs))
-    if spec.kind == "white":
-        shape[mask] = 1.0
-    else:
-        shape[mask] = 1.0 / np.sqrt(freqs[mask])
-    spectrum = shape * (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs)))
-    if n % 2 == 0:
-        spectrum[-1] = spectrum[-1].real  # Nyquist bin must be real
-    series = np.fft.irfft(spectrum, n=n)
-    series -= series.mean()
-    if spec.target_rms == 0.0:
-        return np.zeros(n)
-    rms = math.sqrt(float(np.mean(series**2)))
-    if rms == 0.0:
-        raise BandError("degenerate realization with zero power")
-    return series * (spec.target_rms / rms)
+    return (_Workspace(spec) if _work is None else _work).synthesize(spec)
 
 
 @dataclass(frozen=True)
@@ -158,35 +202,49 @@ def _batch_se(values: np.ndarray, n_blocks: int = 32) -> float:
     return float(np.std(blocks, ddof=1) / math.sqrt(b))
 
 
-def time_averaged_force(force: Callable, d: float, series: np.ndarray) -> TimeAverageReport:
+def time_averaged_force(
+    force: Callable, d: float, series: np.ndarray, *, _work: _Workspace | None = None
+) -> TimeAverageReport:
     """Average the exact force over d + delta(t) and attach the predictions.
 
     The analytic mean is the quadratic-order apparent force at the series'
     realized rms; the analytic scatter is |F'(d)| times that rms.  The
     standard error of the Monte Carlo mean uses batch means, which stay
     honest for band-limited (correlated) samples.  A sample the evaluator
-    rejects raises :class:`TheoryEvaluationError` naming it.
+    rejects raises :class:`TheoryEvaluationError` naming it.  The force is
+    evaluated in blocks of ``_BLOCK`` samples, written into a buffer of
+    ``_work`` when given.
     """
     series = np.asarray(series, dtype=float)
-    x = d + series
-    if np.any(x <= 0):
+    n = len(series)
+    # fl(d + s) is monotone in s, so the smallest sample (NaN skipped, as
+    # the comparison skips it) decides the domain without a full-size temporary
+    if n and d + np.fmin.reduce(series) <= 0:
+        x = d + series
         worst = int(np.argmin(x))
         raise DomainError(
             f"sample {worst} takes the separation to {x[worst]:g} m (<= 0); "
             "fluctuations too large for this distance"
         )
-    values = evaluate_theory(force, x)
-    realized_rms = math.sqrt(float(np.mean(series**2)))
+    values = np.empty(n) if _work is None else _work.values
+    realized_rms = math.sqrt(float(np.mean(np.square(series, out=values))))
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        values[block] = evaluate_theory(force, d + series[block])
     mean = float(np.mean(values))
-    var = float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
+    se_mean = _batch_se(values)
+    var = 0.0
+    if n > 1:  # np.var(values, ddof=1), in place
+        values -= mean
+        var = float(np.sum(np.square(values, out=values))) / (n - 1)
     grad = gradient_of(force, d)
     return TimeAverageReport(
         mean_force=mean,
-        se_mean=_batch_se(values),
+        se_mean=se_mean,
         variance_force=var,
         analytic_mean=apparent_force(force, d, realized_rms),
         analytic_excess_sigma=abs(grad) * realized_rms,
-        n_samples=len(values),
+        n_samples=n,
         realized_rms=realized_rms,
     )
 
@@ -280,12 +338,13 @@ def verify_second_order(
     if trials < 10:
         raise ValueError(f"need >= 10 trials, got {trials}")
     ratio = spec.target_rms / d
+    work = _Workspace(spec)
     verdicts = []
     for i in range(trials):
         trial_spec = replace(spec, seed=spec.seed + i)
-        series = sample_process(trial_spec)
+        series = sample_process(trial_spec, _work=work)
         try:
-            report = time_averaged_force(force, d, series)
+            report = time_averaged_force(force, d, series, _work=work)
         except (DomainError, TheoryEvaluationError) as exc:
             # a sample outside the evaluator's domain reaches here wrapped
             if not isinstance(exc, DomainError) and not isinstance(exc.__cause__, DomainError):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import warnings
 
@@ -345,6 +346,24 @@ class TestSimulateCommand:
     def test_requires_force_choice(self, tmp_path):
         rc = main(["simulate", "--beta", "0", "-o", str(tmp_path / "s.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "name, extra, sha256",
+        [
+            ("sim_beta.json", ["--beta", "215"],
+             "432e779d90078d5d279c1533ecc13306e1aef842aaafac0627cae685b1ee1bd9"),
+            ("sim_drude.json", ["--model", "drude", "--kind", "one-over-f"],
+             "209dd6f753d8a5c1756ca52e762dc25db948d5820269eb34018b42c019abc927"),
+        ],
+        ids=["beta-white", "drude-one-over-f"],
+    )
+    def test_seeded_report_bytes_pinned(self, name, extra, sha256, tmp_path, monkeypatch):
+        # 2e5 samples per trial, several force-evaluation blocks; the relative
+        # -o path keeps the config hash in the header independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--duration", "10000", "--trials", "10", *extra, "-o", name])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
 
 
 class TestTiltCommand:

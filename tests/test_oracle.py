@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import casfluct as cf
+from casfluct import oracle
 from casfluct.oracle import (
     BandError,
     ProcessSpec,
@@ -17,6 +19,22 @@ UM = 1e-6
 UDYNE = 1e-11
 
 FAST = dict(f_lo=0.1, f_hi=5.0, dt=0.05, duration=1000.0)  # 20k samples
+
+
+def _whole_array_series(spec):
+    """The synthesis written with whole-array temporaries: the reference."""
+    n = spec.n_samples
+    freqs = np.fft.rfftfreq(n, spec.dt)
+    mask = (freqs >= spec.f_lo) & (freqs <= spec.f_hi) & (freqs > 0)
+    rng = np.random.default_rng(spec.seed)
+    shape = np.zeros(len(freqs))
+    shape[mask] = 1.0 if spec.kind == "white" else 1.0 / np.sqrt(freqs[mask])
+    spectrum = shape * (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs)))
+    if n % 2 == 0:
+        spectrum[-1] = spectrum[-1].real
+    series = np.fft.irfft(spectrum, n=n)
+    series -= series.mean()
+    return series * (spec.target_rms / math.sqrt(float(np.mean(series**2))))
 
 
 class TestProcessSpec:
@@ -80,6 +98,17 @@ class TestSampleProcess:
         f_ratio = freqs[hi].mean() / freqs[lo].mean()
         assert ratio == pytest.approx(f_ratio, rel=0.4)
 
+    @pytest.mark.parametrize("kind", ["white", "one-over-f"])
+    @pytest.mark.parametrize(
+        "duration, f_lo, f_hi",
+        [(1000.0, 0.1, 5.0), (1000.05, 0.1, 10.0), (1000.0, 0.0, 10.0), (1000.0, 0.1, 0.1005)],
+        ids=["even-n", "odd-n-to-nyquist", "dc-to-nyquist", "one-bin"],
+    )
+    def test_equals_whole_array_reference(self, kind, duration, f_lo, f_hi):
+        spec = ProcessSpec(target_rms=3e-8, f_lo=f_lo, f_hi=f_hi, kind=kind, seed=7,
+                           dt=0.05, duration=duration)
+        assert sample_process(spec).tobytes() == _whole_array_series(spec).tobytes()
+
     def test_zero_rms_gives_zeros(self):
         s = sample_process(ProcessSpec(target_rms=0.0, seed=3, **FAST))
         assert np.all(s == 0.0)
@@ -130,6 +159,44 @@ class TestTimeAveragedForce:
         with pytest.raises(cf.TheoryEvaluationError, match="d = 1.2 um") as info:
             time_averaged_force(spline, 1e-6, s)
         assert isinstance(info.value.__cause__, cf.DomainError)
+
+    def test_statistics_equal_whole_array_reference(self):
+        bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
+        s = sample_process(ProcessSpec(target_rms=0.05 * UM, seed=3, duration=10000.0))
+        rep = time_averaged_force(bg, 1e-6, s)  # 2e5 samples: four evaluation blocks
+        values = bg(1e-6 + s)
+        assert rep.realized_rms == math.sqrt(float(np.mean(s**2)))
+        assert rep.mean_force == float(np.mean(values))
+        assert rep.se_mean == oracle._batch_se(values)
+        assert rep.variance_force == float(np.var(values, ddof=1))
+        assert rep.n_samples == len(s)
+
+    def test_domain_error_past_first_block(self):
+        calls = []
+
+        def force(x):
+            calls.append(x)
+            return 1.0 / x
+
+        s = np.zeros(200_000)
+        s[70_000] = -1.5e-6  # first non-positive separation, in the second block
+        s[140_000] = -3e-6  # the worst one, in the third
+        with pytest.raises(cf.DomainError, match=r"sample 140000 takes the separation to -2e-06 m"):
+            time_averaged_force(force, 1e-6, s)
+        assert calls == []  # the domain is checked before any evaluation
+
+    def test_failing_point_past_first_block_named(self):
+        def force(x):
+            x = np.asarray(x)
+            if np.any(x > 1.1e-6):
+                raise ValueError("outside this evaluator's range")
+            return 1.0 / x
+
+        s = np.zeros(200_000)
+        s[100_000] = 0.2e-6
+        with pytest.raises(cf.TheoryEvaluationError, match=r"d = 1\.2 um: outside") as info:
+            time_averaged_force(force, 1e-6, s)
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_report_fields(self):
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
@@ -191,6 +258,49 @@ class TestVerifySecondOrder:
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
         with pytest.raises(cf.TheoryEvaluationError):
             verify_second_order(force, 1e-6, spec, trials=10)
+
+    @pytest.mark.parametrize("kind", ["white", "one-over-f"])
+    def test_reused_buffers_match_one_shot_functions(self, kind, monkeypatch):
+        # 2e5 samples: several force-evaluation blocks per trial
+        knots = np.linspace(0.7, 1.3, 40) * UM
+        force = cf.TotalForceEvaluator(
+            cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM),
+            cf.TabulatedForceCurve(knots, -1e-9 / knots**3),
+        )
+        spec = ProcessSpec(target_rms=0.05 * UM, seed=40, kind=kind, duration=10000.0)
+        record = verify_second_order(force, 1e-6, spec, trials=10)
+
+        seeds = []
+
+        def one_shot_sample(trial_spec, **_):
+            seeds.append(trial_spec.seed)
+            return sample_process(trial_spec)
+
+        monkeypatch.setattr(oracle, "sample_process", one_shot_sample)
+        monkeypatch.setattr(oracle, "time_averaged_force",
+                            lambda f, d, s, **_: time_averaged_force(f, d, s))
+        expected = verify_second_order(force, 1e-6, spec, trials=10)
+        assert seeds == list(range(40, 50))
+        assert all(v.report is not None for v in record.verdicts)
+        assert record == expected  # every verdict and report, field by field
+
+    def test_peak_memory_per_sample(self):
+        bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
+        spec = ProcessSpec(target_rms=0.05 * UM, seed=1, duration=10000.0)
+        verify_second_order(bg, 1e-6, spec, trials=10)  # first-use allocations are not per sample
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verify_second_order(bg, 1e-6, spec, trials=10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the reused buffers themselves are 16 B/sample
+        assert peak / spec.n_samples <= 28.0
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
