@@ -18,7 +18,6 @@ of the quadratic formula itself.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -108,12 +107,9 @@ class _Workspace:
 
     def __init__(self, spec: ProcessSpec):
         n = spec.n_samples
-        m = n // 2 + 1
-        # np.fft.rfftfreq puts bin k at k * step, and that is monotone in k, so
-        # the band's edges are found without building all m frequencies
-        step = 1.0 / (n * spec.dt)
-        lo = max(bisect.bisect_left(range(m), spec.f_lo, key=lambda k: k * step), 1)
-        hi = bisect.bisect_right(range(m), spec.f_hi, key=lambda k: k * step)
+        freqs = np.fft.rfftfreq(n, spec.dt)
+        lo = max(int(np.searchsorted(freqs, spec.f_lo, side="left")), 1)
+        hi = int(np.searchsorted(freqs, spec.f_hi, side="right"))
         if lo >= hi:
             raise BandError(
                 f"band [{spec.f_lo}, {spec.f_hi}] Hz contains no bins for "
@@ -123,7 +119,9 @@ class _Workspace:
         if spec.kind == "white":
             self.shape = 1.0
         else:
-            self.shape = 1.0 / np.sqrt(np.arange(lo, hi) * step)
+            self.shape = 1.0 / np.sqrt(freqs[lo:hi])
+        m = len(freqs)
+        del freqs  # freed before the n-sized buffers are allocated
         self.spectrum = np.empty(m, dtype=complex)
         self._normals = np.empty(2 * m)
         self.series = self._normals[:n]

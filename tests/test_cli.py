@@ -351,19 +351,22 @@ class TestSimulateCommand:
         "name, extra, sha256",
         [
             ("sim_beta.json", ["--beta", "215"],
-             "432e779d90078d5d279c1533ecc13306e1aef842aaafac0627cae685b1ee1bd9"),
+             "425ce4dec932e3fd2b774bd637ea96f325f65acc24e8cafd913a3b22600b7371"),
             ("sim_drude.json", ["--model", "drude", "--kind", "one-over-f"],
-             "209dd6f753d8a5c1756ca52e762dc25db948d5820269eb34018b42c019abc927"),
+             "3451e3ec64e2647d6514577f06efba82e7b7a73eb86ae3228116c39a9cc3dce0"),
         ],
         ids=["beta-white", "drude-one-over-f"],
     )
-    def test_seeded_report_bytes_pinned(self, name, extra, sha256, tmp_path, monkeypatch):
-        # 2e5 samples per trial, several force-evaluation blocks; the relative
-        # -o path keeps the config hash in the header independent of tmp_path
-        monkeypatch.chdir(tmp_path)
-        rc = main(["simulate", "--duration", "10000", "--trials", "10", *extra, "-o", name])
+    def test_seeded_report_bytes_pinned(self, name, extra, sha256, tmp_path):
+        # 2e5 samples per trial, several force-evaluation blocks.  Every value
+        # outside the _meta header is pinned, so a new option or version bump
+        # (which moves the header's hashes) leaves the pin alone.
+        rc = main(["simulate", "--duration", "10000", "--trials", "10", *extra,
+                   "-o", str(tmp_path / name)])
         assert rc == 0
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+        blob = json.loads((tmp_path / name).read_text())
+        del blob["_meta"]
+        assert hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest() == sha256
 
 
 class TestTiltCommand:
