@@ -27,7 +27,7 @@ print(f"{'d (um)':>7} {'F':>9} {'F_app':>9} {'shift':>8} {'|F..|delta':>11}  (ud
 for d_um in (0.62, 1.0, 2.0, 4.0, 6.0):
     d = d_um * UM
     f = total(d)
-    f_app = cf.apparent_force(total, d, delta, curvature=total.curvature)
+    f_app = cf.apparent_force(total, d, delta)
     excess = cf.inflated_sigma(0.0, total.gradient(d), delta)
     print(f"{d_um:7.2f} {f / UDYNE:9.2f} {f_app / UDYNE:9.2f} "
           f"{(f_app - f) / UDYNE:8.3f} {excess / UDYNE:11.2f}")

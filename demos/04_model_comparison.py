@@ -29,10 +29,7 @@ total_plasma = cf.TotalForceEvaluator(bg, plasma)
 rng = np.random.default_rng(7)
 d_um = np.array([0.62, 0.8, 1.0, 1.3, 1.8, 2.5, 3.5, 5.0])
 sigma = np.full(len(d_um), 0.6)  # udyne
-truth = np.array([
-    cf.apparent_force(total_drude, d * UM, delta_true, curvature=total_drude.curvature)
-    for d in d_um
-]) / UDYNE
+truth = np.array([cf.apparent_force(total_drude, d * UM, delta_true) for d in d_um]) / UDYNE
 data = cf.ForceDataset(
     d_um=d_um,
     force_udyne=truth + rng.standard_normal(len(d_um)) * sigma,
@@ -43,7 +40,7 @@ data = cf.ForceDataset(
 
 
 def corrected(total, delta):
-    return lambda d: cf.apparent_force(total, d, delta, curvature=total.curvature)
+    return lambda d: cf.apparent_force(total, d, delta)
 
 
 print("chi-squared against the synthetic dataset (7 d.o.f. uncorrected, "

@@ -104,16 +104,19 @@ def _beta_profile(d0: float, d, f, w) -> tuple[float, float]:
     return beta, chi2
 
 
+_D0_BOUNDS = (-1e-6, 1e-6)  # m: the d0 search interval
+
+
 def fit_background(
     data: ForceDataset,
     d_min: float = 2e-6,
     casimir_subtractor: Callable | None = None,
-    d0_bounds: tuple[float, float] = (-1e-6, 1e-6),
 ) -> BackgroundFit:
     """Weighted least-squares fit of beta/(d - d0) to points with d > d_min.
 
-    The problem is linear in beta at fixed d0, so d0 is found by a bounded
-    1-D search over the chi^2 profile with beta eliminated in closed form.
+    The problem is linear in beta at fixed d0, so d0 is found by a 1-D
+    search over (-1, 1) um of the chi^2 profile, with beta eliminated in
+    closed form.
     By default nothing is subtracted from the data (the long-distance
     points are taken as background-only); ``casimir_subtractor`` may
     remove a theoretical dispersion-force contribution first.  It is
@@ -135,7 +138,7 @@ def fit_background(
         f = f - casimir_subtractor(d)
     w = 1.0 / sig**2
 
-    lo, hi = d0_bounds
+    lo, hi = _D0_BOUNDS
     hi = min(hi, float(d.min()) * (1.0 - 1e-9))  # keep the pole out of the data
 
     from scipy.optimize import minimize_scalar

@@ -170,7 +170,6 @@ def apparent_force(
     d: float | np.ndarray,
     delta_rms: float,
     curvature: Callable | float | np.ndarray | None = None,
-    step: float | None = None,
 ) -> float | np.ndarray:
     """Time-averaged apparent force F(d) + (1/2) F''(d) delta_rms^2.
 
@@ -188,7 +187,7 @@ def apparent_force(
     if delta_rms == 0.0:
         return base
     if curvature is None:
-        second = curvature_of(force, d, step=step)
+        second = curvature_of(force, d)
     elif callable(curvature):
         second = float_or_array(curvature(d))
     else:

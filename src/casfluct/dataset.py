@@ -175,8 +175,8 @@ def _parse_bin(fields: list[str]) -> tuple:
     return d, f, s, n, w
 
 
-def load_dataset(path, label: str | None = None) -> ForceDataset:
-    """Load a force dataset from CSV, validating every row.
+def load_dataset(path) -> ForceDataset:
+    """Load a force dataset from CSV, validating every row; its label is ``str(path)``.
 
     Rows that fail validation are reported together, each as ``path:line``,
     in a single :class:`DatasetError`.
@@ -190,7 +190,7 @@ def load_dataset(path, label: str | None = None) -> ForceDataset:
         sigma_udyne=np.array(cols[2]),
         n_samples=np.array(cols[3]),
         bin_width_um=np.array(cols[4]),
-        label=label if label is not None else str(path),
+        label=str(path),
     )
 
 

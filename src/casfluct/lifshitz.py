@@ -253,11 +253,9 @@ def _first_blocks(model, plans, n, xi1, kinds, rel) -> list:
     grid order into ``_inner_rows`` calls of at most ``_BLOCK_MAX`` rows,
     no block split between calls, with one ``eps_imag_axis`` call per
     ``_inner_rows`` call.  Rows are reduced on their own, so each value
-    equals that of a call for its d alone.  A d with no terms, or with
-    a_1 not > 0 (a d or T its checks reject), gets None and is left to
-    its own series.
+    equals that of a call for its d alone.  A d with no terms gets None.
     """
-    blocks = [a_all[:size] if stop and a_all[0] > 0 else None for a_all, stop, size in plans]
+    blocks = [a_all[:size] if stop else None for a_all, stop, size in plans]
     groups, rows = [], _BLOCK_MAX
     for i, a in enumerate(blocks):
         if a is None:
@@ -281,17 +279,17 @@ def _first_blocks(model, plans, n, xi1, kinds, rel) -> list:
     return out
 
 
-def _thermal_sum(model, ds, T, kinds, settings, ready) -> list[list[float]]:
+def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
     """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
     inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  The
     first block of terms of every d comes from ``_first_blocks``; each
     later block of one d from one ``_inner_rows`` and one
-    ``eps_imag_axis`` call.  Then, one d at a time in grid order,
-    ``ready(d)`` runs and the terms are added one at a time in n, each
-    kernel stopping at its own converged term count, so a grid raises
-    what its first failing d raises alone.  A block may compute terms
-    past the stop; only a consumed term can raise.
+    ``eps_imag_axis`` call.  Then, one d at a time in grid order, the
+    terms are added one at a time in n, each kernel stopping at its own
+    converged term count, so a grid raises what its first failing d
+    raises alone.  A block may compute terms past the stop; only a
+    consumed term can raise.
     """
     rel = settings.quad_rel_tol
     xi1 = _xi1_rad(T)
@@ -306,7 +304,6 @@ def _thermal_sum(model, ds, T, kinds, settings, ready) -> list[list[float]]:
         plans.append((a_all[: stop + size].copy(), stop, size))
 
     def series(d, a_all, stop, size, first) -> list[float]:
-        ready(d)
         acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
         pending = kinds
         for lo in range(0, stop, size):
@@ -367,29 +364,41 @@ def _check_d_T(d: float, T: float) -> None:
         raise DomainError(f"temperature must be >= 0, got {T}")
 
 
-def _plate_kernels(model, ds, T, kinds: tuple, settings, check=None) -> list[list[float]]:
+def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
+    """Reject d/R >= 0.1; warn above d/R = 1e-3."""
+    ratio = d / geometry.sphere_radius
+    if ratio >= 0.1:
+        raise PFAValidityError(
+            f"d/R = {ratio:.3g} >= 0.1: proximity-force approximation invalid"
+        )
+    if ratio > 1e-3:
+        warnings.warn(
+            f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
+            stacklevel=4,
+        )
+
+
+def _plate_kernels(model, ds, T, kinds: tuple, settings, geometry=None) -> list[list[float]]:
     """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
 
-    ``check(d)``, when given, runs just before d's own checks and sum.
+    Every d is checked before the first sum: against the PFA for
+    ``geometry`` when one is given, then for d > 0 and T >= 0.
     """
     settings = settings or _DEFAULT_SETTINGS
-
-    def ready(d):
-        if check is not None:
-            check(d)
+    for d in ds:
+        if geometry is not None:
+            _check_pfa(d, geometry)
         _check_d_T(d, T)
-
     zero_t = settings.zero_temperature_mode or T == 0.0
     if zero_t:
         values = []
         for d in ds:
-            ready(d)
             if isinstance(model, PerfectConductor):
                 values.append([_PC_ZERO_T[kind] for kind in kinds])
             else:
                 values.append(_zero_t_integral(model, d, kinds, settings))
     else:
-        values = _thermal_sum(model, ds, T, kinds, settings, ready)
+        values = _thermal_sum(model, ds, T, kinds, settings)
     out = []
     for d, row in zip(ds, values):
         si = []
@@ -453,22 +462,6 @@ def plate_tower(
     return PlateTower(*_plate_kernels(model, (d,), T, _TOWER, settings)[0])
 
 
-def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
-    """Reject d <= 0 and d/R >= 0.1; warn above d/R = 1e-3."""
-    if not d > 0:
-        raise DomainError(f"separation must be > 0, got {d}")
-    ratio = d / geometry.sphere_radius
-    if ratio >= 0.1:
-        raise PFAValidityError(
-            f"d/R = {ratio:.3g} >= 0.1: proximity-force approximation invalid"
-        )
-    if ratio > 1e-3:
-        warnings.warn(
-            f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
-            stacklevel=3,
-        )
-
-
 def sphere_plate_force(
     model: MaterialModel,
     d: float | np.ndarray,
@@ -484,9 +477,7 @@ def sphere_plate_force(
     geometry = geometry or ExperimentGeometry()
     grid = np.asarray(d, dtype=float)
     ds = (d,) if grid.ndim == 0 else grid.ravel()
-    energies = _plate_kernels(
-        model, ds, geometry.temperature, ("energy",), settings, lambda x: _check_pfa(x, geometry)
-    )
+    energies = _plate_kernels(model, ds, geometry.temperature, ("energy",), settings, geometry)
     forces = [-2.0 * math.pi * geometry.sphere_radius * energy for (energy,) in energies]
     return forces[0] if grid.ndim == 0 else np.array(forces).reshape(grid.shape)
 
@@ -495,7 +486,7 @@ class SpherePlateForce:
     """Sphere-plate force evaluator F(d) with exact F'(d) and F''(d).
 
     Under the PFA F = -2 pi R E, F' = -2 pi R P and F'' = -2 pi R dP/dd.
-    All three come from one ``plate_tower`` pass per d, kept for the most
+    All three come from one tower pass per d, kept for the most
     recent d so that F, F' and F'' at one separation cost a single pass;
     ``preload`` keeps the towers of a whole grid from one batched pass.
     The kept passes are keyed by d alone: treat ``model``, ``geometry``
@@ -521,18 +512,14 @@ class SpherePlateForce:
         """
         ds = np.asarray(d_m, dtype=float).ravel()
         towers = _plate_kernels(
-            self.model, ds, self.geometry.temperature, _TOWER, self.settings,
-            lambda x: _check_pfa(x, self.geometry),
+            self.model, ds, self.geometry.temperature, _TOWER, self.settings, self.geometry
         )
         self._kept = dict(zip(ds.tolist(), map(PlateTower._make, towers)))
 
     def _tower(self, d: float) -> PlateTower:
-        tower = self._kept.get(float(d))
-        if tower is None:
-            _check_pfa(d, self.geometry)
-            tower = plate_tower(self.model, d, self.geometry.temperature, self.settings)
-            self._kept = {float(d): tower}
-        return tower
+        if float(d) not in self._kept:
+            self.preload((d,))
+        return self._kept[float(d)]
 
     def __call__(self, d: float) -> float:
         return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).energy
@@ -650,16 +637,16 @@ class DerivativeResult:
     step: float
 
 
-def derivative(func: Callable, x: float, order: int = 1, step: float | None = None) -> DerivativeResult:
+def derivative(func: Callable, x: float, order: int = 1) -> DerivativeResult:
     """Richardson-extrapolated central difference of ``func`` at ``x``.
 
-    ``order`` is 1 or 2.  Default step max(1e-3*|x|, 1e-9); the evaluator
+    ``order`` is 1 or 2.  The step is h = max(1e-3*|x|, 1e-9); the evaluator
     must be defined on [x - h, x + h].  The result is flagged when the
     error estimate exceeds 1% of the value.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    h = step if step is not None else max(1e-3 * abs(x), 1e-9)
+    h = max(1e-3 * abs(x), 1e-9)
     if not h > 0:
         raise ValueError(f"step must be > 0, got {h}")
 
@@ -682,9 +669,7 @@ def float_or_array(value) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def gradient_of(
-    force: Callable, x: float | np.ndarray, step: float | None = None
-) -> float | np.ndarray:
+def gradient_of(force: Callable, x: float | np.ndarray) -> float | np.ndarray:
     """dF/dx, using the evaluator's analytic gradient when it advertises one.
 
     An analytic gradient may be taken on an array of x; finite differences
@@ -693,12 +678,10 @@ def gradient_of(
     g = getattr(force, "gradient", None)
     if callable(g):
         return float_or_array(g(x))
-    return derivative(force, x, order=1, step=step).value
+    return derivative(force, x, order=1).value
 
 
-def curvature_of(
-    force: Callable, x: float | np.ndarray, step: float | None = None
-) -> float | np.ndarray:
+def curvature_of(force: Callable, x: float | np.ndarray) -> float | np.ndarray:
     """d2F/dx2, using the evaluator's analytic curvature when it advertises one.
 
     An analytic curvature may be taken on an array of x; finite differences
@@ -707,4 +690,4 @@ def curvature_of(
     c2 = getattr(force, "curvature", None)
     if callable(c2):
         return float_or_array(c2(x))
-    return derivative(force, x, order=2, step=step).value
+    return derivative(force, x, order=2).value

@@ -189,12 +189,12 @@ class TimeAverageReport:
         }
 
 
-def _batch_se(values: np.ndarray, n_blocks: int = 32) -> float:
-    """Standard error of the mean by batch means (robust to correlation)."""
+def _batch_se(values: np.ndarray) -> float:
+    """Standard error of the mean by batch means over 32 batches (robust to correlation)."""
     n = len(values)
     if n < 4:
         return float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    b = min(n_blocks, n // 2)
+    b = min(32, n // 2)
     usable = (n // b) * b
     blocks = values[:usable].reshape(b, -1).mean(axis=1)
     return float(np.std(blocks, ddof=1) / math.sqrt(b))
@@ -251,21 +251,16 @@ def fourth_order_allowance(force: Callable, d: float, delta_rms: float) -> float
     """Size of the first neglected term of the mean-shift prediction.
 
     For Gaussian delta the quartic term is F''''(d) * 3 delta^4 / 24; the
-    fourth derivative is estimated with a five-point stencil (h = 5% of d)
-    unless the evaluator advertises ``fourth_derivative``.
+    fourth derivative is estimated with a five-point stencil (h = 5% of d).
     """
-    f4 = getattr(force, "fourth_derivative", None)
-    if callable(f4):
-        val = float(f4(d))
-    else:
-        h = 0.05 * d
-        val = (
-            force(d - 2 * h)
-            - 4.0 * force(d - h)
-            + 6.0 * force(d)
-            - 4.0 * force(d + h)
-            + force(d + 2 * h)
-        ) / h**4
+    h = 0.05 * d
+    val = (
+        force(d - 2 * h)
+        - 4.0 * force(d - h)
+        + 6.0 * force(d)
+        - 4.0 * force(d + h)
+        + force(d + 2 * h)
+    ) / h**4
     return abs(val) * delta_rms**4 / 8.0
 
 

@@ -263,14 +263,18 @@ def _below_table_integral(table: OpticalAbsorptionTable, xi: float) -> float:
     )
 
 
-def kk_transform(table: OpticalAbsorptionTable, xi_ev: float, rel_tol: float = 1e-6) -> float:
+_KK_REL_TOL = 1e-6
+
+
+def kk_transform(table: OpticalAbsorptionTable, xi_ev: float) -> float:
     """Dispersion-integral eps(i*xi) from a real-axis absorption table.
 
     Below the first sample, eps'' is extended with the Drude low-frequency
     form recovered from the first two rows (closed-form kernel integral).
     Above the last sample the contribution is taken as zero and a
     truncation estimate is logged.  Raises :class:`ConvergenceError`, carrying
-    the order-128 value, when orders 64 and 128 still differ beyond ``rel_tol``.
+    the order-128 value, when orders 64 and 128 still differ beyond
+    ``_KK_REL_TOL`` (relative).
     """
     xi = float(xi_ev)
     if xi <= 0:
@@ -279,13 +283,13 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev: float, rel_tol: float = 1
     order, prev = 16, None
     while True:
         inside = _kk_table_integral(table, xi, order)
-        if prev is not None and abs(inside - prev) <= rel_tol * max(abs(inside), 1e-300):
+        if prev is not None and abs(inside - prev) <= _KK_REL_TOL * max(abs(inside), 1e-300):
             break
         if order >= 128:
             rel = abs(inside - prev) / max(abs(inside), 1e-300)
             raise ConvergenceError(
                 f"kk_transform at xi = {xi:g} eV: orders 64 and 128 differ by {rel:.3g} "
-                f"(relative), above rel_tol {rel_tol:g}",
+                f"(relative), above rel_tol {_KK_REL_TOL:g}",
                 partial_sum=1.0 + (2.0 / np.pi) * (below + inside),
                 terms=order,
             )

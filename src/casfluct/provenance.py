@@ -1,4 +1,4 @@
-"""Reproducible-output plumbing: hashes, atomic writes, worker pools.
+"""Reproducible-output plumbing: hashes and atomic writes.
 
 Every file the toolkit emits carries the tool version, a hash of the
 run configuration, and hashes of its inputs, so runs are diffable and
@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 TOOL_VERSION = "0.1.0"
 
@@ -22,7 +21,6 @@ __all__ = [
     "atomic_write_text",
     "meta_comment_lines",
     "parallel_map",
-    "worker_count",
 ]
 
 
@@ -66,23 +64,10 @@ def meta_comment_lines(meta: dict) -> list[str]:
     return lines
 
 
-def worker_count() -> int:
-    """Worker cap from CASIMIR_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("CASIMIR_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
 def parallel_map(fn, items):
-    """Map preserving input order; threads capped by CASIMIR_THREADS."""
-    items = list(items)
-    n = worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``: a plain ordered map that no subcommand calls.
+
+    It stays only because ``bench/tracing.py::instrument`` looks up
+    ``provenance.parallel_map`` by name; ROADMAP item 1 deletes it.
+    """
+    return [fn(x) for x in items]

@@ -317,13 +317,13 @@ def test_tower_shares_one_pass_per_separation(geometry, monkeypatch):
     import casfluct.lifshitz as lif
 
     passes = []
-    real = lif.plate_tower
+    real = lif._plate_kernels
 
-    def counting(model, d, *args):
-        passes.append(d)
-        return real(model, d, *args)
+    def counting(model, ds, *args):
+        passes.extend(ds)
+        return real(model, ds, *args)
 
-    monkeypatch.setattr(lif, "plate_tower", counting)
+    monkeypatch.setattr(lif, "_plate_kernels", counting)
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
     for d in (1e-6, 1e-6, 2e-6, 2e-6):
         force(d), force.gradient(d), force.curvature(d)
@@ -592,6 +592,29 @@ def test_unconverged_pressure_inside_tower_grid():
     assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, grid, 77.0, lifshitz._TOWER, None)) == want
 
 
+def _no_sums(monkeypatch):
+    import casfluct.lifshitz as lif
+
+    monkeypatch.setattr(lif, "_inner_rows", lambda *a: pytest.fail("summed before the grid was checked"))
+
+
+def test_grid_checked_in_full_before_first_sum(monkeypatch):
+    # 0.5 um does not converge within 3 terms, but the last d fails the PFA check
+    geometry = cf.ExperimentGeometry(sphere_radius=1e-5, temperature=300.0)
+    settings = LifshitzSettings(matsubara_max_terms=3)
+    with pytest.raises(ConvergenceError):
+        plate_energy(cf.GOLD_DRUDE, 0.5e-6, 300.0, settings)
+    _no_sums(monkeypatch)
+    with pytest.warns(UserWarning, match="degraded"), pytest.raises(PFAValidityError):
+        sphere_plate_force(cf.GOLD_DRUDE, np.array([0.5e-6, 2e-6]), geometry, settings)
+
+
+def test_tower_grid_ending_at_zero_raises_before_any_sum(monkeypatch):
+    _no_sums(monkeypatch)
+    with pytest.raises(cf.DomainError, match="separation must be > 0"):
+        lifshitz._plate_kernels(cf.GOLD_DRUDE, [1e-6, 2e-6, 0.0], 300.0, lifshitz._TOWER, None)
+
+
 def _with_warnings(call) -> tuple:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -619,7 +642,7 @@ def test_preloaded_towers_equal_fresh_passes(geometry, monkeypatch):
     grid = np.geomspace(0.6e-6, 6e-6, 25)
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
     force.preload(grid)
-    monkeypatch.setattr(lif, "plate_tower", lambda *a: pytest.fail("preloaded d summed again"))
+    monkeypatch.setattr(lif, "_plate_kernels", lambda *a: pytest.fail("preloaded d summed again"))
     got = [(force(d), force.gradient(d), force.curvature(d)) for d in grid]
     monkeypatch.undo()
     fresh = SpherePlateForce(cf.GOLD_DRUDE, geometry)
