@@ -87,6 +87,4 @@ from .units import (
     DomainError,
     ExperimentGeometry,
     PhysicalConstants,
-    UnitError,
-    convert,
 )

@@ -398,7 +398,7 @@ def _cmd_kk(opts) -> int:
         raise ValueError("kk requires --table")
     table = load_optical_table(opts.table)
     grid = _grid(opts, "xi")
-    eps = [kk_transform(table, xi) for xi in grid]
+    eps = kk_transform(table, grid)
     meta = _meta("kk", opts, {"table": opts.table})
     _write_csv(opts.output, meta, ["xi_ev", "eps"], zip(grid, eps))
     return 0
@@ -557,7 +557,12 @@ def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand gets its options.
+
+    Every subcommand is still registered, so the top-level usage and help
+    read the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="casfluct",
         description=__doc__,
@@ -567,16 +572,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func, command=name)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for dest, _, kwargs in options:
             flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)
             p.add_argument(*flags, dest=dest, **kwargs)
-        p.set_defaults(func=func, command=name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         opts = _merge_opts(args.command, args)

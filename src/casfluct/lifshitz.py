@@ -640,15 +640,15 @@ class DerivativeResult:
 def derivative(func: Callable, x: float, order: int = 1) -> DerivativeResult:
     """Richardson-extrapolated central difference of ``func`` at ``x``.
 
-    ``order`` is 1 or 2.  The step is h = max(1e-3*|x|, 1e-9); the evaluator
-    must be defined on [x - h, x + h].  The result is flagged when the
-    error estimate exceeds 1% of the value.
+    ``order`` is 1 or 2, and ``x`` must be finite.  The step is
+    h = max(1e-3*|x|, 1e-9); the evaluator must be defined on [x - h, x + h].
+    The result is flagged when the error estimate exceeds 1% of the value.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    if not math.isfinite(x):
+        raise ValueError(f"derivative needs a finite x, got x = {x}")
     h = max(1e-3 * abs(x), 1e-9)
-    if not h > 0:
-        raise ValueError(f"step must be > 0, got {h}")
 
     def central(hh: float) -> float:
         if order == 1:

@@ -207,28 +207,44 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _kk_table_integral(table: OpticalAbsorptionTable, xi: float, order: int) -> float:
-    """Integrate w*eps''(w)/(w^2+xi^2) over the tabulated range.
+def _kk_segments(table: OpticalAbsorptionTable, edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes in log(omega) on the segments between ``edges``.
 
-    Per-segment Gauss-Legendre in log(omega), with eps'' interpolated as a
-    power law on each segment; the segment containing omega = xi is split
-    there because the kernel bends at that point.
+    Returns (half-width * weight, omega^2, omega^2 * eps''), each of shape
+    (segments, order); eps'' is interpolated as a power law between table
+    rows, and the extra omega comes from the log substitution.
     """
-    w = table.omega_ev
-    e = table.eps_imag
-    edges = w
-    if w[0] < xi < w[-1]:
-        edges = np.sort(np.append(w, xi))
     u_lo = np.log(edges[:-1])
     u_hi = np.log(edges[1:])
     t, gw = _gl_nodes(order)
-    # nodes in log space, shape (segments, order)
     u = 0.5 * (u_hi + u_lo)[:, None] + 0.5 * (u_hi - u_lo)[:, None] * t[None, :]
     half = 0.5 * (u_hi - u_lo)[:, None]
     om = np.exp(u)
-    loss = np.exp(np.interp(u, np.log(w), np.log(e)))
-    integrand = om**2 * loss / (om**2 + xi**2)  # extra om from the log substitution
-    return float(np.sum(half * gw[None, :] * integrand))
+    loss = np.exp(np.interp(u, np.log(table.omega_ev), np.log(table.eps_imag)))
+    om2 = om**2
+    return half * gw[None, :], om2, om2 * loss
+
+
+def _kk_terms(hw: np.ndarray, om2: np.ndarray, num: np.ndarray, xi: float) -> np.ndarray:
+    """Weighted integrand values at the nodes of :func:`_kk_segments`."""
+    return hw * (num / (om2 + xi**2))
+
+
+def _kk_table_integral(table: OpticalAbsorptionTable, nodes, xi: float, order: int) -> float:
+    """Integrate w*eps''(w)/(w^2+xi^2) over the tabulated range.
+
+    ``nodes`` holds the :func:`_kk_segments` of the table's own rows at
+    ``order``.  The segment containing omega = xi is split there, because
+    the kernel bends at that point; only that segment's nodes are rebuilt,
+    and the terms are summed as one array, in row order.
+    """
+    w = table.omega_ev
+    if not w[0] < xi < w[-1]:
+        return float(np.sum(_kk_terms(*nodes, xi)))
+    j = int(np.searchsorted(w, xi))
+    split = _kk_segments(table, np.array([w[j - 1], xi, w[j]]), order)
+    parts = ([a[: j - 1] for a in nodes], split, [a[j:] for a in nodes])
+    return float(np.sum(np.concatenate([_kk_terms(*part, xi) for part in parts])))
 
 
 def _below_table_integral(table: OpticalAbsorptionTable, xi: float) -> float:
@@ -266,39 +282,52 @@ def _below_table_integral(table: OpticalAbsorptionTable, xi: float) -> float:
 _KK_REL_TOL = 1e-6
 
 
-def kk_transform(table: OpticalAbsorptionTable, xi_ev: float) -> float:
+def kk_transform(table: OpticalAbsorptionTable, xi_ev):
     """Dispersion-integral eps(i*xi) from a real-axis absorption table.
+
+    Accepts a scalar (returns a float) or an array of xi (returns an array
+    of the same shape).  Each value is bit-identical to a call on that xi
+    alone: the table's quadrature nodes are built once per Gauss-Legendre
+    order within a call, and only the segment holding xi is rebuilt per xi.
+    The whole grid is checked (xi > 0, NaN rejected) before any integral.
 
     Below the first sample, eps'' is extended with the Drude low-frequency
     form recovered from the first two rows (closed-form kernel integral).
     Above the last sample the contribution is taken as zero and a
     truncation estimate is logged.  Raises :class:`ConvergenceError`, carrying
     the order-128 value, when orders 64 and 128 still differ beyond
-    ``_KK_REL_TOL`` (relative).
+    ``_KK_REL_TOL`` (relative); on a grid, that of the first such xi.
     """
-    xi = float(xi_ev)
-    if xi <= 0:
-        raise ValueError("xi_ev must be > 0")
-    below = _below_table_integral(table, xi)
-    order, prev = 16, None
-    while True:
-        inside = _kk_table_integral(table, xi, order)
-        if prev is not None and abs(inside - prev) <= _KK_REL_TOL * max(abs(inside), 1e-300):
-            break
-        if order >= 128:
-            rel = abs(inside - prev) / max(abs(inside), 1e-300)
-            raise ConvergenceError(
-                f"kk_transform at xi = {xi:g} eV: orders 64 and 128 differ by {rel:.3g} "
-                f"(relative), above rel_tol {_KK_REL_TOL:g}",
-                partial_sum=1.0 + (2.0 / np.pi) * (below + inside),
-                terms=order,
-            )
-        prev, order = inside, order * 2
+    grid = np.asarray(xi_ev, dtype=float)
+    bad = grid[~(grid > 0)]
+    if bad.size:
+        raise ValueError(f"xi_ev must be > 0, got {bad[0]}")
+    nodes = {}  # order -> _kk_segments of the unsplit table
+    out = np.empty(grid.size)
+    for i, xi in enumerate(grid.ravel().tolist()):
+        below = _below_table_integral(table, xi)
+        order, prev = 16, None
+        while True:
+            if order not in nodes:
+                nodes[order] = _kk_segments(table, table.omega_ev, order)
+            inside = _kk_table_integral(table, nodes[order], xi, order)
+            if prev is not None and abs(inside - prev) <= _KK_REL_TOL * max(abs(inside), 1e-300):
+                break
+            if order >= 128:
+                rel = abs(inside - prev) / max(abs(inside), 1e-300)
+                raise ConvergenceError(
+                    f"kk_transform at xi = {xi:g} eV: orders 64 and 128 differ by {rel:.3g} "
+                    f"(relative), above rel_tol {_KK_REL_TOL:g}",
+                    partial_sum=1.0 + (2.0 / np.pi) * (below + inside),
+                    terms=order,
+                )
+            prev, order = inside, order * 2
+        out[i] = 1.0 + (2.0 / np.pi) * (below + inside)
     # assume eps'' ~ w^-3 beyond the table (Drude tail) for the size estimate
     tail_est = (2.0 / np.pi) * table.eps_imag[-1] / 3.0
     if tail_est > 1e-3:
         log.debug("kk_transform: truncated high-frequency tail ~ %.3g (eps units)", tail_est)
-    return 1.0 + (2.0 / np.pi) * (below + inside)
+    return float(out[0]) if grid.ndim == 0 else out.reshape(grid.shape)
 
 
 def load_optical_table(path) -> OpticalAbsorptionTable:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct.cli import _build_parser, _merge_opts, main
+from casfluct.cli import _COMMANDS, _build_parser, _merge_opts, main
 from casfluct.provenance import config_hash
 
 DATA_ROWS = [
@@ -421,6 +421,50 @@ class TestKKCommand:
         assert not out.exists()
 
 
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param([name, "--help"], id=f"{name}-help") for name in _COMMANDS]
+    + [
+        pytest.param(["--help"], id="help"),
+        pytest.param([], id="no-arguments"),
+        pytest.param(["frobnicate"], id="unknown-subcommand"),
+        pytest.param(["simulate", "--points", "x"], id="unrecognized-argument"),
+    ],
+)
+def test_parser_output_matches_full_parser(argv, capsys, monkeypatch):
+    """main builds only the invoked subcommand's options; what a user reads is unchanged."""
+    monkeypatch.setenv("COLUMNS", "100")
+    full = _parse_outcome(lambda a: _build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == full
+    assert full[1] or full[2]
+
+
+def test_main_builds_only_the_invoked_subcommand(monkeypatch, tmp_path):
+    import casfluct.cli as cli
+
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert main(["tilt-estimate", "-o", str(tmp_path / "tilt.json")]) == 0
+    assert built == ["tilt-estimate"]
+    subparsers = _build_parser("kk")._subparsers._group_actions[0].choices
+    options = {name: [a.dest for a in p._actions] for name, p in subparsers.items()}
+    assert options.pop("kk")[-1] == "output"
+    assert set(map(tuple, options.values())) == {("help",)}
+
+
 def test_parallel_map_keeps_order():
     from casfluct.provenance import parallel_map
 
@@ -439,13 +483,20 @@ def test_parallel_map_keeps_order():
         pytest.param(["scan-delta", "--data", "{data}", "--steps", "31"],
                      "7dff7789f2abf0d1ba1a3f0d9a8f642d5d34b320d9330d17d0b707c2406fb444",
                      id="scan-delta"),
+        pytest.param(["kk", "--table", "{table}"],
+                     "4c2575fac7fb59dc7920a26eb9a11aacb8a1b5574961ab9b86c1ffe2e5488d64", id="kk"),
+        pytest.param(["kk", "--table", "{table}", "--xi-min", "0.02", "--xi-max", "20",
+                      "--points", "60"],
+                     "82e66c4eb0dd0b254bcbec33c960783c96476f84e2dff2605808b913ea9a5d5b",
+                     id="kk-60"),
     ],
 )
 def test_output_rows_pinned(argv, sha256, tmp_path, data_csv):
     """SHA-256 of everything below the '#' provenance header, so only a moved bit of a value
     (not a new option or a version bump) breaks the pin."""
     out = tmp_path / "out.csv"
-    assert main([a.format(data=data_csv) for a in argv] + ["-o", str(out)]) == 0
+    files = {"data": data_csv, "table": _optical_table(tmp_path / "optical.csv")}
+    assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 0
     body = "".join(line for line in out.read_text().splitlines(keepends=True)
                    if not line.startswith("#"))
     assert hashlib.sha256(body.encode()).hexdigest() == sha256

@@ -245,6 +245,14 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(lambda x: x, 1.0, order=3)
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_x_rejected(self, x):
+        def never_called(t):
+            raise AssertionError("no evaluation at a non-finite x")
+
+        with pytest.raises(ValueError, match=f"finite x, got x = {x}"):
+            derivative(never_called, x, order=1)
+
     def test_total_slope_near_reference_point(self, geometry):
         # electrostatic 215/d plus the gold dispersion force: slope at
         # 0.62 um should be near 1000 udyne/um (loose anchor, 25%)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct import lifshitz, units
+from casfluct import lifshitz, permittivity, units
 from casfluct.permittivity import (
     Drude,
     OpticalAbsorptionTable,
@@ -96,7 +96,8 @@ class TestTabulated:
 
 
 class TestDispersionIntegral:
-    def drude_table(self, n=400, lo=0.01, hi=100.0):
+    @staticmethod
+    def drude_table(n=400, lo=0.01, hi=100.0):
         om = np.geomspace(lo, hi, n)
         return OpticalAbsorptionTable(om, drude_loss_spectrum(cf.GOLD_DRUDE, om))
 
@@ -147,6 +148,59 @@ class TestDispersionIntegral:
             kk_transform(table, 10.0)
         assert err.value.terms == 128
         assert np.isfinite(err.value.partial_sum) and err.value.partial_sum > 1.0
+
+
+class TestDispersionGrid:
+    """kk_transform on an array equals the per-xi calls bit for bit."""
+
+    table = TestDispersionIntegral.drude_table(n=120, lo=0.02, hi=50.0)
+
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            pytest.param(np.geomspace(0.05, 10.0, 17), id="inside"),
+            pytest.param(table.omega_ev[1:-1:9], id="table-nodes"),
+            pytest.param(np.array([1e-5, 1e-3, 0.0199]), id="below-table"),
+            pytest.param(np.array([50.0, 51.0, 2e3]), id="above-table"),
+            pytest.param(np.concatenate((table.omega_ev[::-13], [0.01, 0.3, 70.0])), id="mixed"),
+        ],
+    )
+    def test_grid_equals_per_xi_calls(self, xi):
+        got = kk_transform(self.table, xi)
+        want = np.array([kk_transform(self.table, x) for x in xi])
+        assert got.shape == xi.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_keeps_shape_and_scalar_gives_float(self):
+        xi = np.geomspace(0.1, 5.0, 6)
+        assert kk_transform(self.table, xi.reshape(2, 3)).tobytes() == kk_transform(
+            self.table, xi).tobytes()
+        for scalar in (1.0, np.float64(1.0), np.array(1.0)):
+            assert type(kk_transform(self.table, scalar)) is float
+        assert kk_transform(self.table, np.array(1.0)) == kk_transform(self.table, [1.0])[0]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_whole_grid_checked_before_any_integral(self, bad, monkeypatch):
+        def no_integral(*args):
+            raise AssertionError("the grid must be checked before the first integral")
+
+        monkeypatch.setattr(permittivity, "_kk_table_integral", no_integral)
+        with pytest.raises(ValueError, match="xi_ev must be > 0"):
+            kk_transform(self.table, np.array([1.0, 2.0, bad, 3.0]))
+
+    @pytest.mark.parametrize("grid, failing", [([1.5, 10.0, 100.0], 10.0),
+                                               ([1.5, 100.0, 10.0], 100.0)])
+    def test_first_unconverged_xi_raises_its_own_error(self, grid, failing):
+        # on this table only xi = 1.5 converges (see test_unconverged_integral_raises)
+        table = OpticalAbsorptionTable(np.array([1.0, 2.0]), np.array([1e-300, 1e300]))
+        assert kk_transform(table, 1.5) > 1.0
+        with pytest.raises(units.ConvergenceError) as want:
+            kk_transform(table, failing)
+        with pytest.raises(units.ConvergenceError) as got:
+            kk_transform(table, np.array(grid))
+        assert str(got.value) == str(want.value)
+        assert got.value.partial_sum == want.value.partial_sum
+        assert got.value.terms == want.value.terms == 128
 
 
 def test_one_convergence_error_class():

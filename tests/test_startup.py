@@ -2,9 +2,9 @@
 
 scipy is imported where it is used (the Laguerre nodes, the plasma n = 0 TE
 integral, the force spline and the background fit), so ``--version``,
-``tilt-estimate`` and a background-only ``simulate`` never pay for it.  Each
-check runs in a fresh interpreter, because this test process has scipy
-loaded already.
+``tilt-estimate``, a background-only ``simulate`` and ``kk`` never pay for
+it.  Each check runs in a fresh interpreter, because this test process has
+scipy loaded already.
 """
 
 import json
@@ -39,6 +39,10 @@ loaded["tilt-estimate"] = scipy_modules() if rc == 0 else f"exit {rc}"
 rc = casfluct.cli.main(["simulate", "--trials", "10", "--duration", "1000", "--dt", "0.05",
                         "--f-lo", "0.1", "-o", "sim.json"])
 loaded["background-only simulate"] = scipy_modules() if rc == 0 else f"exit {rc}"
+with open("optical.csv", "w") as fh:
+    fh.write("omega_ev,eps_imag\\n0.01,100.0\\n0.1,10.0\\n1.0,1.0\\n10.0,0.1\\n")
+rc = casfluct.cli.main(["kk", "--table", "optical.csv", "-o", "eps.csv"])
+loaded["kk"] = scipy_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(loaded))
 """
 
@@ -76,8 +80,10 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
         "import + --version": [],
         "tilt-estimate": [],
         "background-only simulate": [],
+        "kk": [],
     }
-    assert (tmp_path / "tilt.json").exists() and (tmp_path / "sim.json").exists()
+    for name in ("tilt.json", "sim.json", "eps.csv"):
+        assert (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("name", list(_FIRST_USE))
