@@ -506,7 +506,9 @@ _COMMANDS = {
         ("xi_min", 0.05, {"type": float}),
         ("xi_max", 10.0, {"type": float}),
         ("points", 40, {"type": int}),
-        ("log_spacing", True, {"action": "store_true"}),
+        ("log_spacing", True, {
+            "action": argparse.BooleanOptionalAction, "help": "log-spaced xi grid (default); "
+            "--no-log-spacing gives a linear one"}),
         ("output", "eps_imag_axis.csv", _OUTPUT),
     )),
 }
@@ -517,7 +519,7 @@ def _check_config_value(path, key: str, value, default, kwargs: dict) -> None:
 
     Values are checked, never coerced, so a config keeps its config hash.
     """
-    if kwargs.get("action") == "store_true":
+    if kwargs.get("action") in ("store_true", argparse.BooleanOptionalAction):
         want, ok = "true or false", isinstance(value, bool)
     else:
         kind = kwargs.get("type", str)

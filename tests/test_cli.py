@@ -102,6 +102,16 @@ class TestForceCommand:
         assert rc == 2
         assert "numerical" in capsys.readouterr().err
 
+    def test_unconverged_n0_te_energy_exits_2(self, tmp_path, monkeypatch, capsys):
+        import casfluct.lifshitz as lif
+
+        monkeypatch.setattr(lif, "_N0_TE_T", np.linspace(-3.5, 2.5, 13))
+        out = tmp_path / "x.csv"
+        rc = main(["force", "--model", "plasma", "--points", "3", "-o", str(out)])
+        assert rc == 2
+        assert "n = 0 TE energy integral did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_d_exits_1_before_any_sum(self, tmp_path, capsys):
         # a perfect mirror at 1 nm does not converge within the Matsubara term cap
         # (exit 2 if summed); 2 um on a 10 um sphere has d/R = 0.2, which the PFA
@@ -410,6 +420,26 @@ class TestKKCommand:
         want = cf.eps_imag_axis(cf.GOLD_DRUDE, rows[:, 0])
         assert np.max(np.abs(rows[:, 1] / want - 1.0)) < 5e-3
 
+    def test_no_log_spacing_flag_equals_config_file(self, tmp_path):
+        table = str(_optical_table(tmp_path / "optical.csv"))
+        cfg = tmp_path / "linear.json"
+        cfg.write_text(json.dumps({"log_spacing": False}))
+        runs = {
+            "default": [],
+            "flag": ["--no-log-spacing"],
+            "config": ["--config", str(cfg)],
+            "config+flag": ["--config", str(cfg), "--log-spacing"],
+        }
+        rows = {}
+        for name, extra in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(["kk", "--table", table, "--points", "5", *extra, "-o", str(out)]) == 0
+            rows[name] = read_csv(out)[2]
+        assert rows["flag"].tobytes() == rows["config"].tobytes()
+        np.testing.assert_allclose(rows["flag"][:, 0], np.linspace(0.05, 10.0, 5), rtol=0, atol=0)
+        assert rows["config+flag"].tobytes() == rows["default"].tobytes()
+        np.testing.assert_allclose(rows["default"][:, 0], np.geomspace(0.05, 10.0, 5), rtol=0, atol=0)
+
     def test_unconverged_table_exits_2(self, tmp_path, capsys):
         table = tmp_path / "edge.csv"
         table.write_text("omega_ev,eps_imag\n1.0,1e-300\n2.0,1e300\n")
@@ -479,7 +509,7 @@ def test_parallel_map_keeps_order():
         pytest.param(["correct"],
                      "5e33c90a5a8291febdb6f5727cda8b7b72ed1c9e6a738e784dd1ba1b67f9ed49", id="correct"),
         pytest.param(["correct", "--emit", "fig1"],
-                     "3d7fafa53d5e20a7c72b94450cd0879cc9881667445bbd8d26fdcb0d3cb87159", id="fig1"),
+                     "9286b5a31645bcb833d1e16e4876b4dc6176201c0df9abe299252392628ab04c", id="fig1"),
         pytest.param(["scan-delta", "--data", "{data}", "--steps", "31"],
                      "7dff7789f2abf0d1ba1a3f0d9a8f642d5d34b320d9330d17d0b707c2406fb444",
                      id="scan-delta"),
@@ -664,6 +694,7 @@ class TestConfigMerge:
             ("simulate", {"kind": "pink"}, "kind"),
             ("chi2", {"data": 5}, "data"),
             ("correct", {"emit": "fig2"}, "emit"),
+            ("kk", {"log_spacing": "no"}, "log_spacing"),
         ],
     )
     def test_rejected_config(self, command, conf, key, tmp_path, capsys):

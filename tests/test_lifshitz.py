@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import roots_laguerre, zeta
 
 import casfluct as cf
 from casfluct import lifshitz
@@ -152,8 +152,52 @@ class TestSpherePlate:
 
 
 def test_zeta3_literal_is_scipy_zeta3():
-    # lifshitz spells zeta(3) out so that importing it loads no scipy
+    # lifshitz spells zeta(3) out so that the engine needs no scipy
     assert lifshitz._ZETA3 == float(zeta(3))
+
+
+@pytest.mark.parametrize("order", lifshitz._LAG_ORDERS)
+def test_committed_laguerre_nodes_are_scipy_bit_for_bit(order):
+    nodes, weights = roots_laguerre(order)
+    lifshitz._LAG_CACHE.clear()
+    got_nodes, got_weights = lifshitz._lag_nodes(order)
+    assert got_nodes.dtype == got_weights.dtype == np.float64
+    assert got_nodes.tobytes() == nodes.tobytes()
+    assert got_weights.tobytes() == weights.tobytes()
+
+
+def _quad_n0_te_energy(b):
+    """The plasma n = 0 TE energy integral by adaptive quadrature: the reference for the fixed rule."""
+
+    def energy(y):
+        s = math.sqrt(y * y + b * b)
+        r = (y - s) / (y + s)
+        return y * math.log1p(-r * r * math.exp(-y))
+
+    return quad(energy, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+
+
+@pytest.mark.parametrize("omega_p_ev", [1.0, 9.0, 30.0])
+def test_n0_te_energy_matches_quad(omega_p_ev):
+    omega_p = omega_p_ev * EV / HBAR
+    for d in np.geomspace(0.05e-6, 50e-6, 13):
+        b = 2.0 * d * omega_p / C
+        got = lifshitz._n0_te_energy(b)
+        assert type(got) is float
+        assert got == pytest.approx(_quad_n0_te_energy(b), rel=1e-13, abs=0.0)
+
+
+def test_n0_te_rule_that_misses_its_check_raises(monkeypatch):
+    # a step of 1/2 (1 against the nested rule) is far too coarse for 1e-11
+    monkeypatch.setattr(lifshitz, "_N0_TE_T", np.linspace(-3.5, 2.5, 13))
+    b = 2.0 * 1e-6 * (9.0 * EV / HBAR) / C
+    with pytest.raises(ConvergenceError, match="n = 0 TE energy") as err:
+        lifshitz._n0_te_energy(b)
+    assert err.value.terms == 13
+    with pytest.raises(ConvergenceError, match="n = 0 TE energy"):
+        plate_energy(cf.GOLD_PLASMA, 1e-6, 300.0)
+    plate_pressure(cf.GOLD_PLASMA, 1e-6, 300.0)  # its n = 0 TE term is a Laguerre sum
+    plate_energy(cf.GOLD_DRUDE, 1e-6, 300.0)  # no TE term at zero frequency
 
 
 def test_matsubara_non_convergence_carries_partial_sum():
@@ -348,7 +392,8 @@ def test_tower_checks_pfa(geometry):
 
 
 # Exact E, P and dP/dd (J/m^2, Pa, Pa/m) recorded when every Matsubara term
-# was its own k-integral call; batching the sum must not move a bit.
+# was its own k-integral call; batching the sum must not move a bit.  The
+# plasma 300 K energies carry the n = 0 TE term of the exp-sinh rule.
 PINNED_TOWERS = {
     ("perfect", 0.0, 4e-07): (-6.771488398165381e-09, 0.05078616298624037, -507861.62986240373),
     ("perfect", 0.0, 1.3e-06): (-1.9725774123012488e-10, 0.0004552101720695189, -1400.6466832908275),
@@ -361,7 +406,7 @@ PINNED_TOWERS = {
     ("plasma", 0.0, 6e-06): (-1.9774218860280347e-12, 9.839496142823843e-07, -0.6528129501268014),
     ("plasma", 300.0, 4e-07): (-5.551124365579016e-09, 0.038979202252698034, -366461.0015940573),
     ("plasma", 300.0, 1.3e-06): (-1.959427770669703e-10, 0.00041958576417097275, -1257.077555592463),
-    ("plasma", 300.0, 6e-06): (-5.467813994776628e-12, 1.8231480280456827e-06, -0.9200105669890213),
+    ("plasma", 300.0, 6e-06): (-5.4678139947766264e-12, 1.8231480280456827e-06, -0.9200105669890213),
     ("drude", 0.0, 4e-07): (-5.437019635502313e-09, 0.03826484842784144, -359850.4614646171),
     ("drude", 0.0, 1.3e-06): (-1.81677145066079e-10, 0.0004099585158375365, -1234.071357065892),
     ("drude", 0.0, 6e-06): (-1.953614498042731e-12, 9.710073910760675e-07, -0.6436822748406225),

@@ -1,0 +1,27 @@
+"""Every data file of the package is listed as package data, so an installed casfluct has it."""
+
+import fnmatch
+import sys
+from pathlib import Path
+
+import pytest
+
+import casfluct
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(casfluct.__file__).resolve().parent
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_data_file_matches_a_package_data_glob():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["casfluct"]
+    data = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in PACKAGE.rglob("*")
+        if path.is_file() and path.suffix not in (".py", ".pyc") and "__pycache__" not in path.parts
+    ]
+    assert "laguerre_nodes.npy" in data
+    assert [name for name in data if not any(fnmatch.fnmatch(name, g) for g in globs)] == []
