@@ -40,17 +40,13 @@ from .corrections import (
 from .dataset import DatasetError, ForceDataset, load_dataset, save_dataset
 from .lifshitz import (
     ConvergenceError,
-    DerivativeResult,
     ForceCurve,
     LifshitzSettings,
     PFAValidityError,
     PlateTower,
     SpherePlateForce,
     TabulatedForceCurve,
-    curvature_of,
-    derivative,
     force_curve,
-    gradient_of,
     plate_energy,
     plate_pressure,
     plate_tower,

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ForceDataset
-from .lifshitz import curvature_of, float_or_array, gradient_of
+from .lifshitz import float_or_array
 from .units import UDYNE, DomainError
 
 __all__ = [
@@ -35,9 +35,8 @@ class FitError(ValueError):
 class ElectrostaticBackground:
     """Inverse-distance background force beta/(d - d0), SI units.
 
-    ``beta`` in N*m, ``d0`` in m.  Callable as a force evaluator and
-    carrying analytic gradient/curvature so corrections built on it are
-    free of finite-difference noise.
+    ``beta`` in N*m, ``d0`` in m.  Callable as a force evaluator, with
+    gradient and curvature in closed form.
     """
 
     beta: float
@@ -176,11 +175,10 @@ def fit_background(
 
 
 class TotalForceEvaluator:
-    """Electrostatic-plus-Casimir force with mixed analytic/numeric derivatives.
+    """Electrostatic-plus-Casimir force and its derivatives.
 
-    The background part differentiates in closed form; the dispersion part
-    falls back to the shared finite-difference operator unless the
-    evaluator advertises its own derivatives.
+    Each is the sum of the background's closed form and the dispersion
+    evaluator's own ``gradient``/``curvature``, which it must carry.
     """
 
     def __init__(self, bg: ElectrostaticBackground, casimir: Callable):
@@ -191,7 +189,7 @@ class TotalForceEvaluator:
         return self.bg.force(d) + self.casimir(d)
 
     def gradient(self, d: float) -> float:
-        return self.bg.gradient(d) + gradient_of(self.casimir, d)
+        return self.bg.gradient(d) + self.casimir.gradient(d)
 
     def curvature(self, d: float) -> float:
-        return self.bg.curvature(d) + curvature_of(self.casimir, d)
+        return self.bg.curvature(d) + self.casimir.curvature(d)

@@ -171,7 +171,7 @@ def _fig1_rows(opts, geometry, settings, profile):
         for total in totals:
             f_c = total.casimir(d) / UDYNE
             # curvature= is needed: the force is the Casimir part alone, the curvature the total's
-            f_a = apparent_force(total.casimir, d, delta, curvature=total.curvature) / UDYNE
+            f_a = apparent_force(total.casimir, d, delta, curvature=total.curvature(d)) / UDYNE
             row += [f_c, f_a, f_c * d_um**3, f_a * d_um**3]
         row.append(delta / UM)
         rows.append(row)
@@ -433,10 +433,11 @@ _COMMANDS = {
         ("d_min", 0.5, {"type": float, "help": "min separation (um)"}),
         ("d_max", 6.0, {"type": float, "help": "max separation (um)"}),
         ("points", 50, {"type": int, "help": "grid size"}),
-        ("log_spacing", False, {"action": "store_true"}),
+        ("log_spacing", False, {"action": argparse.BooleanOptionalAction}),
         *_SPHERE,
         ("zero_temperature", False, {
-            "action": "store_true", "help": "use the continuous-frequency (T=0) integral"}),
+            "action": argparse.BooleanOptionalAction,
+            "help": "use the continuous-frequency (T=0) integral"}),
         ("output", "force_curve.csv", _OUTPUT),
     )),
     "correct": ("apply the fluctuation correction to a force curve", _cmd_correct, (
@@ -519,7 +520,7 @@ def _check_config_value(path, key: str, value, default, kwargs: dict) -> None:
 
     Values are checked, never coerced, so a config keeps its config hash.
     """
-    if kwargs.get("action") in ("store_true", argparse.BooleanOptionalAction):
+    if kwargs.get("action") is argparse.BooleanOptionalAction:
         want, ok = "true or false", isinstance(value, bool)
     else:
         kind = kwargs.get("type", str)

@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .lifshitz import curvature_of, float_or_array
-from .units import DomainError
+from .lifshitz import float_or_array
+from .units import DomainError, check_amplitude
 
 __all__ = [
     "ConstantProfile",
@@ -49,8 +49,7 @@ class ConstantProfile:
     delta_rms: float  # m
 
     def __post_init__(self) -> None:
-        if self.delta_rms < 0:
-            raise ValueError(f"delta_rms must be >= 0, got {self.delta_rms}")
+        check_amplitude("delta_rms", self.delta_rms)
 
     def __call__(self, d: float) -> float:
         if not d > 0:
@@ -73,8 +72,7 @@ class SqrtLawProfile:
     def __post_init__(self) -> None:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        check_amplitude("amplitude", self.amplitude)
 
     def __call__(self, d: float) -> float:
         if not d > 0:
@@ -96,8 +94,7 @@ class TableProfile:
             raise ValueError("need >= 2 (d, delta) pairs of equal length")
         if np.any(np.diff(d) <= 0):
             raise ValueError("d must be strictly ascending")
-        if np.any(v < 0):
-            raise ValueError("delta values must be >= 0")
+        check_amplitude("delta", v)
         d.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -124,8 +121,7 @@ class FluctuationSource:
     band: str  # 'in-band' or 'out-of-band'
 
     def __post_init__(self) -> None:
-        if self.delta_rms < 0:
-            raise ValueError(f"delta_rms must be >= 0, got {self.delta_rms}")
+        check_amplitude("delta_rms", self.delta_rms)
         if self.band not in _BANDS:
             raise ValueError(f"band must be one of {_BANDS}, got {self.band!r}")
 
@@ -169,29 +165,21 @@ def apparent_force(
     force: Callable,
     d: float | np.ndarray,
     delta_rms: float,
-    curvature: Callable | float | np.ndarray | None = None,
+    curvature: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Time-averaged apparent force F(d) + (1/2) F''(d) delta_rms^2.
 
-    The curvature comes from, in order of preference: the ``curvature``
-    argument (a value or a callable of d), the evaluator's own
-    ``curvature`` attribute, or the shared Richardson finite-difference
-    operator.  ``d`` may be an array when the force and its curvature
-    accept one (finite differences do not); the result is then an array.
+    F'' is the ``curvature`` value at ``d`` when given, else the evaluator's
+    own ``force.curvature(d)``.  ``d`` may be an array when the force and
+    its curvature accept one; the result is then an array.
     """
     if not np.all(np.asarray(d) > 0):
         raise DomainError(f"distance must be > 0, got {d if np.ndim(d) == 0 else np.min(d)}")
-    if delta_rms < 0:
-        raise DomainError(f"delta_rms must be >= 0, got {delta_rms}")
+    check_amplitude("delta_rms", delta_rms)
     base = float_or_array(force(d))
     if delta_rms == 0.0:
         return base
-    if curvature is None:
-        second = curvature_of(force, d)
-    elif callable(curvature):
-        second = float_or_array(curvature(d))
-    else:
-        second = float_or_array(curvature)
+    second = float_or_array(force.curvature(d) if curvature is None else curvature)
     return base + 0.5 * second * delta_rms**2
 
 
@@ -199,8 +187,7 @@ def inflated_sigma(sigma_force: float, f_prime: float, delta_rms: float) -> floa
     """Scatter with the in-band fluctuation term: sqrt(sigma^2 + (F' delta)^2)."""
     if sigma_force < 0:
         raise DomainError(f"sigma_force must be >= 0, got {sigma_force}")
-    if delta_rms < 0:
-        raise DomainError(f"delta_rms must be >= 0, got {delta_rms}")
+    check_amplitude("delta_rms", delta_rms)
     return math.hypot(sigma_force, f_prime * delta_rms)
 
 
@@ -219,8 +206,7 @@ def tilt_noise_estimate(
     given it defaults to sqrt(length/ref_length) (frequency ~ 1/sqrt(L)),
     i.e. a fourth-root-law attenuation.
     """
-    if ref_noise < 0:
-        raise DomainError(f"ref_noise must be >= 0, got {ref_noise}")
+    check_amplitude("ref_noise", ref_noise)
     if not ref_length > 0 or not length > 0:
         raise DomainError("lengths must be > 0")
     if mode_freq_ratio is None:

@@ -53,10 +53,6 @@ __all__ = [
     "ForceCurve",
     "force_curve",
     "TabulatedForceCurve",
-    "DerivativeResult",
-    "derivative",
-    "gradient_of",
-    "curvature_of",
 ]
 
 # float(scipy.special.zeta(3)), written out so that the engine needs no scipy
@@ -443,7 +439,7 @@ def _plate_kernels(model, ds, T, kinds: tuple, settings, geometry=None) -> list[
                 si.append(sign * (CONSTANTS.hbar_c / (32.0 * math.pi**2 * d ** (power + 1)) * v))
             else:
                 si.append(sign * (CONSTANTS.k_B * T / (8.0 * math.pi * d**power) * v))
-        out.append(si)
+        out.append([float(v) for v in si])
     return out
 
 
@@ -618,8 +614,7 @@ class TabulatedForceCurve:
 
     Used wherever an analytic curve is too slow to call per sample (Monte
     Carlo time averaging, chi-squared scans against CSV theory curves).
-    Provides gradient/curvature from the spline so downstream corrections
-    can skip finite differencing.
+    Its gradient and curvature are the spline's own derivatives.
     """
 
     def __init__(self, d_m, force_N):
@@ -678,6 +673,12 @@ def derivative(func: Callable, x: float, order: int = 1) -> DerivativeResult:
     ``order`` is 1 or 2, and ``x`` must be finite.  The step is
     h = max(1e-3*|x|, 1e-9); the evaluator must be defined on [x - h, x + h].
     The result is flagged when the error estimate exceeds 1% of the value.
+
+    No module of the package calls it; every evaluator carries its own
+    ``gradient`` and ``curvature``.  It stays only as the independent
+    reference that ``tests/test_lifshitz.py`` checks F'' against, and
+    because ``bench/tracing.py::instrument`` looks up ``lifshitz.derivative``
+    by name; ROADMAP item 1 moves it into ``tests/``.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -702,27 +703,3 @@ def float_or_array(value) -> float | np.ndarray:
     """A scalar result as a Python float, an array result as a float array."""
     out = np.asarray(value, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def gradient_of(force: Callable, x: float | np.ndarray) -> float | np.ndarray:
-    """dF/dx, using the evaluator's analytic gradient when it advertises one.
-
-    An analytic gradient may be taken on an array of x; finite differences
-    need a scalar x.
-    """
-    g = getattr(force, "gradient", None)
-    if callable(g):
-        return float_or_array(g(x))
-    return derivative(force, x, order=1).value
-
-
-def curvature_of(force: Callable, x: float | np.ndarray) -> float | np.ndarray:
-    """d2F/dx2, using the evaluator's analytic curvature when it advertises one.
-
-    An analytic curvature may be taken on an array of x; finite differences
-    need a scalar x.
-    """
-    c2 = getattr(force, "curvature", None)
-    if callable(c2):
-        return float_or_array(c2(x))
-    return derivative(force, x, order=2).value

@@ -26,8 +26,7 @@ import numpy as np
 
 from .analysis import TheoryEvaluationError, evaluate_theory
 from .corrections import apparent_force
-from .lifshitz import gradient_of
-from .units import DomainError
+from .units import DomainError, check_amplitude
 
 __all__ = [
     "BandError",
@@ -63,8 +62,7 @@ class ProcessSpec:
     duration: float = 10000.0  # s
 
     def __post_init__(self) -> None:
-        if self.target_rms < 0:
-            raise ValueError(f"target_rms must be >= 0, got {self.target_rms}")
+        check_amplitude("target_rms", self.target_rms)
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         nyquist = 0.5 / self.dt
@@ -206,7 +204,8 @@ def time_averaged_force(
     """Average the exact force over d + delta(t) and attach the predictions.
 
     The analytic mean is the quadratic-order apparent force at the series'
-    realized rms; the analytic scatter is |F'(d)| times that rms.  The
+    realized rms, with F'' from ``force.curvature``; the analytic scatter
+    is |F'(d)| times that rms, with F' from ``force.gradient``.  The
     standard error of the Monte Carlo mean uses batch means, which stay
     honest for band-limited (correlated) samples.  A sample the evaluator
     rejects raises :class:`TheoryEvaluationError` naming it.  The force is
@@ -235,7 +234,7 @@ def time_averaged_force(
     if n > 1:  # np.var(values, ddof=1), in place
         values -= mean
         var = float(np.sum(np.square(values, out=values))) / (n - 1)
-    grad = gradient_of(force, d)
+    grad = force.gradient(d)
     return TimeAverageReport(
         mean_force=mean,
         se_mean=se_mean,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "ConvergenceError",
@@ -27,6 +29,17 @@ EV = 1.602176634e-19
 
 class DomainError(ValueError):
     """An argument left the physical domain of an operation (e.g. d <= 0)."""
+
+
+def check_amplitude(name: str, value) -> None:
+    """Raise DomainError unless ``value`` (a scalar or an array) is finite and >= 0.
+
+    The test is written positively because NaN passes ``value < 0``.
+    """
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v) & (v >= 0)
+    if not np.all(ok):
+        raise DomainError(f"{name} must be finite and >= 0, got {v[~ok].flat[0]:g}")
 
 
 class ConvergenceError(RuntimeError):

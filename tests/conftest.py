@@ -4,6 +4,27 @@ import pytest
 import casfluct as cf
 
 
+class Polynomial:
+    """Force evaluator c0 + c1*d + c2*d^2 with its exact gradient and curvature."""
+
+    def __init__(self, c0=0.0, c1=0.0, c2=0.0):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+
+    def __call__(self, d):
+        return self.c0 + self.c1 * d + self.c2 * d * d
+
+    def gradient(self, d):
+        return self.c1 + 2.0 * self.c2 * d
+
+    def curvature(self, d):
+        return 2.0 * self.c2 + 0.0 * d
+
+
+@pytest.fixture(scope="session")
+def polynomial():
+    return Polynomial
+
+
 @pytest.fixture(scope="session")
 def geometry():
     return cf.ExperimentGeometry()  # R = 12.4 cm, T = 300 K

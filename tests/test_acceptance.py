@@ -218,8 +218,8 @@ def test_criterion_09_curvature_ratio_report(geometry):
         rows = []
         for d_um in (0.5, 0.62, 0.75, 0.9, 1.0):
             d = d_um * UM
-            c_d = cf.curvature_of(drude, d)
-            c_p = cf.curvature_of(plasma, d)
+            c_d = drude.curvature(d)
+            c_p = plasma.curvature(d)
             rows.append((d_um, c_d, c_p, c_d / c_p))
         ratios = [r[3] for r in rows]
     assert all(np.isfinite(ratios))

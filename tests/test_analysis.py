@@ -183,7 +183,7 @@ class TestArrayEvaluation:
         total = self._total()
 
         def theory(d):
-            return cf.apparent_force(total, d, 0.1 * UM, curvature=total.curvature)
+            return cf.apparent_force(total, d, 0.1 * UM)
 
         got = chi_squared(dataset, theory, fitted_params=1)
         want = chi_squared(dataset, lambda d: theory(float(d)), fitted_params=1)
@@ -222,9 +222,7 @@ class TestArrayEvaluation:
 class TestScanDelta:
     def _family(self):
         bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
-        return bg, lambda delta: (
-            lambda d_m: cf.apparent_force(bg, d_m, delta, curvature=bg.curvature)
-        )
+        return bg, lambda delta: (lambda d_m: cf.apparent_force(bg, d_m, delta))
 
     def _data(self, delta_true_um, noise=0.02, seed=3):
         bg, family = self._family()

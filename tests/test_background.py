@@ -176,9 +176,9 @@ class TestTotalForce:
             # array powers of the background gap may differ from scalar ones in the last bit
             np.testing.assert_allclose(got, [method(x) for x in d], rtol=1e-15, atol=0.0)
 
-    def test_evaluator_derivatives(self):
+    def test_evaluator_derivatives(self, polynomial):
         bg = ElectrostaticBackground(beta=215.0)
-        total = TotalForceEvaluator(bg, lambda d: 0.5 * d**2)
+        total = TotalForceEvaluator(bg, polynomial(c2=0.5))
         assert total(2.0) == pytest.approx(215.0 / 2.0 + 2.0, rel=1e-12)
         assert total.gradient(2.0) == pytest.approx(-215.0 / 4.0 + 2.0, rel=1e-7)
         assert total.curvature(2.0) == pytest.approx(2.0 * 215.0 / 8.0 + 1.0, rel=1e-7)

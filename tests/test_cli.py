@@ -420,26 +420,6 @@ class TestKKCommand:
         want = cf.eps_imag_axis(cf.GOLD_DRUDE, rows[:, 0])
         assert np.max(np.abs(rows[:, 1] / want - 1.0)) < 5e-3
 
-    def test_no_log_spacing_flag_equals_config_file(self, tmp_path):
-        table = str(_optical_table(tmp_path / "optical.csv"))
-        cfg = tmp_path / "linear.json"
-        cfg.write_text(json.dumps({"log_spacing": False}))
-        runs = {
-            "default": [],
-            "flag": ["--no-log-spacing"],
-            "config": ["--config", str(cfg)],
-            "config+flag": ["--config", str(cfg), "--log-spacing"],
-        }
-        rows = {}
-        for name, extra in runs.items():
-            out = tmp_path / f"{name}.csv"
-            assert main(["kk", "--table", table, "--points", "5", *extra, "-o", str(out)]) == 0
-            rows[name] = read_csv(out)[2]
-        assert rows["flag"].tobytes() == rows["config"].tobytes()
-        np.testing.assert_allclose(rows["flag"][:, 0], np.linspace(0.05, 10.0, 5), rtol=0, atol=0)
-        assert rows["config+flag"].tobytes() == rows["default"].tobytes()
-        np.testing.assert_allclose(rows["default"][:, 0], np.geomspace(0.05, 10.0, 5), rtol=0, atol=0)
-
     def test_unconverged_table_exits_2(self, tmp_path, capsys):
         table = tmp_path / "edge.csv"
         table.write_text("omega_ev,eps_imag\n1.0,1e-300\n2.0,1e300\n")
@@ -449,6 +429,43 @@ class TestKKCommand:
         assert rc == 2
         assert "orders 64 and 128" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, dest, default",
+    [("kk", "log_spacing", True), ("force", "log_spacing", False),
+     ("force", "zero_temperature", False)],
+)
+def test_boolean_flag_equals_config_file(command, dest, default, tmp_path):
+    """--x and --no-x set the same option as a config file, and override it."""
+    if command == "kk":
+        base = ["kk", "--table", str(_optical_table(tmp_path / "optical.csv")), "--points", "5"]
+        lo, hi, n = 0.05, 10.0, 5
+    else:
+        base = ["force", "--model", "perfect", "--d-min", "1", "--d-max", "2", "--points", "3"]
+        lo, hi, n = 1.0, 2.0, 3
+    on = "--" + dest.replace("_", "-")
+    off = "--no-" + dest.replace("_", "-")
+    cfg = tmp_path / "flipped.json"
+    cfg.write_text(json.dumps({dest: not default}))
+    runs = {
+        "default": [],
+        "flag": [off if default else on],
+        "config": ["--config", str(cfg)],
+        "config+flag": ["--config", str(cfg), on if default else off],
+    }
+    rows = {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*base, *extra, "-o", str(out)]) == 0
+        rows[name] = read_csv(out)[2]
+    assert rows["flag"].tobytes() == rows["config"].tobytes()
+    assert rows["config+flag"].tobytes() == rows["default"].tobytes()
+    assert rows["flag"].tobytes() != rows["default"].tobytes()
+    if dest == "log_spacing":
+        spacing = {True: np.geomspace, False: np.linspace}
+        np.testing.assert_allclose(rows["flag"][:, 0], spacing[not default](lo, hi, n), rtol=0, atol=0)
+        np.testing.assert_allclose(rows["default"][:, 0], spacing[default](lo, hi, n), rtol=0, atol=0)
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -604,6 +621,19 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      id="scan-delta-steps"),
         pytest.param(["scan-delta", "--data", "{data}", "--delta-min", "0.3", "--delta-max", "0.1"],
                      "delta_min < delta_max", id="scan-delta-range"),
+        # a fluctuation amplitude must be finite: NaN slips past a plain `< 0` test
+        pytest.param(["correct", "--delta-rms", "nan"], "delta_rms must be finite and >= 0, got nan",
+                     id="correct-delta-rms-nan"),
+        pytest.param(["correct", "--delta-rms", "inf"], "delta_rms must be finite and >= 0, got inf",
+                     id="correct-delta-rms-inf"),
+        pytest.param(["correct", "--profile", "sqrt", "--amplitude", "nan"],
+                     "amplitude must be finite and >= 0, got nan", id="sqrt-amplitude-nan"),
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{nan_row}"],
+                     "{nan_row}: delta must be finite and >= 0, got nan", id="profile-nan-row"),
+        pytest.param(["simulate", "--delta-rms", "nan"], "target_rms must be finite and >= 0, got nan",
+                     id="simulate-delta-rms-nan"),
+        pytest.param(["tilt-estimate", "--ref-noise-nm", "nan"],
+                     "ref_noise must be finite and >= 0, got nan", id="tilt-ref-noise-nan"),
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
@@ -617,6 +647,7 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
         "data": str(data_csv),
         "table": str(_optical_table(tmp_path / "optical.csv")),
         "one_row": str(_profile_table(tmp_path / "one.csv", rows=["1.0,0.1"])),
+        "nan_row": str(_profile_table(tmp_path / "nan.csv", rows=["0.5,0.1", "6.5,nan"])),
         "headerless": str(tmp_path / "bare.csv"),
     }
     (tmp_path / "bare.csv").write_text("0.5,0.1\n6.5,0.2\n")

@@ -24,9 +24,8 @@ class TestApparentForce:
         f = lambda x: 7.0 / x + 3.0
         assert apparent_force(f, 1.3, 0.0) == f(1.3)
 
-    def test_quadratic_exact(self):
-        # F'' = 2 exactly, and the central stencil is exact on quadratics
-        f = lambda x: x * x
+    def test_quadratic_exact(self, polynomial):
+        f = polynomial(c2=1.0)  # F'' = 2 exactly
         for d in (0.5, 1.0, 4.0):
             shift = apparent_force(f, d, 0.37) - f(d)
             assert shift == pytest.approx(0.37**2, rel=1e-9)
@@ -48,7 +47,7 @@ class TestApparentForce:
     def test_curvature_override(self):
         f = lambda x: 0.0
         assert apparent_force(f, 1.0, 2.0, curvature=10.0) == pytest.approx(20.0, rel=0)
-        assert apparent_force(f, 1.0, 2.0, curvature=lambda d: 5.0) == pytest.approx(10.0, rel=0)
+        assert apparent_force(f, 1.0, 2.0, curvature=5.0) == pytest.approx(10.0, rel=0)
 
     def test_domain_errors(self):
         with pytest.raises(cf.DomainError):
@@ -62,7 +61,7 @@ class TestApparentForce:
         total = cf.TotalForceEvaluator(bg, casimir)
         for d_um in (0.5, 1.5, 6.0):
             d = d_um * 1e-6
-            assert apparent_force(total, d, 0.1e-6, curvature=total.curvature) >= total(d)
+            assert apparent_force(total, d, 0.1e-6) >= total(d)
 
 
 class TestApparentForceOnArrays:
@@ -81,8 +80,8 @@ class TestApparentForceOnArrays:
     def test_total_force_equals_points(self):
         total = cf.TotalForceEvaluator(cf.ElectrostaticBackground(beta=215e-17), self._spline())
         d = np.linspace(0.5e-6, 7.5e-6, 200)
-        got = apparent_force(total, d, 0.1e-6, curvature=total.curvature)
-        want = [apparent_force(total, x, 0.1e-6, curvature=total.curvature) for x in d]
+        got = apparent_force(total, d, 0.1e-6)
+        want = [apparent_force(total, x, 0.1e-6) for x in d]
         # array powers of the background gap may differ from scalar ones in the last bit
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -216,3 +215,20 @@ class TestTiltNoise:
             tilt_noise_estimate(1e-9, 0.0, 0.8)
         with pytest.raises(cf.DomainError):
             tilt_noise_estimate(1e-9, 0.04, 0.8, mode_freq_ratio=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+def test_amplitudes_must_be_finite_and_non_negative(bad):
+    calls = (
+        lambda: ConstantProfile(bad),
+        lambda: SqrtLawProfile(amplitude=bad),
+        lambda: TableProfile(d=np.array([1e-6, 2e-6]), delta=np.array([1e-7, bad])),
+        lambda: FluctuationSource("x", bad, "in-band"),
+        lambda: cf.ProcessSpec(target_rms=bad),
+        lambda: apparent_force(lambda x: x, 1e-6, bad),
+        lambda: inflated_sigma(1.0, 1.0, bad),
+        lambda: tilt_noise_estimate(bad, 0.04, 0.8),
+    )
+    for call in calls:
+        with pytest.raises(cf.DomainError, match=f"finite and >= 0, got {bad:g}"):
+            call()

@@ -14,10 +14,8 @@ from casfluct.lifshitz import (
     PFAValidityError,
     SpherePlateForce,
     TabulatedForceCurve,
-    curvature_of,
     derivative,
     force_curve,
-    gradient_of,
     plate_energy,
     plate_pressure,
     plate_tower,
@@ -254,14 +252,30 @@ class TestForceCurve:
             assert got.shape == x.shape
             assert np.array_equal(got, [method(v) for v in x])
 
-    def test_analytic_derivatives_pass_arrays_through(self):
-        knots = np.geomspace(0.4e-6, 8e-6, 120)
-        ev = TabulatedForceCurve(knots, PFA_FD3 / knots**3)
+
+def _evaluator(name, geometry):
+    if name == "sphere-plate":
+        return SpherePlateForce(cf.PerfectConductor(), geometry)
+    knots = np.geomspace(0.4e-6, 8e-6, 120)
+    curve = TabulatedForceCurve(knots, PFA_FD3 / knots**3)
+    bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * 1e-6, d0=0.1e-6)
+    return {"tabulated": curve, "background": bg, "total": cf.TotalForceEvaluator(bg, curve)}[name]
+
+
+@pytest.mark.parametrize("name", ["sphere-plate", "tabulated", "background", "total"])
+def test_evaluator_protocol(name, geometry):
+    """Every evaluator the CLI builds carries F' and F''; all but the
+    sphere-plate force (one d at a time) take an array of d too."""
+    ev = _evaluator(name, geometry)
+    for method in (ev.gradient, ev.curvature):
+        assert type(method(1e-6)) is float
+        if name == "sphere-plate":
+            continue
         x = np.linspace(0.5e-6, 7.5e-6, 200)
-        assert np.array_equal(gradient_of(ev, x), ev.gradient(x))
-        assert np.array_equal(curvature_of(ev, x), ev.curvature(x))
-        assert type(gradient_of(ev, 1e-6)) is float
-        assert type(curvature_of(ev, 1e-6)) is float
+        got = method(x)
+        assert got.shape == x.shape
+        # array powers of the background gap may differ from scalar ones in the last bit
+        np.testing.assert_allclose(got, [method(v) for v in x], rtol=1e-15, atol=0.0)
 
 
 class TestDerivative:

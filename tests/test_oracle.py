@@ -121,17 +121,17 @@ class TestSampleProcess:
 
 
 class TestTimeAveragedForce:
-    def test_linear_evaluator_no_shift(self):
+    def test_linear_evaluator_no_shift(self, polynomial):
         spec = ProcessSpec(target_rms=1e-7, seed=21, **FAST)
         s = sample_process(spec)
-        rep = time_averaged_force(lambda x: 5.0 * x, 1e-6, s)
+        rep = time_averaged_force(polynomial(c1=5.0), 1e-6, s)
         assert abs(rep.mean_force - 5.0 * 1e-6) <= 4.0 * rep.se_mean + 1e-18
         assert rep.analytic_mean == pytest.approx(5.0 * 1e-6, rel=1e-9)
 
-    def test_quadratic_evaluator_exact_shift(self):
+    def test_quadratic_evaluator_exact_shift(self, polynomial):
         spec = ProcessSpec(target_rms=1e-7, seed=22, **FAST)
         s = sample_process(spec)
-        rep = time_averaged_force(lambda x: x * x, 1e-6, s)
+        rep = time_averaged_force(polynomial(c2=1.0), 1e-6, s)
         shift = rep.mean_force - 1e-12
         assert shift == pytest.approx(rep.realized_rms**2, rel=1e-9)
         assert rep.analytic_mean - 1e-12 == pytest.approx(rep.realized_rms**2, rel=1e-6)
@@ -198,13 +198,22 @@ class TestTimeAveragedForce:
             time_averaged_force(force, 1e-6, s)
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_report_fields(self):
+    def test_report_fields(self, polynomial):
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
-        rep = time_averaged_force(lambda x: x, 1e-6, sample_process(spec))
+        rep = time_averaged_force(polynomial(c1=1.0), 1e-6, sample_process(spec))
         assert rep.n_samples == spec.n_samples
         assert rep.se_mean > 0
         blob = rep.to_json_dict()
         assert {"mc_mean", "analytic_mean", "mc_sigma", "analytic_sigma"} <= set(blob)
+
+
+def test_plain_callable_carries_no_derivatives():
+    # F' and F'' come from the evaluator alone; a bare function is not differenced
+    f = lambda x: x * x
+    with pytest.raises(AttributeError, match="curvature"):
+        cf.apparent_force(f, 1e-6, 1e-8)
+    with pytest.raises(AttributeError, match="gradient"):
+        time_averaged_force(f, 1e-6, np.array([1e-8, -1e-8]))
 
 
 class TestFourthOrderAllowance:
@@ -220,9 +229,9 @@ class TestFourthOrderAllowance:
 
 
 class TestVerifySecondOrder:
-    def test_quadratic_all_pass(self):
+    def test_quadratic_all_pass(self, polynomial):
         spec = ProcessSpec(target_rms=2e-8, seed=100, **FAST)
-        record = verify_second_order(lambda x: x * x, 1e-6, spec, trials=10)
+        record = verify_second_order(polynomial(c2=1.0), 1e-6, spec, trials=10)
         assert record.n_mean_pass == 10
         assert record.n_scatter_applicable == 10
         assert record.n_scatter_pass == 10
@@ -306,8 +315,8 @@ class TestVerifySecondOrder:
         with pytest.raises(ValueError):
             verify_second_order(lambda x: x, 1e-6, ProcessSpec(**FAST), trials=5)
 
-    def test_verdict_json(self):
+    def test_verdict_json(self, polynomial):
         spec = ProcessSpec(target_rms=1e-8, seed=7, **FAST)
-        record = verify_second_order(lambda x: x * x, 1e-6, spec, trials=10)
+        record = verify_second_order(polynomial(c2=1.0), 1e-6, spec, trials=10)
         blob = record.verdicts[0].to_json_dict()
         assert {"seed", "mean_ok", "scatter_ok", "mean_discrepancy"} <= set(blob)
