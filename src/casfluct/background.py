@@ -54,7 +54,8 @@ class ElectrostaticBackground:
     def _gap(self, d):
         d = np.asarray(d, dtype=float)
         gap = d - self.d0
-        if np.any(gap <= 0):
+        # one reduction, NaN skipped as `gap <= 0` skips it
+        if np.fmin.reduce(gap, axis=None, initial=np.inf) <= 0:
             raise DomainError(f"require d > d0 = {self.d0:g}, got d = {float(d.min()):g}")
         return gap
 

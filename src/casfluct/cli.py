@@ -56,7 +56,7 @@ from .provenance import (
     file_hash,
     meta_comment_lines,
 )
-from .units import UDYNE, ExperimentGeometry
+from .units import UDYNE, ExperimentGeometry, check_positive
 
 UM = 1e-6
 UDYNE_UM = UDYNE * UM  # beta unit in SI
@@ -322,6 +322,7 @@ def _cmd_scan_delta(opts) -> int:
 
 
 def _cmd_simulate(opts) -> int:
+    check_positive("d", opts.d)
     d = opts.d * UM
     delta = opts.delta_rms * UM
     spec = ProcessSpec(

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .lifshitz import float_or_array
-from .units import DomainError, check_amplitude
+from .units import DomainError, check_amplitude, check_positive
 
 __all__ = [
     "ConstantProfile",
@@ -207,11 +207,10 @@ def tilt_noise_estimate(
     i.e. a fourth-root-law attenuation.
     """
     check_amplitude("ref_noise", ref_noise)
-    if not ref_length > 0 or not length > 0:
-        raise DomainError("lengths must be > 0")
+    check_positive("ref_length", ref_length)
+    check_positive("length", length)
     if mode_freq_ratio is None:
         mode_freq_ratio = math.sqrt(length / ref_length)
-    if not mode_freq_ratio > 0:
-        raise DomainError(f"mode_freq_ratio must be > 0, got {mode_freq_ratio}")
+    check_positive("mode_freq_ratio", mode_freq_ratio)
     raw = ref_noise * (length / ref_length)
     return raw / math.sqrt(mode_freq_ratio)

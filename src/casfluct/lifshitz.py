@@ -609,12 +609,23 @@ def force_curve(
     return ForceCurve(model=model, geometry=geometry, d_m=d, force_N=forces)
 
 
+# spline evaluation: at most 8 buckets per knot interval, and blocks of 8192
+# points, whose temporaries (64 KiB each) stay in cache
+_SPLINE_BUCKETS, _SPLINE_BLOCK = 8, 8192
+
+
 class TabulatedForceCurve:
     """Cubic-spline force evaluator over a sampled curve.
 
     Used wherever an analytic curve is too slow to call per sample (Monte
     Carlo time averaging, chi-squared scans against CSV theory curves).
-    Its gradient and curvature are the spline's own derivatives.
+    Its gradient and curvature are the spline's own derivatives.  scipy's
+    ``CubicSpline`` builds it; the numpy evaluation equals ``CubicSpline``
+    and its derivatives bit for bit.  A point's interval [x_i, x_i+1) (the
+    last closed at d_max) needs no binary search: the bucket
+    int((x - d_min)*inv_h) is monotone in x, so its table entry, the last
+    knot of an earlier bucket, is at or below x, and as many one-knot steps
+    as the fullest bucket holds knots reach the interval.
     """
 
     def __init__(self, d_m, force_N):
@@ -628,14 +639,31 @@ class TabulatedForceCurve:
             raise ValueError("d_m must be strictly ascending")
         self.d_min = float(d[0])
         self.d_max = float(d[-1])
-        self._spline = CubicSpline(d, f)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        spline = CubicSpline(d, f)
+        # F, F' and F'' per interval as rows of ascending powers of s = x - x_i;
+        # scipy's sum starts from 0.0, so the constant row holds 0.0 + c
+        self._rows = tuple(
+            (p.c[-1] + 0.0, *p.c[-2::-1])
+            for p in (spline, spline.derivative(1), spline.derivative(2))
+        )
+        self._knots, self._upper = d[:-1], np.append(d[1:-1], np.inf)
+        span = self.d_max - self.d_min
+        buckets = int(min(np.ceil(span / np.diff(d).min()), _SPLINE_BUCKETS * (len(d) - 1)))
+        self._inv_h = buckets / span
+        home = self._bucket(d)
+        self._start = np.maximum(np.searchsorted(home, np.arange(buckets + 1)) - 1, 0)
+        load = np.bincount(home)
+        load[0] -= 1  # knot 0 itself starts bucket 0
+        self._steps = int(load.max())
+
+    def _bucket(self, x):
+        return ((x - self.d_min) * self._inv_h).astype(np.intp)
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.d_min) or np.any(x > self.d_max):
-            bad = x[(x < self.d_min) | (x > self.d_max)]
+        # min and max carry a NaN through and it fails the test: NaN never reaches the table
+        if not (x.min(initial=np.inf) >= self.d_min and x.max(initial=-np.inf) <= self.d_max):
+            bad = x[~((x >= self.d_min) & (x <= self.d_max))]
             worst = float(bad.flat[np.argmax(np.abs(bad - 0.5 * (self.d_min + self.d_max)))])
             raise DomainError(
                 f"separation {worst:g} outside tabulated range "
@@ -643,14 +671,32 @@ class TabulatedForceCurve:
             )
         return x
 
+    def _evaluate(self, x, rows):
+        x = self._check(x)
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
+        for a in range(0, flat.size, _SPLINE_BLOCK):
+            xb = flat[a : a + _SPLINE_BLOCK]
+            i = self._start.take(self._bucket(xb))
+            for _ in range(self._steps):
+                i += xb >= self._upper.take(i)
+            s = xb - self._knots.take(i)
+            # scipy's evaluate_poly1 order: ((0.0 + c_3) + c_2*s) + c_1*(s*s) + c_0*((s*s)*s)
+            value, power = rows[0].take(i), s
+            for row in rows[1:-1]:
+                value += row.take(i) * power
+                power = power * s
+            out[a : a + _SPLINE_BLOCK] = value + rows[-1].take(i) * power
+        return float_or_array(out.reshape(x.shape))
+
     def __call__(self, x):
-        return float_or_array(self._spline(self._check(x)))
+        return self._evaluate(x, self._rows[0])
 
     def gradient(self, x):
-        return float_or_array(self._d1(self._check(x)))
+        return self._evaluate(x, self._rows[1])
 
     def curvature(self, x):
-        return float_or_array(self._d2(self._check(x)))
+        return self._evaluate(x, self._rows[2])
 
 
 # --------------------------------------------------------------------------

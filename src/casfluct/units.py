@@ -8,6 +8,7 @@ the ``UDYNE`` constant here and its own ``UM`` = 1e-6 m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ def check_amplitude(name: str, value) -> None:
     ok = np.isfinite(v) & (v >= 0)
     if not np.all(ok):
         raise DomainError(f"{name} must be finite and >= 0, got {v[~ok].flat[0]:g}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise DomainError unless the scalar ``value`` is finite and > 0 (NaN fails)."""
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value:g}")
 
 
 class ConvergenceError(RuntimeError):

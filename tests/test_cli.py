@@ -390,6 +390,21 @@ class TestSimulateCommand:
         assert hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest() == sha256
 
 
+def test_no_subcommand_evaluates_a_scipy_spline(monkeypatch, tmp_path, data_csv):
+    """simulate, chi2 and scan-delta evaluate every force spline in numpy."""
+    from scipy.interpolate import PPoly
+
+    def scipy_evaluation(*args, **kwargs):
+        raise AssertionError("PPoly.__call__ reached")
+
+    monkeypatch.setattr(PPoly, "__call__", scipy_evaluation)
+    theory = _theory_curve(tmp_path / "theory.csv")
+    for argv in (["simulate", "--model", "drude", "--f-lo", "0.1", "--duration", "1000"],
+                 ["chi2", "--data", str(data_csv), "--theory", str(theory)],
+                 ["scan-delta", "--data", str(data_csv), "--steps", "5"]):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 0, argv
+
+
 class TestTiltCommand:
     def test_stdout_value(self, capsys):
         rc = main(["tilt-estimate", "--ref-noise-nm", "20", "--ref-length-cm", "4",
@@ -634,6 +649,19 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      id="simulate-delta-rms-nan"),
         pytest.param(["tilt-estimate", "--ref-noise-nm", "nan"],
                      "ref_noise must be finite and >= 0, got nan", id="tilt-ref-noise-nan"),
+        # a non-finite or non-positive separation or length exits 1, naming it
+        pytest.param(["simulate", "--d", "inf"], "d must be finite and > 0, got inf",
+                     id="simulate-d-inf"),
+        pytest.param(["simulate", "--d", "nan"], "d must be finite and > 0, got nan",
+                     id="simulate-d-nan"),
+        pytest.param(["simulate", "--d", "0"], "d must be finite and > 0, got 0",
+                     id="simulate-d-zero"),
+        pytest.param(["tilt-estimate", "--length-cm", "inf"],
+                     "length must be finite and > 0, got inf", id="tilt-length-inf"),
+        pytest.param(["tilt-estimate", "--ref-length-cm", "inf"],
+                     "ref_length must be finite and > 0, got inf", id="tilt-ref-length-inf"),
+        pytest.param(["tilt-estimate", "--mode-freq-ratio", "inf"],
+                     "mode_freq_ratio must be finite and > 0, got inf", id="tilt-ratio-inf"),
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):

@@ -216,6 +216,15 @@ class TestTiltNoise:
         with pytest.raises(cf.DomainError):
             tilt_noise_estimate(1e-9, 0.04, 0.8, mode_freq_ratio=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_lengths_and_ratio_finite_and_positive(self, bad):
+        for name, call in (("ref_length", lambda: tilt_noise_estimate(1e-9, bad, 0.8)),
+                           ("length", lambda: tilt_noise_estimate(1e-9, 0.04, bad)),
+                           ("mode_freq_ratio",
+                            lambda: tilt_noise_estimate(1e-9, 0.04, 0.8, mode_freq_ratio=bad))):
+            with pytest.raises(cf.DomainError, match=f"^{name} must be finite and > 0, got {bad:g}"):
+                call()
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
 def test_amplitudes_must_be_finite_and_non_negative(bad):

@@ -236,6 +236,11 @@ class TestForceCurve:
             ev(0.5)
         with pytest.raises(cf.DomainError):
             ev(np.array([1.2, 2.5]))
+        # a NaN separation is named, never evaluated
+        for method in (ev, ev.gradient, ev.curvature):
+            for bad in (math.nan, np.array([1.5, math.nan, 1.2])):
+                with pytest.raises(cf.DomainError, match="separation nan outside"):
+                    method(bad)
 
     def test_tabulated_derivatives(self):
         d = np.linspace(0.5, 3.0, 200)
@@ -251,6 +256,45 @@ class TestForceCurve:
             got = method(x)
             assert got.shape == x.shape
             assert np.array_equal(got, [method(v) for v in x])
+
+
+_KNOT_SETS = {
+    # the span simulate builds at its defaults: d +- 10 delta, d = 1 um, delta = 0.1 um
+    "simulate-geomspace": np.geomspace(0.1e-6, 2.0e-6, 80),
+    "uniform": np.linspace(0.5e-6, 6.5e-6, 40),
+    # widths from 1e-15 m to ~3e-7 m: the first bucket holds many knots
+    "uneven": 1e-6 * (0.5 + np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 40)])),
+}
+
+
+@pytest.mark.parametrize("name", list(_KNOT_SETS))
+def test_tabulated_spline_equals_cubic_spline_bit_for_bit(name):
+    from scipy.interpolate import CubicSpline
+
+    knots = _KNOT_SETS[name]
+    force = PFA_FD3 / knots**3 * (1.0 + 0.1 * np.sin(knots * 3e6))
+    curve = TabulatedForceCurve(knots, force)
+    if name == "uneven":
+        assert curve._steps > 1  # the bucket correction runs more than one step
+    reference = CubicSpline(knots, force)
+    rng = np.random.default_rng(7)
+    widths = np.diff(knots)
+    x = np.concatenate([
+        rng.uniform(knots[0], knots[-1], 100_000),
+        knots,
+        knots[:-1] + rng.random(len(widths)) * widths,  # one point inside every interval
+        [knots[0], knots[-1]],
+    ])
+    pairs = ((curve, reference), (curve.gradient, reference.derivative(1)),
+             (curve.curvature, reference.derivative(2)))
+    for method, ref in pairs:
+        assert np.array_equal(method(x), ref(x))
+        grid = x[:100_000].reshape(400, 250).T  # any shape and memory layout
+        assert np.array_equal(method(grid), ref(grid))
+        for v in (knots[0], knots[len(knots) // 2], 0.5 * (knots[1] + knots[2]), knots[-1]):
+            got = method(float(v))
+            assert type(got) is float
+            assert got == float(ref(v))
 
 
 def _evaluator(name, geometry):
