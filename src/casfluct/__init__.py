@@ -1,6 +1,6 @@
 """Casimir force curves with distance-fluctuation systematics.
 
-A numpy/scipy toolkit for finite-temperature dispersion forces between
+A numpy toolkit for finite-temperature dispersion forces between
 metallic surfaces (perfect conductor, plasma, Drude, tabulated
 permittivity), electrostatic calibration backgrounds, the apparent-force
 and scatter corrections caused by a fluctuating plate separation,
@@ -21,6 +21,7 @@ from .analysis import (
 from .background import (
     BackgroundFit,
     ElectrostaticBackground,
+    FitConvergenceError,
     FitError,
     TotalForceEvaluator,
     fit_background,

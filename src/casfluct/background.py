@@ -21,6 +21,7 @@ from .units import UDYNE, DomainError
 __all__ = [
     "ElectrostaticBackground",
     "FitError",
+    "FitConvergenceError",
     "BackgroundFit",
     "fit_background",
     "TotalForceEvaluator",
@@ -29,6 +30,13 @@ __all__ = [
 
 class FitError(ValueError):
     """Background fit impossible: too few points or degenerate design."""
+
+
+class FitConvergenceError(FitError, ArithmeticError):
+    """The d0 search stopped unconverged: out of evaluations, or on a NaN.
+
+    An ArithmeticError too, so the CLI reports it as a numerical failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,8 @@ class ElectrostaticBackground:
     def _gap(self, d):
         d = np.asarray(d, dtype=float)
         gap = d - self.d0
-        # one reduction, NaN skipped as `gap <= 0` skips it
-        if np.fmin.reduce(gap, axis=None, initial=np.inf) <= 0:
+        # one reduction; a NaN carries through it and fails the test
+        if not np.min(gap, initial=np.inf) > 0:
             raise DomainError(f"require d > d0 = {self.d0:g}, got d = {float(d.min()):g}")
         return gap
 
@@ -105,6 +113,75 @@ def _beta_profile(d0: float, d, f, w) -> tuple[float, float]:
 
 
 _D0_BOUNDS = (-1e-6, 1e-6)  # m: the d0 search interval
+_D0_XATOL, _D0_MAXFUN = 1e-15, 500  # m, and chi^2 evaluations
+_SQRT_EPS, _GOLDEN = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(func, a: float, b: float, xatol: float, maxfun: int) -> float:
+    """Minimiser of ``func`` on [a, b] by Brent's bounded search.
+
+    A line-for-line port of scipy's ``minimize_scalar(method="bounded")``
+    (``_minimize_scalar_bounded``) onto Python floats: it evaluates at the
+    same points and returns the same x, bit for bit.  Where scipy would
+    report status 1 (``maxfun`` evaluations used) or 2 (NaN), it raises
+    FitConvergenceError.
+    """
+    nfc = xf = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num, fu = 1, math.inf
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise FitConvergenceError(f"d0 search met a NaN chi^2 after {num} evaluations")
+    if num >= maxfun:
+        raise FitConvergenceError(f"d0 search did not converge in {maxfun} evaluations")
+    return xf
 
 
 def fit_background(
@@ -124,7 +201,8 @@ def fit_background(
     (N) at each.
 
     Parameter uncertainties come from the Gauss-Newton covariance
-    (J^T W J)^-1 at the optimum.
+    (J^T W J)^-1 at the optimum.  A d0 search that meets a NaN chi^2 or
+    uses up its 500 evaluations raises FitConvergenceError.
     """
     sel = data.d_m > d_min
     d = data.d_m[sel]
@@ -141,15 +219,7 @@ def fit_background(
     lo, hi = _D0_BOUNDS
     hi = min(hi, float(d.min()) * (1.0 - 1e-9))  # keep the pole out of the data
 
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda d0: _beta_profile(d0, d, f, w)[1],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-15},
-    )
-    d0 = float(res.x)
+    d0 = _fminbound(lambda d0: _beta_profile(d0, d, f, w)[1], lo, hi, _D0_XATOL, _D0_MAXFUN)
     beta, chi2 = _beta_profile(d0, d, f, w)
     at_bounds = min(d0 - lo, hi - d0) < 1e-12 * (hi - lo)
 

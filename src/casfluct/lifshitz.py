@@ -614,41 +614,95 @@ def force_curve(
 _SPLINE_BUCKETS, _SPLINE_BLOCK = 8, 8192
 
 
+def _not_a_knot_slopes(x, dx, slope) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic through knots x with interval
+    widths dx and chord slopes ``slope``, bit for bit scipy's.
+
+    The tridiagonal system is the one ``scipy.interpolate.CubicSpline``
+    builds (n >= 4), and it is solved as LAPACK ``dgtsv`` solves one
+    right-hand side, the routine ``scipy.linalg.solve_banded`` calls for
+    (1, 1) bands: elimination with row interchanges, then back substitution.
+    Every subdiagonal entry is a positive knot width, so only the last
+    pivot can vanish (a singular system), and dividing by it would raise
+    ZeroDivisionError.
+    """
+    d_0, d_1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty(len(x))
+    b[0] = ((dx[0] + 2 * d_0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_0
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d_1 + dx[-1]) * dx[-2] * slope[-1]) / d_1
+    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+    lower = [*dx[1:].tolist(), float(d_1)]
+    # padded: an interchange at the last step reads and writes upper[n - 1], which nothing uses
+    upper = [float(d_0), *dx[:-1].tolist(), 0.0]
+    b = b.tolist()
+    n = len(b)
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            fact = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * upper[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            lower[i] = 0.0
+        else:
+            fact = diag[i] / lower[i]
+            diag[i], temp = lower[i], diag[i + 1]
+            diag[i + 1] = upper[i] - fact * temp
+            lower[i] = upper[i + 1]  # the second superdiagonal, fill-in of the interchange
+            upper[i + 1] = -fact * lower[i]
+            upper[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] = b[-1] / diag[-1]
+    b[-2] = (b[-2] - upper[-2] * b[-1]) / diag[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1] - lower[i] * b[i + 2]) / diag[i]
+    return np.array(b)
+
+
 class TabulatedForceCurve:
-    """Cubic-spline force evaluator over a sampled curve.
+    """Not-a-knot cubic-spline force evaluator over a sampled curve.
 
     Used wherever an analytic curve is too slow to call per sample (Monte
     Carlo time averaging, chi-squared scans against CSV theory curves).
-    Its gradient and curvature are the spline's own derivatives.  scipy's
-    ``CubicSpline`` builds it; the numpy evaluation equals ``CubicSpline``
-    and its derivatives bit for bit.  A point's interval [x_i, x_i+1) (the
-    last closed at d_max) needs no binary search: the bucket
-    int((x - d_min)*inv_h) is monotone in x, so its table entry, the last
-    knot of an earlier bucket, is at or below x, and as many one-knot steps
-    as the fullest bucket holds knots reach the interval.
+    Its gradient and curvature are the spline's own derivatives.  Built and
+    evaluated in numpy, it equals scipy's ``CubicSpline`` and its
+    ``derivative(1)``/``(2)`` bit for bit: the knot slopes come from
+    ``_not_a_knot_slopes``, the coefficients from ``CubicHermiteSpline``'s
+    formula and the derivative rows from ``PPoly.derivative``'s factors.
+    A point's interval [x_i, x_i+1) (the last closed at d_max) needs no
+    binary search: the bucket int((x - d_min)*inv_h) is monotone in x, so
+    its table entry, the last knot of an earlier bucket, is at or below x,
+    and as many one-knot steps as the fullest bucket holds knots reach the
+    interval.
     """
 
     def __init__(self, d_m, force_N):
-        from scipy.interpolate import CubicSpline
-
         d = np.asarray(d_m, dtype=float)
         f = np.asarray(force_N, dtype=float)
+        if d.ndim != 1 or f.shape != d.shape:
+            raise ValueError("d_m and force_N must be 1-D arrays of equal length")
         if len(d) < 4:
             raise ValueError("need at least 4 samples for a cubic spline")
-        if np.any(np.diff(d) <= 0):
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(f))):
+            raise ValueError("d_m and force_N must be finite")
+        dx = np.diff(d)
+        if np.any(dx <= 0):
             raise ValueError("d_m must be strictly ascending")
         self.d_min = float(d[0])
         self.d_max = float(d[-1])
-        spline = CubicSpline(d, f)
-        # F, F' and F'' per interval as rows of ascending powers of s = x - x_i;
-        # scipy's sum starts from 0.0, so the constant row holds 0.0 + c
-        self._rows = tuple(
-            (p.c[-1] + 0.0, *p.c[-2::-1])
-            for p in (spline, spline.derivative(1), spline.derivative(2))
+        slope = np.diff(f) / dx
+        s = _not_a_knot_slopes(d, dx, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c_3, c_2 = t / dx, (slope - s[:-1]) / dx - t
+        # F, F' and F'' per interval as rows of ascending powers of u = x - x_i;
+        # scipy's sum starts from 0.0, so each constant row holds 0.0 + c
+        self._rows = (
+            (f[:-1] + 0.0, s[:-1], c_2, c_3),
+            (s[:-1] + 0.0, c_2 * 2.0, c_3 * 3.0),
+            (c_2 * 2.0 + 0.0, c_3 * 6.0),
         )
         self._knots, self._upper = d[:-1], np.append(d[1:-1], np.inf)
         span = self.d_max - self.d_min
-        buckets = int(min(np.ceil(span / np.diff(d).min()), _SPLINE_BUCKETS * (len(d) - 1)))
+        buckets = int(min(np.ceil(span / dx.min()), _SPLINE_BUCKETS * (len(d) - 1)))
         self._inv_h = buckets / span
         home = self._bucket(d)
         self._start = np.maximum(np.searchsorted(home, np.arange(buckets + 1)) - 1, 0)

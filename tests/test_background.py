@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import casfluct as cf
+from casfluct import background
 from casfluct.background import (
     ElectrostaticBackground,
+    FitConvergenceError,
     FitError,
     TotalForceEvaluator,
     fit_background,
@@ -50,6 +52,13 @@ class TestElectrostaticForce:
         bg = ElectrostaticBackground(beta=215.0)
         assert bg.gradient(2.0) == pytest.approx(-215.0 / 4.0, rel=0)
         assert bg.curvature(1.0) == pytest.approx(430.0, rel=0)
+
+    def test_nan_separation_is_a_domain_error(self):
+        bg = ElectrostaticBackground(beta=215e-17, d0=0.0)
+        for method in (bg, bg.gradient, bg.curvature):
+            for bad in (math.nan, np.array([1e-6, math.nan, 2e-6])):
+                with pytest.raises(cf.DomainError, match="got d = nan"):
+                    method(bad)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,6 +150,61 @@ class TestFit:
             "points_used",
         }
         assert report["beta_udyne_um"] == pytest.approx(215.0, rel=1e-10)
+
+
+def _random_fits(count, seed=2010):
+    """Seeded datasets; a true d0 beyond (-1, 1) um pins the optimum at a bound."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 30))
+        d_um = np.sort(rng.uniform(2.05, 8.0, n))
+        d0_um = rng.uniform(-1.6, 1.6)
+        sigma = rng.uniform(0.5, 3.0, n)
+        force = 215.0 / (d_um - d0_um) + rng.normal(0.0, 10.0 ** rng.uniform(-6, 0.5), n) * sigma
+        yield cf.ForceDataset(d_um=d_um, force_udyne=force, sigma_udyne=sigma,
+                              n_samples=np.full(n, 100), bin_width_um=np.full(n, 0.2))
+
+
+def test_d0_search_equals_scipy_bounded_bit_for_bit():
+    """d0, beta and chi^2 equal those of scipy's bounded minimize_scalar on the
+    same profile, bit for bit, at interior optima and at optima on a bound."""
+    from scipy.optimize import minimize_scalar
+
+    near_bound = 0
+    for data in _random_fits(240):
+        fit = fit_background(data)
+        sel = data.d_m > 2e-6
+        d, f, w = data.d_m[sel], data.force_N[sel], 1.0 / data.sigma_N[sel] ** 2
+        lo, hi = -1e-6, min(1e-6, float(d.min()) * (1.0 - 1e-9))
+        res = minimize_scalar(lambda d0: background._beta_profile(d0, d, f, w)[1],
+                              bounds=(lo, hi), method="bounded", options={"xatol": 1e-15})
+        assert res.status == 0
+        beta, chi2 = background._beta_profile(float(res.x), d, f, w)
+        assert (fit.background.d0, fit.background.beta, fit.chi2) == (float(res.x), beta, chi2)
+        assert math.copysign(1.0, fit.background.d0) == math.copysign(1.0, float(res.x))
+        near_bound += min(fit.background.d0 - lo, hi - fit.background.d0) < 1e-13
+    assert near_bound >= 20
+
+
+class TestUnconvergedSearch:
+    def test_nan_profile_raises(self, synthetic_dataset):
+        ds = synthetic_dataset([2.2, 3.0, 4.0, 5.0, 6.0])
+        with pytest.raises(FitError, match="NaN"):  # a FitConvergenceError, caught as a FitError
+            fit_background(ds, casimir_subtractor=lambda d: np.where(d > 5e-6, math.nan, 0.0))
+
+    def test_evaluation_budget_raises_where_scipy_reports_status_1(self, synthetic_dataset):
+        from scipy.optimize import minimize_scalar
+
+        ds = synthetic_dataset([2.2, 3.0, 4.0, 5.0, 6.0], d0_um=0.15, rng=np.random.default_rng(4))
+        d, f, w = ds.d_m, ds.force_N, 1.0 / ds.sigma_N**2
+        profile = lambda d0: background._beta_profile(d0, d, f, w)[1]
+        assert minimize_scalar(profile, bounds=(-1e-6, 1e-6), method="bounded",
+                               options={"xatol": 1e-15}).nfev > 10
+        res = minimize_scalar(profile, bounds=(-1e-6, 1e-6), method="bounded",
+                              options={"xatol": 1e-15, "maxiter": 10})
+        assert res.status == 1
+        with pytest.raises(FitConvergenceError, match="did not converge in 10 evaluations"):
+            background._fminbound(profile, -1e-6, 1e-6, 1e-15, 10)
 
 
 class TestTotalForce:

@@ -254,6 +254,13 @@ class TestFitBetaCommand:
                    "-o", str(tmp_path / "f.json")])
         assert rc == 1
 
+    def test_unconverged_d0_search_exits_2(self, tmp_path, data_csv, capsys, monkeypatch):
+        monkeypatch.setattr(cf.background, "_D0_MAXFUN", 10)
+        out = tmp_path / "fit.json"
+        assert main(["fit-beta", "--data", str(data_csv), "-o", str(out)]) == 2
+        assert "numerical failure: d0 search did not converge in 10 evaluations" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestChi2Command:
     def test_report(self, tmp_path, data_csv):

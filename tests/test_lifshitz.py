@@ -297,6 +297,63 @@ def test_tabulated_spline_equals_cubic_spline_bit_for_bit(name):
             assert got == float(ref(v))
 
 
+def _random_knot_sets(count, seed=11):
+    """Seeded (knots, values) pairs, n >= 4, on the grids a spline meets and on worse ones."""
+    rng = np.random.default_rng(seed)
+    # dx[2] > dx[0] + dx[1]: dgtsv interchanges rows 2 and 3
+    yield np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0, 13.5]), np.array([5.0, 4.0, 4.0, -1.0, 0.0, 0.0, 2.0])
+    for k in range(count):
+        n = int(rng.integers(4, 300))
+        kind = k % 4
+        if kind == 0:
+            x = np.geomspace(rng.uniform(1e-8, 1e-6), rng.uniform(2e-6, 1e-4), n)
+        elif kind == 1:
+            x = np.linspace(rng.uniform(-5.0, 0.0), rng.uniform(1.0, 5.0), n)
+        elif kind == 2:  # random knots: most sets reach the interchange branch
+            x = np.unique(rng.uniform(0.0, 1.0, n))
+        else:  # widths over many decades
+            x = np.cumsum(rng.exponential(1.0, n) ** 3 + 1e-12)
+        y = rng.normal(size=len(x)) * 10.0 ** rng.uniform(-30, 5)
+        if k % 5 == 0:
+            y[rng.integers(0, len(x) - 1, 3)] = 0.0  # zero chords: the signs of zero must agree
+        yield x, y
+
+
+def test_spline_build_equals_cubic_spline_bit_for_bit():
+    """The numpy build gives CubicSpline's coefficients and those of its
+    derivative(1) and derivative(2), every bit, signs of zero included."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(3)
+    for x, y in _random_knot_sets(300):
+        curve = TabulatedForceCurve(x, y)
+        reference = CubicSpline(x, y)
+        points = np.concatenate([x, rng.uniform(x[0], x[-1], 50)])
+        pairs = ((curve, reference), (curve.gradient, reference.derivative(1)),
+                 (curve.curvature, reference.derivative(2)))
+        for rows, (method, ref) in zip(curve._rows, pairs):
+            want = (ref.c[-1] + 0.0, *ref.c[-2::-1])
+            assert len(rows) == len(want)
+            for got, expected in zip(rows, want):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(method(points).view(np.int64), ref(points).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "d, f, match",
+    [
+        ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], "at least 4"),
+        ([1.0, 2.0, 3.0, 4.0], [3.0, 2.0, 1.0], "equal length"),
+        ([1.0, 2.0, 3.0, math.nan], [4.0, 3.0, 2.0, 1.0], "finite"),
+        ([1.0, 2.0, 3.0, 4.0], [4.0, math.inf, 2.0, 1.0], "finite"),
+        ([1.0, 3.0, 2.0, 4.0], [4.0, 3.0, 2.0, 1.0], "strictly ascending"),
+    ],
+)
+def test_spline_rejects_bad_knots(d, f, match):
+    with pytest.raises(ValueError, match=match):
+        TabulatedForceCurve(d, f)
+
+
 def _evaluator(name, geometry):
     if name == "sphere-plate":
         return SpherePlateForce(cf.PerfectConductor(), geometry)

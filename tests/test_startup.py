@@ -1,11 +1,13 @@
-"""Start-up cost: importing the package and running the theory commands loads no scipy.
+"""Start-up cost: no CLI subcommand needs scipy.
 
-The Lifshitz engine needs no scipy: its Gauss-Laguerre nodes are package
-data and its plasma n = 0 TE integral is a numpy rule.  scipy is imported
-where it is still used, the force spline and the background fit, so
-``--version``, ``tilt-estimate``, a background-only ``simulate``, ``kk``,
-``force`` (every model), ``correct`` and ``correct --emit fig1`` never pay
-for it.  Each check runs in a fresh interpreter, because this test process
+The Lifshitz engine reads its Gauss-Laguerre nodes from package data and
+takes its plasma n = 0 TE integral by a numpy rule; the force spline and
+the background fit's d0 search are numpy and pure-Python ports of scipy's
+``CubicSpline`` and bounded ``minimize_scalar``.  scipy is only a test
+dependency, the oracle those ports are checked against.  So every
+subcommand runs in a fresh interpreter without loading scipy, and with
+scipy made unimportable, as in an install of the runtime dependencies
+alone.  Each check runs in a fresh interpreter, because this test process
 has scipy loaded already.
 """
 
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import casfluct
+from casfluct.cli import _COMMANDS
 
 SRC = str(Path(casfluct.__file__).resolve().parents[1])
 
@@ -26,6 +29,8 @@ _SCIPY_FREE_STEPS = {
     "tilt-estimate": ["tilt-estimate", "-o", "tilt.json"],
     "background-only simulate": ["simulate", "--trials", "10", "--duration", "1000", "--dt", "0.05",
                                  "--f-lo", "0.1", "-o", "sim.json"],
+    "simulate --model drude": ["simulate", "--model", "drude", "--trials", "10", "--duration", "1000",
+                               "--f-lo", "0.1", "-o", "sim-drude.json"],
     "kk": ["kk", "--table", "optical.csv", "-o", "eps.csv"],
     "force-perfect": ["force", "--model", "perfect", "--points", "5", "-o", "perfect.csv"],
     "force-plasma": ["force", "--model", "plasma", "--points", "5", "-o", "plasma.csv"],
@@ -35,14 +40,25 @@ _SCIPY_FREE_STEPS = {
     "force --zero-temperature": ["force", "--zero-temperature", "--points", "5", "-o", "t0.csv"],
     "correct": ["correct", "--points", "5", "-o", "corrected.csv"],
     "correct --emit fig1": ["correct", "--emit", "fig1", "--points", "5", "-o", "fig1.csv"],
+    "fit-beta": ["fit-beta", "--data", "data.csv", "-o", "fit.json"],
+    "fit-beta --subtract drude": ["fit-beta", "--data", "data.csv", "--subtract", "drude",
+                                  "--d-min", "1", "-o", "fit-drude.json"],
+    "chi2": ["chi2", "--data", "data.csv", "--theory", "theory.csv", "-o", "chi2.json"],
+    "scan-delta": ["scan-delta", "--data", "data.csv", "--steps", "3", "-o", "scan.csv"],
 }
 
-# prints, after each step, the scipy modules that the step left loaded
-_SCIPY_FREE = """
+# Runs the steps and prints, after each, the scipy modules it left loaded
+# (or its exit code, if not 0).  With "blocked" as the second argument,
+# scipy is made unimportable first: any import of it raises ImportError.
+_RUN_STEPS = """
 import contextlib, io, json, sys
 
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
+
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, module in sys.modules.items()
+                  if module is not None and (m == "scipy" or m.startswith("scipy.")))
 
 loaded = {}
 import casfluct as cf, casfluct.cli
@@ -52,8 +68,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit:
         pass
 loaded["import + --version"] = scipy_modules()
-with open("optical.csv", "w") as fh:
-    fh.write("omega_ev,eps_imag\\n0.01,100.0\\n0.1,10.0\\n1.0,1.0\\n10.0,0.1\\n")
 for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         rc = casfluct.cli.main(argv)
@@ -65,46 +79,45 @@ loaded["plate_energy-plasma"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
-# each entry point -> (the call, the scipy submodule it must load)
-_FIRST_USE = {
-    "fit_background": (
-        "cf.fit_background(cf.ForceDataset(d_um=np.array([3.0, 4.0, 5.0, 6.0]),"
-        " force_udyne=215.0 / np.array([3.0, 4.0, 5.0, 6.0]), sigma_udyne=np.ones(4),"
-        " n_samples=np.full(4, 100), bin_width_um=np.full(4, 0.2)))",
-        "scipy.optimize",
-    ),
-    "TabulatedForceCurve": (
-        "cf.TabulatedForceCurve([1e-6, 2e-6, 3e-6, 4e-6], [4.0, 3.0, 2.0, 1.0])",
-        "scipy.interpolate",
-    ),
-}
+
+def _write_inputs(cwd: Path) -> None:
+    (cwd / "optical.csv").write_text(
+        "omega_ev,eps_imag\n0.01,100.0\n0.1,10.0\n1.0,1.0\n10.0,0.1\n")
+    d_um = [0.62, 0.8, 1.0, 1.5, 2.2, 3.0, 4.0, 5.0, 6.0]
+    (cwd / "data.csv").write_text("d_um,force_udyne,sigma_udyne,n_samples,bin_width_um\n" + "".join(
+        f"{d},{215.0 / d + 33.76 / d**3:.4f},3.0,100,0.2\n" for d in d_um))
+    (cwd / "theory.csv").write_text("d_um,F_udyne\n" + "".join(
+        f"{0.5 + 0.25 * i},{215.0 / (0.5 + 0.25 * i) + 33.76 / (0.5 + 0.25 * i) ** 3!r}\n"
+        for i in range(25)))
 
 
-def _run(cwd, *argv: str) -> str:
+def _run(cwd: Path, scipy: str) -> dict:
+    _write_inputs(cwd)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", *argv], cwd=cwd, env=env,
+        [sys.executable, "-c", _RUN_STEPS, json.dumps(_SCIPY_FREE_STEPS), scipy], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.strip().splitlines()[-1]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_scipy_free_commands_load_no_scipy(tmp_path):
-    loaded = json.loads(_run(tmp_path, _SCIPY_FREE, json.dumps(_SCIPY_FREE_STEPS)))
+def test_steps_cover_every_subcommand():
+    assert {argv[0] for argv in _SCIPY_FREE_STEPS.values()} == set(_COMMANDS)
+
+
+def _check_every_step_ran(loaded: dict, cwd: Path) -> None:
     steps = ["import + --version", *_SCIPY_FREE_STEPS, "plate_energy-drude", "plate_energy-plasma"]
     assert loaded == {step: [] for step in steps}
     for argv in _SCIPY_FREE_STEPS.values():
-        assert (tmp_path / argv[-1]).exists()
+        assert (cwd / argv[-1]).exists()
 
 
-@pytest.mark.parametrize("name", list(_FIRST_USE))
-def test_first_use_loads_its_scipy_submodule(name, tmp_path):
-    call, module = _FIRST_USE[name]
-    code = (
-        "import sys\nimport numpy as np\nimport casfluct as cf\n"
-        f"before = {module!r} in sys.modules\n{call}\n"
-        f"print(before, {module!r} in sys.modules)"
-    )
-    assert _run(tmp_path, code) == "False True"
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    _check_every_step_ran(_run(tmp_path, "importable"), tmp_path)
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """A runtime-only install has no scipy: an import of it would end the run."""
+    _check_every_step_ran(_run(tmp_path, "blocked"), tmp_path)
