@@ -44,13 +44,11 @@ from .lifshitz import (
     ForceCurve,
     LifshitzSettings,
     PFAValidityError,
-    PlateTower,
     SpherePlateForce,
     TabulatedForceCurve,
     force_curve,
     plate_energy,
     plate_pressure,
-    plate_tower,
     sphere_plate_force,
 )
 from .oracle import (

@@ -221,7 +221,9 @@ def fit_background(
 
     d0 = _fminbound(lambda d0: _beta_profile(d0, d, f, w)[1], lo, hi, _D0_XATOL, _D0_MAXFUN)
     beta, chi2 = _beta_profile(d0, d, f, w)
-    at_bounds = min(d0 - lo, hi - d0) < 1e-12 * (hi - lo)
+    # the search stops once it is within 2*tol1 of the optimum, so an optimum
+    # on a bound leaves d0 up to that far inside it
+    at_bounds = min(d0 - lo, hi - d0) <= 2.0 * (_SQRT_EPS * abs(d0) + _D0_XATOL / 3.0)
 
     # Gauss-Newton covariance: columns d(model)/d(beta), d(model)/d(d0)
     g = 1.0 / (d - d0)

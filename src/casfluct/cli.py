@@ -61,8 +61,7 @@ from .units import UDYNE, ExperimentGeometry, check_positive
 UM = 1e-6
 UDYNE_UM = UDYNE * UM  # beta unit in SI
 
-def _build_model(opts):
-    name = opts.model
+def _build_model(name: str, opts):
     if name == "perfect":
         return PerfectConductor()
     if name == "plasma":
@@ -131,7 +130,7 @@ def _profile(opts):
 
 
 def _cmd_force(opts) -> int:
-    model = _build_model(opts)
+    model = _build_model(opts.model, opts)
     geometry = _geometry(opts)
     settings = LifshitzSettings(zero_temperature_mode=opts.zero_temperature)
     grid = _grid(opts, "d") * UM
@@ -149,86 +148,50 @@ def _cmd_force(opts) -> int:
     return 0
 
 
-def _fig1_rows(opts, geometry, settings, profile):
-    """Theory-side corrected/uncorrected F*d^3 table for both metal models."""
-    bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    grid = _grid(opts, "d")
-    totals = []
-    for model in (Plasma(opts.omega_p), Drude(opts.omega_p, opts.gamma)):
-        casimir = SpherePlateForce(model, geometry, settings)
-        casimir.preload(grid * UM)
-        totals.append(TotalForceEvaluator(bg, casimir))
-    pc0 = SpherePlateForce(
-        PerfectConductor(), geometry, LifshitzSettings(zero_temperature_mode=True)
-    )
-    rows = []
-    for d_um in grid:
-        d = d_um * UM
-        delta = profile(d)
-        row = [d_um]
-        f_pc = pc0(d) / UDYNE
-        row += [f_pc, f_pc * d_um**3]
-        for total in totals:
-            f_c = total.casimir(d) / UDYNE
-            # curvature= is needed: the force is the Casimir part alone, the curvature the total's
-            f_a = apparent_force(total.casimir, d, delta, curvature=total.curvature(d)) / UDYNE
-            row += [f_c, f_a, f_c * d_um**3, f_a * d_um**3]
-        row.append(delta / UM)
-        rows.append(row)
-    return rows
-
-
 def _cmd_correct(opts) -> int:
     geometry = _geometry(opts)
     settings = LifshitzSettings()
     profile = _profile(opts)
-    inputs = {}
-    if opts.eps_table:
-        inputs["eps_table"] = opts.eps_table
-    if opts.profile_table:
-        inputs["profile_table"] = opts.profile_table
-    meta = _meta("correct", opts, inputs or None)
+    inputs = {key: getattr(opts, key) for key in ("eps_table", "profile_table") if getattr(opts, key)}
+    meta = _meta("correct", opts, inputs)
     meta.update(
         beta_udyne_um=opts.beta,
         temperature_K=geometry.temperature,
         radius_cm=opts.radius_cm,
         settings_hash=config_hash(asdict(settings)),
     )
-    if opts.emit == "fig1":
-        columns = [
-            "d_um",
-            "F_pc0_udyne",
-            "Fd3_pc0_udyne_um3",
-            "F_plasma_udyne",
-            "Fa_plasma_udyne",
-            "Fd3_plasma_udyne_um3",
-            "Fad3_plasma_udyne_um3",
-            "F_drude_udyne",
-            "Fa_drude_udyne",
-            "Fd3_drude_udyne_um3",
-            "Fad3_drude_udyne_um3",
-            "delta_rms_um",
-        ]
-        meta["emit"] = "fig1"
-        _write_csv(opts.output, meta, columns, _fig1_rows(opts, geometry, settings, profile))
-        return 0
-    model = _build_model(opts)
+    fig1 = opts.emit == "fig1"
+    names = ("plasma", "drude") if fig1 else (opts.model,)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    casimir = SpherePlateForce(model, geometry, settings)
     grid = _grid(opts, "d")
-    casimir.preload(grid * UM)
-    total = TotalForceEvaluator(bg, casimir)
-    meta["model"] = opts.model
-    rows = []
-    for d_um in grid:
-        d = d_um * UM
-        delta = profile(d)
-        f = total(d)
-        f_a = apparent_force(total, d, delta)
-        sig = inflated_sigma(0.0, total.gradient(d), delta)
-        rows.append([d_um, f / UDYNE, f_a / UDYNE, delta / UM, sig / UDYNE])
-    columns = ["d_um", "F_udyne", "F_apparent_udyne", "delta_rms_um", "sigma_inflation_udyne"]
-    _write_csv(opts.output, meta, columns, rows)
+    d = grid * UM
+    delta = np.array([profile(x) for x in d])
+    d3 = np.array([x**3 for x in grid])  # per point: an array cube may differ in the last bit
+    cols = {"d_um": grid}
+    if fig1:
+        # the Casimir part of both metal models, uncorrected and corrected, next to the T = 0 mirror
+        meta["emit"] = "fig1"
+        mirror = LifshitzSettings(zero_temperature_mode=True)
+        f_pc = sphere_plate_force(PerfectConductor(), d, geometry, mirror) / UDYNE
+        cols["F_pc0_udyne"], cols["Fd3_pc0_udyne_um3"] = f_pc, f_pc * d3
+    else:
+        meta["model"] = opts.model
+    for name in names:
+        casimir = SpherePlateForce(_build_model(name, opts), geometry, settings)
+        total = TotalForceEvaluator(bg, casimir)
+        if fig1:
+            f_c = cols[f"F_{name}_udyne"] = casimir(d) / UDYNE
+            # curvature= is needed: the force is the Casimir part alone, the curvature the total's
+            f_a = apparent_force(casimir, d, delta, curvature=total.curvature(d)) / UDYNE
+            cols[f"Fa_{name}_udyne"] = f_a
+            cols[f"Fd3_{name}_udyne_um3"], cols[f"Fad3_{name}_udyne_um3"] = f_c * d3, f_a * d3
+        else:
+            cols["F_udyne"] = total(d) / UDYNE
+            cols["F_apparent_udyne"] = apparent_force(total, d, delta) / UDYNE
+    cols["delta_rms_um"] = delta / UM
+    if not fig1:
+        cols["sigma_inflation_udyne"] = inflated_sigma(0.0, total.gradient(d), delta) / UDYNE
+    _write_csv(opts.output, meta, list(cols), zip(*cols.values()))
     return 0
 
 
@@ -239,10 +202,7 @@ def _cmd_fit_beta(opts) -> int:
     subtractor = None
     if opts.subtract:
         geometry = _geometry(opts)
-        sub_opts = SimpleNamespace(
-            model=opts.subtract, omega_p=opts.omega_p, gamma=opts.gamma, eps_table=None
-        )
-        model = _build_model(sub_opts)
+        model = _build_model(opts.subtract, opts)
         # F only: SpherePlateForce would also pay for F' and F''
         subtractor = lambda d: sphere_plate_force(model, d, geometry)
     fit = fit_background(data, d_min=opts.d_min * UM, casimir_subtractor=subtractor)
@@ -296,7 +256,7 @@ def _cmd_scan_delta(opts) -> int:
         raise ValueError("need 0 <= delta_min < delta_max")
     data = load_dataset(opts.data)
     geometry = _geometry(opts)
-    model = _build_model(opts)
+    model = _build_model(opts.model, opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
     # dense spline of the dispersion curve; cheap to re-evaluate per delta
     lo, hi = float(data.d_m.min()) * 0.8, float(data.d_m.max()) * 1.2
@@ -340,7 +300,7 @@ def _cmd_simulate(opts) -> int:
         geometry = _geometry(opts)
         # samples outside the span are recorded as expansion breakdowns
         dense = np.geomspace(max(d - 10.0 * delta, 0.1 * d), d + 10.0 * delta, 80)
-        casimir = force_curve(_build_model(opts), geometry, dense).as_evaluator()
+        casimir = force_curve(_build_model(opts.model, opts), geometry, dense).as_evaluator()
     if bg and casimir:
         force = TotalForceEvaluator(bg, casimir)
     elif casimir:

@@ -164,31 +164,33 @@ def combine_delta_sources(budget: FluctuationBudget) -> DeltaCombination:
 def apparent_force(
     force: Callable,
     d: float | np.ndarray,
-    delta_rms: float,
+    delta_rms: float | np.ndarray,
     curvature: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Time-averaged apparent force F(d) + (1/2) F''(d) delta_rms^2.
 
     F'' is the ``curvature`` value at ``d`` when given, else the evaluator's
-    own ``force.curvature(d)``.  ``d`` may be an array when the force and
-    its curvature accept one; the result is then an array.
+    own ``force.curvature(d)``, which is not asked for when every delta_rms
+    is zero.  ``d`` may be an array when the force and its curvature accept
+    one, and ``delta_rms`` an array of one value per d; the result is then
+    an array.
     """
     if not np.all(np.asarray(d) > 0):
         raise DomainError(f"distance must be > 0, got {d if np.ndim(d) == 0 else np.min(d)}")
     check_amplitude("delta_rms", delta_rms)
     base = float_or_array(force(d))
-    if delta_rms == 0.0:
+    if not np.any(delta_rms):
         return base
     second = float_or_array(force.curvature(d) if curvature is None else curvature)
     return base + 0.5 * second * delta_rms**2
 
 
-def inflated_sigma(sigma_force: float, f_prime: float, delta_rms: float) -> float:
-    """Scatter with the in-band fluctuation term: sqrt(sigma^2 + (F' delta)^2)."""
-    if sigma_force < 0:
-        raise DomainError(f"sigma_force must be >= 0, got {sigma_force}")
+def inflated_sigma(sigma_force, f_prime, delta_rms) -> float | np.ndarray:
+    """Scatter with the in-band fluctuation term, sqrt(sigma^2 + (F' delta)^2); arrays allowed."""
+    if np.any(np.asarray(sigma_force) < 0):
+        raise DomainError(f"sigma_force must be >= 0, got {np.min(sigma_force)}")
     check_amplitude("delta_rms", delta_rms)
-    return math.hypot(sigma_force, f_prime * delta_rms)
+    return float_or_array(np.hypot(sigma_force, f_prime * delta_rms))
 
 
 def tilt_noise_estimate(

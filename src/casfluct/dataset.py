@@ -21,6 +21,7 @@ from .units import UDYNE
 __all__ = ["DatasetError", "ForceDataset", "load_dataset", "save_dataset"]
 
 _COLUMNS = ["d_um", "force_udyne", "sigma_udyne", "n_samples", "bin_width_um"]
+_LISTED_ROWS = 10  # bad rows an error message names; DatasetError.lines holds them all
 
 
 class DatasetError(ValueError):
@@ -99,7 +100,8 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     (case-insensitively) or, unless ``exact``, begin with them.  Every data
     row must have as many fields as the header and is turned into a value
     by ``parse``, which raises ValueError on a bad row.  Bad rows are
-    reported together in one :class:`DatasetError` naming ``path:line``.
+    reported together in one :class:`DatasetError`, whose message names
+    the first ten as ``path:line`` and counts the rest.
     """
     with open(path, "r", newline="") as fh:
         text = fh.read()
@@ -127,7 +129,10 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
         except ValueError as exc:
             problems[lineno] = f"{path}:{lineno}: {exc}"
     if problems:
-        raise DatasetError(" | ".join(problems.values()), list(problems))
+        listed = list(problems.values())[:_LISTED_ROWS]
+        if len(problems) > _LISTED_ROWS:
+            listed.append(f"and {len(problems) - _LISTED_ROWS} more")
+        raise DatasetError(" | ".join(listed), list(problems))
     if not rows:
         raise DatasetError(f"{path}: no data rows, the table is empty")
     return header, rows

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
     "PFAValidityError",
     "plate_pressure",
     "plate_energy",
-    "PlateTower",
-    "plate_tower",
     "sphere_plate_force",
     "SpherePlateForce",
     "ForceCurve",
@@ -405,7 +403,7 @@ def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
     if ratio > 1e-3:
         warnings.warn(
             f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
-            stacklevel=4,
+            stacklevel=5,
         )
 
 
@@ -471,26 +469,17 @@ def plate_energy(
 _TOWER = ("energy", "pressure", "slope")
 
 
-class PlateTower(NamedTuple):
-    """Free energy per area E (J/m^2), pressure P = dE/dd (Pa) and dP/dd (Pa/m)."""
+def _sphere_kernels(model, d, geometry, kinds: tuple, settings) -> np.ndarray:
+    """-2 pi R times each kernel of ``kinds`` at each d of ``d``, shaped d's shape + (len(kinds),).
 
-    energy: float
-    pressure: float
-    pressure_slope: float
-
-
-def plate_tower(
-    model: MaterialModel,
-    d: float,
-    T: float,
-    settings: LifshitzSettings | None = None,
-) -> PlateTower:
-    """E, P and dP/dd from one pass over shared frequencies and k-nodes.
-
-    Each component equals what ``plate_energy``/``plate_pressure`` return
-    bit for bit, because each stops at its own convergence.
+    Under the PFA that is F for the energy, F' for the pressure and F'' for
+    the slope, from one ``_plate_kernels`` pass over every d.
     """
-    return PlateTower(*_plate_kernels(model, (d,), T, _TOWER, settings)[0])
+    grid = np.asarray(d, dtype=float)
+    ds = (d,) if grid.ndim == 0 else grid.ravel()
+    values = np.array(_plate_kernels(model, ds, geometry.temperature, kinds, settings, geometry))
+    # (-2 pi R) * E, left to right, as for one Python float E
+    return -2.0 * math.pi * geometry.sphere_radius * values.reshape(grid.shape + (len(kinds),))
 
 
 def sphere_plate_force(
@@ -506,22 +495,19 @@ def sphere_plate_force(
     is rejected and d/R > 1e-3 warned about.
     """
     geometry = geometry or ExperimentGeometry()
-    grid = np.asarray(d, dtype=float)
-    ds = (d,) if grid.ndim == 0 else grid.ravel()
-    energies = _plate_kernels(model, ds, geometry.temperature, ("energy",), settings, geometry)
-    forces = [-2.0 * math.pi * geometry.sphere_radius * energy for (energy,) in energies]
-    return forces[0] if grid.ndim == 0 else np.array(forces).reshape(grid.shape)
+    return float_or_array(_sphere_kernels(model, d, geometry, ("energy",), settings)[..., 0])
 
 
 class SpherePlateForce:
     """Sphere-plate force evaluator F(d) with exact F'(d) and F''(d).
 
     Under the PFA F = -2 pi R E, F' = -2 pi R P and F'' = -2 pi R dP/dd.
-    All three come from one tower pass per d, kept for the most
-    recent d so that F, F' and F'' at one separation cost a single pass;
-    ``preload`` keeps the towers of a whole grid from one batched pass.
-    The kept passes are keyed by d alone: treat ``model``, ``geometry``
-    and ``settings`` as fixed after construction.
+    ``d`` may be a scalar or an array.  A call gets all three at every d
+    of the call from one batched tower pass, bit for bit the values of a
+    pass per d, and keeps them until a call at other d, so F, F' and F''
+    on one grid cost a single pass.  The kept pass is keyed by d alone:
+    treat ``model``, ``geometry`` and ``settings`` as fixed after
+    construction.
     """
 
     def __init__(
@@ -533,33 +519,24 @@ class SpherePlateForce:
         self.model = model
         self.geometry = geometry or ExperimentGeometry()
         self.settings = settings or _DEFAULT_SETTINGS
-        self._kept: dict[float, PlateTower] = {}
+        self._key, self._kept = None, None
 
-    def preload(self, d_m) -> None:
-        """Compute the towers at every d of ``d_m`` in one batched pass.
+    def _kernel(self, d, j: int):
+        grid = np.asarray(d, dtype=float)
+        key = (grid.shape, grid.tobytes())
+        if key != self._key:
+            self._kept = _sphere_kernels(self.model, d, self.geometry, _TOWER, self.settings)
+            self._key = key
+        return float_or_array(self._kept[..., j].copy())
 
-        Calls at those d reuse them, bit-identical to a pass per d, until a
-        call at any other d replaces them.
-        """
-        ds = np.asarray(d_m, dtype=float).ravel()
-        towers = _plate_kernels(
-            self.model, ds, self.geometry.temperature, _TOWER, self.settings, self.geometry
-        )
-        self._kept = dict(zip(ds.tolist(), map(PlateTower._make, towers)))
+    def __call__(self, d):
+        return self._kernel(d, 0)
 
-    def _tower(self, d: float) -> PlateTower:
-        if float(d) not in self._kept:
-            self.preload((d,))
-        return self._kept[float(d)]
+    def gradient(self, d):
+        return self._kernel(d, 1)
 
-    def __call__(self, d: float) -> float:
-        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).energy
-
-    def gradient(self, d: float) -> float:
-        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).pressure
-
-    def curvature(self, d: float) -> float:
-        return -2.0 * math.pi * self.geometry.sphere_radius * self._tower(d).pressure_slope
+    def curvature(self, d):
+        return self._kernel(d, 2)
 
 
 # --------------------------------------------------------------------------

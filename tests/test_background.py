@@ -78,6 +78,13 @@ class TestFit:
         assert fit.dof == 3
         assert not fit.d0_at_bounds
 
+    @pytest.mark.parametrize("d0_um, at_bounds", [(-5.0, True), (-1.2, True), (1.5, True),
+                                                   (0.0, False), (0.999, False)])
+    def test_d0_at_bounds(self, synthetic_dataset, d0_um, at_bounds):
+        # a true d0 outside (-1, 1) um ends the search within its stopping distance of a bound
+        fit = fit_background(synthetic_dataset([2.2, 3.0, 4.0, 5.0, 6.0], d0_um=d0_um))
+        assert fit.d0_at_bounds is at_bounds
+
     def test_d_min_selects_points(self, synthetic_dataset):
         ds = synthetic_dataset([0.8, 1.2, 2.2, 3.0, 4.0, 5.0, 6.0])
         fit = fit_background(ds, d_min=2e-6)

@@ -57,6 +57,13 @@ def _profile_table(path, rows=("0.5,0.1", "6.5,0.2")):
     return path
 
 
+def _eps_table(path):
+    xi = np.geomspace(0.05, 50.0, 30)
+    eps = cf.eps_imag_axis(cf.GOLD_DRUDE, xi)
+    path.write_text("xi_ev,eps\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(xi, eps)) + "\n")
+    return path
+
+
 @pytest.fixture
 def data_csv(write_dataset_csv):
     return write_dataset_csv(DATA_ROWS)
@@ -177,25 +184,34 @@ class TestCorrectCommand:
     def test_one_kernel_pass_per_force_row(self, tmp_path, monkeypatch):
         import casfluct.lifshitz as lif
 
-        passes = []
-        real = lif._thermal_sum
+        passes, calls = [], []
+        real_sum, real_kernels = lif._thermal_sum, lif._plate_kernels
 
         def counting(*args):
             passes.extend(args[1])  # the separations summed
-            return real(*args)
+            return real_sum(*args)
+
+        def recording(model, ds, T, kinds, settings, *args):
+            calls.append((type(model).__name__, len(ds), T == 0 or settings.zero_temperature_mode))
+            return real_kernels(model, ds, T, kinds, settings, *args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("correct must not run this")
 
         monkeypatch.setattr(lif, "_thermal_sum", counting)
+        monkeypatch.setattr(lif, "_plate_kernels", recording)
         monkeypatch.setattr(lif, "_zero_t_integral", forbidden)
         monkeypatch.setattr(lif, "derivative", forbidden)
         assert main(["correct", "--points", "25", "-o", str(tmp_path / "c.csv")]) == 0
         assert len(passes) == 25
+        assert calls == [("Drude", 25, False)]  # one pass over the whole grid
         passes.clear()
+        calls.clear()
         assert main(["correct", "--emit", "fig1", "--points", "25",
                      "-o", str(tmp_path / "f.csv")]) == 0
         assert len(passes) == 50  # plasma and Drude; the T = 0 mirror is closed form
+        assert sorted(calls) == [("Drude", 25, False), ("PerfectConductor", 25, True),
+                                 ("Plasma", 25, False)]
 
     def test_sqrt_profile(self, tmp_path):
         out = tmp_path / "sq.csv"
@@ -549,6 +565,33 @@ def test_parallel_map_keeps_order():
                      "5e33c90a5a8291febdb6f5727cda8b7b72ed1c9e6a738e784dd1ba1b67f9ed49", id="correct"),
         pytest.param(["correct", "--emit", "fig1"],
                      "9286b5a31645bcb833d1e16e4876b4dc6176201c0df9abe299252392628ab04c", id="fig1"),
+        pytest.param(["correct", "--profile", "sqrt"],
+                     "9db56ce196a96c835ff6c499e841b17add7f56c327db26c99121d07d324c124d",
+                     id="correct-sqrt"),
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{profile}"],
+                     "13ee064be95e185c902fd1dde1daa935d194a75b16642620072538a370d034b3",
+                     id="correct-profile-table"),
+        pytest.param(["correct", "--model", "perfect", "--d0", "0.01"],
+                     "6f36eff0c17ddeab025b54486024807838d32d843da8e973806c635ddb8324b3",
+                     id="correct-perfect-d0"),
+        pytest.param(["correct", "--model", "plasma"],
+                     "2c0baaf48a2b294539be505a315afd4d0cb060179bf272e4be60f6d2ad0d6e7f",
+                     id="correct-plasma"),
+        pytest.param(["correct", "--model", "tabulated", "--eps-table", "{eps}"],
+                     "378ca05b24a8118814b5077ad2cfeb52990998211e1fabcb55e5607a6db52af9",
+                     id="correct-tabulated"),
+        pytest.param(["correct", "--temperature", "0"],
+                     "33586d0592198127d4465c4cd37ea21f91d84eaa454bc9a38805ca8e932041c8",
+                     id="correct-T0"),
+        pytest.param(["correct", "--delta-rms", "0"],
+                     "8d74be5843c9b5a00b76e7896010d0209f78d54816348bb456c9abf89b58f21d",
+                     id="correct-delta0"),
+        pytest.param(["correct", "--emit", "fig1", "--profile", "table", "--profile-table", "{profile}"],
+                     "d3f8f25952ee938f378576176c331c38f10356a2efcf52f8ad93b9fcaa29ff76",
+                     id="fig1-profile-table"),
+        pytest.param(["correct", "--emit", "fig1", "--delta-rms", "0", "--temperature", "0"],
+                     "0c97425fce9a6858c169fbe182b0a7c764c3833a92b4447f9e5cd48fe60f0365",
+                     id="fig1-delta0-T0"),
         pytest.param(["scan-delta", "--data", "{data}", "--steps", "31"],
                      "7dff7789f2abf0d1ba1a3f0d9a8f642d5d34b320d9330d17d0b707c2406fb444",
                      id="scan-delta"),
@@ -564,7 +607,13 @@ def test_output_rows_pinned(argv, sha256, tmp_path, data_csv):
     """SHA-256 of everything below the '#' provenance header, so only a moved bit of a value
     (not a new option or a version bump) breaks the pin."""
     out = tmp_path / "out.csv"
-    files = {"data": data_csv, "table": _optical_table(tmp_path / "optical.csv")}
+    files = {
+        "data": data_csv,
+        "table": _optical_table(tmp_path / "optical.csv"),
+        "eps": _eps_table(tmp_path / "eps.csv"),
+        # delta = 0 at the first grid point, so one array mixes zero and nonzero delta
+        "profile": _profile_table(tmp_path / "profile.csv", rows=("0.5,0.0", "0.6,0.0", "6.5,0.2")),
+    }
     assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 0
     body = "".join(line for line in out.read_text().splitlines(keepends=True)
                    if not line.startswith("#"))

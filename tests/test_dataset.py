@@ -78,6 +78,21 @@ def test_malformed_rows_all_reported(write_dataset_csv):
     assert set(err.value.lines) == {3, 6}
 
 
+def test_error_message_names_ten_bad_rows_and_counts_the_rest(write_dataset_csv, tmp_path, capsys):
+    from casfluct.cli import main
+
+    path = write_dataset_csv(VALID_ROWS[:1] + [f"{i}, oops, 1.0, 10, 0.1" for i in range(1, 201)])
+    with pytest.raises(cf.DatasetError) as err:
+        load_dataset(path)
+    assert err.value.lines == list(range(3, 203))
+    message = str(err.value)
+    assert message.count(f"{path}:") == 10
+    assert f"{path}:12: " in message and f"{path}:13: " not in message
+    assert message.endswith(" | and 190 more")
+    assert main(["fit-beta", "--data", str(path), "-o", str(tmp_path / "fit.json")]) == 1
+    assert capsys.readouterr().err == f"casfluct fit-beta: {message}\n"
+
+
 def test_comments_and_blank_lines_ignored(write_dataset_csv):
     rows = ["# a comment", "", VALID_ROWS[0], "# another", VALID_ROWS[1], VALID_ROWS[2], VALID_ROWS[3]]
     path = write_dataset_csv(rows)

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion as a plain script."""
+"""Every demo script, and the README's library quick start, runs to completion as a plain script."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,29 @@ import pytest
 
 import casfluct
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SRC = str(Path(casfluct.__file__).resolve().parents[1])
+
+
+def _run(script, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    _run(demo, tmp_path)
+
+
+def test_readme_quick_start_exits_0(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", readme, re.S).group(1)
+    script = tmp_path / "quick_start.py"
+    script.write_text(code)
+    _run(script, tmp_path)

@@ -18,7 +18,6 @@ from casfluct.lifshitz import (
     force_curve,
     plate_energy,
     plate_pressure,
-    plate_tower,
     sphere_plate_force,
 )
 
@@ -28,6 +27,13 @@ KB = 1.380649e-23
 ZETA3 = 1.2020569031595942
 EV = 1.602176634e-19
 UDYNE = 1e-11
+
+
+
+def plate_tower(model, d, T, settings=None) -> tuple:
+    """E (J/m^2), P (Pa) and dP/dd (Pa/m) at one d, from one tower pass of the engine."""
+    return tuple(lifshitz._plate_kernels(model, (d,), T, lifshitz._TOWER, settings)[0])
+
 
 # Frozen closed forms (independent of the Matsubara machinery):
 IDEAL_T0_PRESSURE_1UM = math.pi**2 * HBAR * C / (240.0 * (1e-6) ** 4)  # 1.30013e-3 Pa
@@ -86,7 +92,7 @@ class TestClosedFormLimits:
 
     def test_classical_limit_ideal_slope(self):
         d = 50e-6
-        slope = plate_tower(cf.PerfectConductor(), d, 300.0).pressure_slope
+        slope = plate_tower(cf.PerfectConductor(), d, 300.0)[2]
         assert slope == pytest.approx(-3.0 * ZETA3 * KB * 300.0 / (4.0 * math.pi * d**4), rel=1e-9)
 
     def test_classical_limit_drude_is_half(self):
@@ -365,14 +371,11 @@ def _evaluator(name, geometry):
 
 @pytest.mark.parametrize("name", ["sphere-plate", "tabulated", "background", "total"])
 def test_evaluator_protocol(name, geometry):
-    """Every evaluator the CLI builds carries F' and F''; all but the
-    sphere-plate force (one d at a time) take an array of d too."""
+    """Every evaluator the CLI builds carries F' and F'' and takes an array of d."""
     ev = _evaluator(name, geometry)
-    for method in (ev.gradient, ev.curvature):
+    x = np.linspace(0.5e-6, 7.5e-6, 8 if name == "sphere-plate" else 200)
+    for method in (ev, ev.gradient, ev.curvature):
         assert type(method(1e-6)) is float
-        if name == "sphere-plate":
-            continue
-        x = np.linspace(0.5e-6, 7.5e-6, 200)
         got = method(x)
         assert got.shape == x.shape
         # array powers of the background gap may differ from scalar ones in the last bit
@@ -755,7 +758,8 @@ def test_unconverged_pressure_inside_tower_grid():
     want = _raised(lambda: plate_tower(cf.GOLD_DRUDE, 0.1e-6, 77.0))
     assert want != _raised(lambda: plate_tower(cf.GOLD_DRUDE, 0.12e-6, 77.0))
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
-    assert _raised(lambda: force.preload([0.3e-6, 0.1e-6, 0.12e-6])) == want
+    assert _raised(lambda: force([0.3e-6, 0.1e-6, 0.12e-6])) == want
+    assert _raised(lambda: force.curvature(np.array([0.3e-6, 0.1e-6, 0.12e-6]))) == want
     grid = GRID_D[::-1].tolist() + [0.1e-6, 0.12e-6]
     assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, grid, 77.0, lifshitz._TOWER, None)) == want
 
@@ -800,18 +804,30 @@ def test_grid_warns_like_points():
     curve, got = _with_warnings(lambda: force_curve(cf.GOLD_DRUDE, geometry, grid))
     assert got == want and curve.force_N.tolist() == points
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
-    _, got = _with_warnings(lambda: force.preload(grid))
-    assert got == want
+    forces, got = _with_warnings(lambda: force(grid))
+    assert got == want and forces.tolist() == points
 
 
-def test_preloaded_towers_equal_fresh_passes(geometry, monkeypatch):
+def test_grid_call_equals_fresh_scalar_calls(geometry, monkeypatch):
     import casfluct.lifshitz as lif
 
+    passes = []
+    real = lif._plate_kernels
+
+    def counting(model, ds, *args):
+        passes.append(list(ds))
+        return real(model, ds, *args)
+
+    monkeypatch.setattr(lif, "_plate_kernels", counting)
     grid = np.geomspace(0.6e-6, 6e-6, 25)
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
-    force.preload(grid)
-    monkeypatch.setattr(lif, "_plate_kernels", lambda *a: pytest.fail("preloaded d summed again"))
-    got = [(force(d), force.gradient(d), force.curvature(d)) for d in grid]
+    got = [force(grid), force.gradient(grid), force.curvature(grid), force(grid)]
+    assert passes == [grid.tolist()]  # F, F' and F'' on one grid: one pass
     monkeypatch.undo()
+    assert all(isinstance(v, np.ndarray) and v.shape == grid.shape for v in got)
     fresh = SpherePlateForce(cf.GOLD_DRUDE, geometry)
-    assert got == [(fresh(d), fresh.gradient(d), fresh.curvature(d)) for d in grid]
+    want = [(fresh(d), fresh.gradient(d), fresh.curvature(d)) for d in grid]
+    assert list(zip(*(v.tolist() for v in got[:3]))) == want
+    assert got[3].tolist() == got[0].tolist()
+    got[0][:] = 0.0  # a returned array is the caller's own: the kept pass stays as it was
+    assert force(grid).tolist() == [f for f, _, _ in want]

@@ -25,3 +25,13 @@ def test_every_data_file_matches_a_package_data_glob():
     ]
     assert "laguerre_nodes.npy" in data
     assert [name for name in data if not any(fnmatch.fnmatch(name, g) for g in globs)] == []
+
+
+# `wc -l src/casfluct/*.py` at the last change to the package's size.  A change
+# that grows src/ raises this in the same diff and says why in CHANGES.md.
+SRC_LINE_CEILING = 3267
+
+
+def test_src_line_count_stays_under_ceiling():
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING
