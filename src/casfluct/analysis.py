@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import ForceDataset
-from .units import DomainError
+from .units import DomainError, check_samples
 
 __all__ = [
     "Chi2Report",
@@ -205,11 +205,7 @@ def scan_delta(
     (the amplitude) counts as fitted, so dof = n - 1.  Ties break toward
     the smaller amplitude.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly ascending")
+    grid = [float(g) for g in check_samples(("grid",), grid)[0]]
     reports = tuple(
         chi_squared(data, theory_family(delta), fitted_params=1) for delta in grid
     )

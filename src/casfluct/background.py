@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ForceDataset
 from .lifshitz import float_or_array
-from .units import UDYNE, DomainError
+from .units import UDYNE, DomainError, check_amplitude, check_positive
 
 __all__ = [
     "ElectrostaticBackground",
@@ -52,12 +52,10 @@ class ElectrostaticBackground:
     beta_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        check_positive("beta", self.beta)
         if not math.isfinite(self.d0):
             raise ValueError(f"d0 must be finite, got {self.d0}")
-        if self.beta_sigma < 0:
-            raise ValueError(f"beta_sigma must be >= 0, got {self.beta_sigma}")
+        check_amplitude("beta_sigma", self.beta_sigma)
 
     def _gap(self, d):
         d = np.asarray(d, dtype=float)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .lifshitz import float_or_array
-from .units import DomainError, check_amplitude, check_positive
+from .units import DomainError, check_amplitude, check_positive, check_samples
 
 __all__ = [
     "ConstantProfile",
@@ -52,8 +52,7 @@ class ConstantProfile:
         check_amplitude("delta_rms", self.delta_rms)
 
     def __call__(self, d: float) -> float:
-        if not d > 0:
-            raise DomainError(f"distance must be > 0, got {d}")
+        check_positive("distance", d)
         return self.delta_rms
 
 
@@ -70,13 +69,11 @@ class SqrtLawProfile:
     amplitude: float = 1e-6  # m
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        check_positive("scale", self.scale)
         check_amplitude("amplitude", self.amplitude)
 
     def __call__(self, d: float) -> float:
-        if not d > 0:
-            raise DomainError(f"distance must be > 0, got {d}")
+        check_positive("distance", d)
         return self.amplitude * math.sqrt(d / self.scale)
 
 
@@ -88,21 +85,13 @@ class TableProfile:
     delta: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
-        v = np.asarray(self.delta, dtype=float)
-        if d.ndim != 1 or len(d) < 2 or len(d) != len(v):
-            raise ValueError("need >= 2 (d, delta) pairs of equal length")
-        if np.any(np.diff(d) <= 0):
-            raise ValueError("d must be strictly ascending")
-        check_amplitude("delta", v)
-        d.setflags(write=False)
-        v.setflags(write=False)
+        check_amplitude("delta", self.delta)  # first, so a NaN is a DomainError
+        d, v = check_samples(("d", "delta"), self.d, self.delta, min_len=2)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "delta", v)
 
     def __call__(self, x: float) -> float:
-        if not x > 0:
-            raise DomainError(f"distance must be > 0, got {x}")
+        check_positive("distance", x)
         return float(np.interp(x, self.d, self.delta))
 
 

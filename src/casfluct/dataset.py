@@ -11,12 +11,13 @@ read by :func:`read_csv`.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .provenance import atomic_write_text
-from .units import UDYNE
+from .units import UDYNE, check_samples
 
 __all__ = ["DatasetError", "ForceDataset", "load_dataset", "save_dataset"]
 
@@ -32,12 +33,6 @@ class DatasetError(ValueError):
         self.lines = lines or []
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ForceDataset:
     """Sorted binned points (d, F, sigma, n, bin width) in native um/udyne units."""
@@ -50,23 +45,20 @@ class ForceDataset:
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("d_um", "force_udyne", "sigma_udyne", "bin_width_um"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=float)))
-        object.__setattr__(self, "n_samples", _frozen(np.asarray(self.n_samples, dtype=int)))
-        n = len(self.d_um)
-        if n == 0:
-            raise DatasetError("dataset is empty")
-        for name in ("force_udyne", "sigma_udyne", "n_samples", "bin_width_um"):
-            if len(getattr(self, name)) != n:
-                raise DatasetError(f"column {name} has length {len(getattr(self, name))}, expected {n}")
+        columns = [getattr(self, name) for name in _COLUMNS]
+        columns[3] = np.asarray(columns[3], dtype=int)  # n_samples stays an int column
+        try:
+            checked = check_samples(_COLUMNS, *columns)
+        except ValueError as exc:
+            raise DatasetError(str(exc)) from None
+        for name, column in zip(_COLUMNS, checked):
+            object.__setattr__(self, name, column)
         if np.any(self.d_um <= 0):
             raise DatasetError("all distances must be > 0")
         if np.any(self.sigma_udyne <= 0):
             raise DatasetError("all sigma must be > 0")
         if np.any(self.n_samples <= 0):
             raise DatasetError("all n_samples must be >= 1")
-        if np.any(np.diff(self.d_um) <= 0):
-            raise DatasetError("distances must be strictly ascending (no duplicates)")
 
     def __len__(self) -> int:
         return len(self.d_um)
@@ -88,7 +80,11 @@ class ForceDataset:
 
 
 def _floats(fields: list[str]) -> list[float]:
-    return [float(f) for f in fields]
+    values = [float(f) for f in fields]
+    if not all(map(math.isfinite, values)):
+        bad = next(f for f, v in zip(fields, values) if not math.isfinite(v))
+        raise ValueError(f"not a finite number: {bad!r}")
+    return values
 
 
 def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
@@ -99,7 +95,8 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     comma.  The first other line is the header: it must equal ``columns``
     (case-insensitively) or, unless ``exact``, begin with them.  Every data
     row must have as many fields as the header and is turned into a value
-    by ``parse``, which raises ValueError on a bad row.  Bad rows are
+    by ``parse`` (by default, one finite float per field), which raises
+    ValueError on a bad row; ``nan`` and ``inf`` are bad.  Bad rows are
     reported together in one :class:`DatasetError`, whose message names
     the first ten as ``path:line`` and counts the rest.
     """
@@ -164,7 +161,7 @@ def read_table(path, columns: list[str], build):
 
 
 def _parse_bin(fields: list[str]) -> tuple:
-    d, f, s, w = (float(fields[i]) for i in (0, 1, 2, 4))
+    d, f, s, w = _floats([fields[i] for i in (0, 1, 2, 4)])
     n = int(fields[3])
     problems = []
     if d <= 0:

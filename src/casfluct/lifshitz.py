@@ -38,7 +38,7 @@ from .permittivity import (
     Tabulated,
     eps_imag_axis,
 )
-from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry
+from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry, check_samples
 
 __all__ = [
     "LifshitzSettings",
@@ -553,20 +553,11 @@ class ForceCurve:
     force_N: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d_m, dtype=float)
-        f = np.asarray(self.force_N, dtype=float)
-        if d.ndim != 1 or len(d) != len(f) or len(d) == 0:
-            raise ValueError("d_m and force_N must be 1-D arrays of equal nonzero length")
-        if np.any(np.diff(d) <= 0):
-            raise ValueError("d_m must be strictly ascending")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("force_N contains non-finite values")
+        d, f = check_samples(("d_m", "force_N"), self.d_m, self.force_N)
         if np.any(f <= 0):
             raise ValueError("metallic force curves must be attractive (positive)")
         if np.any(np.diff(f) >= 0):
             raise ValueError("force magnitude must decrease with separation")
-        d.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "d_m", d)
         object.__setattr__(self, "force_N", f)
 
@@ -653,17 +644,8 @@ class TabulatedForceCurve:
     """
 
     def __init__(self, d_m, force_N):
-        d = np.asarray(d_m, dtype=float)
-        f = np.asarray(force_N, dtype=float)
-        if d.ndim != 1 or f.shape != d.shape:
-            raise ValueError("d_m and force_N must be 1-D arrays of equal length")
-        if len(d) < 4:
-            raise ValueError("need at least 4 samples for a cubic spline")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(f))):
-            raise ValueError("d_m and force_N must be finite")
+        d, f = check_samples(("d_m", "force_N"), d_m, force_N, min_len=4)
         dx = np.diff(d)
-        if np.any(dx <= 0):
-            raise ValueError("d_m must be strictly ascending")
         self.d_min = float(d[0])
         self.d_max = float(d[-1])
         slope = np.diff(f) / dx

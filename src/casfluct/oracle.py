@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import TheoryEvaluationError, evaluate_theory
 from .corrections import apparent_force
-from .units import DomainError, check_amplitude
+from .units import DomainError, check_amplitude, check_positive
 
 __all__ = [
     "BandError",
@@ -63,8 +63,8 @@ class ProcessSpec:
 
     def __post_init__(self) -> None:
         check_amplitude("target_rms", self.target_rms)
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        check_positive("dt", self.dt)
+        check_positive("duration", self.duration)
         nyquist = 0.5 / self.dt
         if not 0 <= self.f_lo < self.f_hi <= nyquist:
             raise ValueError(
@@ -209,8 +209,10 @@ def time_averaged_force(
     standard error of the Monte Carlo mean uses batch means, which stay
     honest for band-limited (correlated) samples.  A sample the evaluator
     rejects raises :class:`TheoryEvaluationError` naming it.  The force is
-    evaluated in blocks of ``_BLOCK`` samples, written into a buffer of
-    ``_work`` when given.
+    evaluated at every sample, in blocks of ``_BLOCK`` written into a buffer
+    of ``_work`` when given, so it should be a spline or a closed form, not
+    a :class:`SpherePlateForce` (~0.4 ms per d on a 2-core Xeon: ~7 min
+    for 10^6 samples).
     """
     series = np.asarray(series, dtype=float)
     n = len(series)
@@ -325,7 +327,9 @@ def verify_second_order(
     drives the separation out of the evaluator's domain, or a failed mean
     check at delta_rms/d > 0.1, is recorded as an expansion breakdown
     rather than raised: large excursions are exactly where the quadratic
-    description is documented to stop working.
+    description is documented to stop working.  Like
+    :func:`time_averaged_force`, it evaluates the force at every sample: pass
+    a spline or a closed form, not a :class:`SpherePlateForce`.
     """
     if trials < 10:
         raise ValueError(f"need >= 10 trials, got {trials}")

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import read_table
-from .units import ConvergenceError
+from .units import ConvergenceError, check_positive, check_samples
 
 __all__ = [
     "PerfectConductor",
@@ -59,8 +59,7 @@ class Plasma:
     omega_p_ev: float = 9.0
 
     def __post_init__(self) -> None:
-        if not self.omega_p_ev > 0:
-            raise ValueError(f"omega_p_ev must be > 0, got {self.omega_p_ev}")
+        check_positive("omega_p_ev", self.omega_p_ev)
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,8 @@ class Drude:
     gamma_ev: float = 0.035
 
     def __post_init__(self) -> None:
-        if not self.omega_p_ev > 0:
-            raise ValueError(f"omega_p_ev must be > 0, got {self.omega_p_ev}")
-        if not self.gamma_ev > 0:
-            raise ValueError(f"gamma_ev must be > 0, got {self.gamma_ev}")
+        check_positive("omega_p_ev", self.omega_p_ev)
+        check_positive("gamma_ev", self.gamma_ev)
 
 
 @dataclass(frozen=True)
@@ -91,20 +88,13 @@ class Tabulated:
     low_freq: Drude = Drude()
 
     def __post_init__(self) -> None:
-        xi = np.asarray(self.xi_ev, dtype=float)
-        ep = np.asarray(self.eps, dtype=float)
-        if xi.ndim != 1 or len(xi) == 0 or len(xi) != len(ep):
-            raise ValueError("xi_ev and eps must be 1-D arrays of equal nonzero length")
+        xi, ep = check_samples(("xi_ev", "eps"), self.xi_ev, self.eps)
         if np.any(xi <= 0):
             raise ValueError("all xi_ev must be > 0")
-        if np.any(np.diff(xi) <= 0):
-            raise ValueError("xi_ev must be strictly increasing")
         if np.any(ep < 1):
             raise ValueError("all eps samples must be >= 1")
         if np.any(np.diff(ep) > 0):
             raise ValueError("eps samples must be non-increasing in xi")
-        xi.setflags(write=False)
-        ep.setflags(write=False)
         object.__setattr__(self, "xi_ev", xi)
         object.__setattr__(self, "eps", ep)
 
@@ -170,18 +160,11 @@ class OpticalAbsorptionTable:
     eps_imag: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.omega_ev, dtype=float)
-        e = np.asarray(self.eps_imag, dtype=float)
-        if w.ndim != 1 or len(w) == 0 or len(w) != len(e):
-            raise ValueError("omega_ev and eps_imag must be 1-D arrays of equal nonzero length")
+        w, e = check_samples(("omega_ev", "eps_imag"), self.omega_ev, self.eps_imag)
         if np.any(w <= 0):
             raise ValueError("all omega_ev must be > 0")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("omega_ev must be strictly increasing")
         if np.any(e <= 0):
             raise ValueError("all eps_imag must be > 0")
-        w.setflags(write=False)
-        e.setflags(write=False)
         object.__setattr__(self, "omega_ev", w)
         object.__setattr__(self, "eps_imag", e)
 

@@ -49,6 +49,35 @@ def check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value:g}")
 
 
+def check_samples(names, *columns, min_len: int = 1) -> tuple[np.ndarray, ...]:
+    """Read-only copies of the sampled ``columns``, named by ``names`` in order.
+
+    Each copy is float, except that a signed-integer column stays integer;
+    the caller's arrays are left as they were.  Raise ValueError unless the
+    columns are 1-D, all of one length >= ``min_len``, finite, and the first
+    is strictly ascending.  The tests are written positively, so NaN fails.
+    """
+    copies = []
+    for column in columns:
+        a = np.array(column)  # a copy, whatever the caller holds
+        if a.dtype.kind != "i":
+            a = a.astype(float, copy=False)
+        a.setflags(write=False)
+        copies.append(a)
+    x = copies[0]
+    if x.ndim != 1 or len(x) < min_len or any(a.shape != x.shape for a in copies):
+        got = ", ".join(f"{n} {a.shape}" for n, a in zip(names, copies))
+        raise ValueError(f"need at least {min_len} samples, 1-D and of equal length; got {got}")
+    for name, a in zip(names, copies):
+        ok = np.isfinite(a)
+        if not np.all(ok):
+            raise ValueError(f"{name} must be finite, got {a[~ok][0]:g}")
+    if not np.all(np.diff(x) > 0):
+        i = int(np.argmin(np.diff(x) > 0))
+        raise ValueError(f"{names[0]} must be strictly ascending, got {x[i + 1]:g} after {x[i]:g}")
+    return tuple(copies)
+
+
 class ConvergenceError(RuntimeError):
     """A sum or integral failed to converge; carries the partial value and the
     number of terms (Matsubara terms, or the quadrature order of a KK integral)."""
@@ -88,7 +117,5 @@ class ExperimentGeometry:
     temperature: float = 300.0  # K
 
     def __post_init__(self) -> None:
-        if not self.sphere_radius > 0:
-            raise ValueError(f"sphere_radius must be > 0, got {self.sphere_radius}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        check_positive("sphere_radius", self.sphere_radius)
+        check_amplitude("temperature", self.temperature)

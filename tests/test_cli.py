@@ -685,7 +685,7 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
         pytest.param(["kk", "--table", "{table}", "--points", "0"], "points = 0", id="kk-points"),
         pytest.param(["kk", "--table", "{table}", "--xi-min", "0"], "xi_min", id="kk-xi-min"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{one_row}"],
-                     "{one_row}: need >= 2", id="profile-one-row"),
+                     "{one_row}: need at least 2", id="profile-one-row"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{headerless}"],
                      "{headerless}:1: header must be 'd_um, delta_um'", id="profile-headerless"),
         pytest.param(["scan-delta", "--data", "{data}", "--steps", "0"], "steps = 0",
@@ -700,7 +700,7 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
         pytest.param(["correct", "--profile", "sqrt", "--amplitude", "nan"],
                      "amplitude must be finite and >= 0, got nan", id="sqrt-amplitude-nan"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{nan_row}"],
-                     "{nan_row}: delta must be finite and >= 0, got nan", id="profile-nan-row"),
+                     "{nan_row}:3: not a finite number: 'nan'", id="profile-nan-row"),
         pytest.param(["simulate", "--delta-rms", "nan"], "target_rms must be finite and >= 0, got nan",
                      id="simulate-delta-rms-nan"),
         pytest.param(["tilt-estimate", "--ref-noise-nm", "nan"],
@@ -718,6 +718,15 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "ref_length must be finite and > 0, got inf", id="tilt-ref-length-inf"),
         pytest.param(["tilt-estimate", "--mode-freq-ratio", "inf"],
                      "mode_freq_ratio must be finite and > 0, got inf", id="tilt-ratio-inf"),
+        # a non-finite temperature or duration exits 1, naming it
+        pytest.param(["correct", "--temperature", "nan"],
+                     "temperature must be finite and >= 0, got nan", id="correct-temperature-nan"),
+        pytest.param(["correct", "--temperature", "inf"],
+                     "temperature must be finite and >= 0, got inf", id="correct-temperature-inf"),
+        pytest.param(["force", "--temperature", "inf"],
+                     "temperature must be finite and >= 0, got inf", id="force-temperature-inf"),
+        pytest.param(["simulate", "--duration", "inf"],
+                     "duration must be finite and > 0, got inf", id="simulate-duration-inf"),
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
@@ -756,18 +765,25 @@ _INPUTS = {
 
 
 @pytest.mark.parametrize("name", list(_INPUTS))
-@pytest.mark.parametrize("case", ["bad-row", "wrong-header", "missing-header", "non-ascending"])
+@pytest.mark.parametrize(
+    "case", ["bad-row", "wrong-header", "missing-header", "non-ascending", "non-finite"]
+)
 def test_input_errors_name_file_and_line(name, case, tmp_path, data_csv, capsys):
     """Every input CSV is read by one reader: errors exit 1 naming file:line."""
     argv, header, (first, last) = _INPUTS[name]
     column = header.split(",")[0]
+    path = tmp_path / f"{name}.csv"
+    # a NaN first field (the ascending column) and an infinite second field
+    nan_row = ",".join(["nan", *first.split(",")[1:]])
+    inf_row = ",".join([first.split(",")[0], "inf", *first.split(",")[2:]])
     lines, where = {
         "bad-row": ([header, "# comments count", first, "1.0,not-a-number", last], ":4: "),
         "wrong-header": (["x_" + header, first, last], ":1: header"),
         "missing-header": ([first, last], ":1: header"),
         "non-ascending": ([header, first, last, first], f":4: {column} must be strictly ascending"),
+        "non-finite": ([header, first, nan_row, inf_row, last],
+                       f":3: not a finite number: 'nan' | {path}:4: not a finite number: 'inf'"),
     }[case]
-    path = tmp_path / f"{name}.csv"
     path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     argv = [a.format(path=path, data=data_csv) for a in argv] + ["-o", str(out)]

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 import casfluct as cf
 from casfluct.cli import UDYNE_UM, UM
-from casfluct.units import EV, UDYNE
+from casfluct.units import EV, UDYNE, check_samples
 
 
 def test_microdyne_definition():
@@ -50,3 +52,91 @@ def test_geometry_defaults_and_validation():
 
 def test_electronvolt_definition():
     assert EV == 1.602176634e-19
+
+
+class TestCheckSamples:
+    def test_returns_read_only_float_copies(self):
+        x, y = [1, 2, 3.5], np.array([3.0, 2.0, 1.0])
+        cx, cy = check_samples(("x", "y"), x, y)
+        assert cx.dtype == cy.dtype == float
+        assert not cx.flags.writeable and not cy.flags.writeable
+        assert np.array_equal(cx, x) and np.array_equal(cy, y)
+        assert y.flags.writeable and not np.shares_memory(cy, y)
+
+    def test_signed_integer_column_stays_integer(self):
+        _, n = check_samples(("x", "n"), [1.0, 2.0], np.array([5, 7]))
+        assert n.dtype.kind == "i" and not n.flags.writeable
+
+    @pytest.mark.parametrize(
+        "x, y, min_len, match",
+        [
+            ([], [], 1, "need at least 1 samples"),
+            ([1.0], [1.0], 2, "need at least 2 samples"),
+            ([1.0, 2.0], [1.0], 1, "equal length"),
+            ([[1.0, 2.0]], [[1.0, 2.0]], 1, "1-D"),
+            ([1.0, math.nan], [1.0, 2.0], 1, "^x must be finite, got nan"),
+            ([1.0, 2.0], [1.0, -math.inf], 1, "^y must be finite, got -inf"),
+            ([1.0, 3.0, 2.0], [1.0, 2.0, 3.0], 1, "^x must be strictly ascending, got 2 after 3"),
+            ([1.0, 1.0], [1.0, 2.0], 1, "^x must be strictly ascending"),
+        ],
+        ids=["empty", "short", "lengths", "2-D", "nan-x", "inf-y", "descending", "duplicate"],
+    )
+    def test_rejects(self, x, y, min_len, match):
+        with pytest.raises(ValueError, match=match):
+            check_samples(("x", "y"), x, y, min_len=min_len)
+
+
+def _tables():
+    """(name, build, caller's arrays, names of the object's own arrays) per table type."""
+    d_um = np.array([1.0, 2.0, 3.0, 4.0])
+    dataset = (d_um, np.array([40.0, 30.0, 20.0, 10.0]), np.ones(4), np.full(4, 10), np.zeros(4))
+    return [
+        ("force_curve", lambda d: cf.force_curve(cf.GOLD_DRUDE, cf.ExperimentGeometry(), d),
+         (d_um * 1e-6,), ("d_m", "force_N")),
+        ("Tabulated", cf.Tabulated, (np.array([0.1, 1.0, 10.0]), np.array([1e3, 80.0, 2.0])),
+         ("xi_ev", "eps")),
+        ("OpticalAbsorptionTable", cf.OpticalAbsorptionTable,
+         (np.array([0.1, 1.0]), np.array([50.0, 2.0])), ("omega_ev", "eps_imag")),
+        ("TableProfile", cf.TableProfile, (d_um * 1e-6, d_um * 1e-7), ("d", "delta")),
+        ("ForceDataset", cf.ForceDataset, dataset,
+         ("d_um", "force_udyne", "sigma_udyne", "n_samples", "bin_width_um")),
+        ("TabulatedForceCurve", cf.TabulatedForceCurve, (d_um * 1e-6, dataset[1] * 1e-11), ()),
+    ]
+
+
+@pytest.mark.parametrize("name, build, arrays, own", _tables(), ids=[t[0] for t in _tables()])
+def test_constructors_copy_their_arrays_and_freeze_only_the_copy(name, build, arrays, own):
+    kept = [a.copy() for a in arrays]
+    obj = build(*arrays)
+    for a, before in zip(arrays, kept):
+        assert a.flags.writeable
+        assert np.array_equal(a, before)
+    for attr in own:
+        assert not getattr(obj, attr).flags.writeable
+    if name == "TabulatedForceCurve":
+        value = obj(2.5e-6)
+        for a in arrays:
+            a *= 2.0  # the caller may reuse its arrays; the curve keeps its own knots
+        assert obj(2.5e-6) == value
+
+
+# each physical scalar of a constructor, as its error message names it
+_SCALARS = {
+    "omega_p_ev": lambda v: cf.Plasma(omega_p_ev=v),
+    "gamma_ev": lambda v: cf.Drude(gamma_ev=v),
+    "scale": lambda v: cf.SqrtLawProfile(scale=v),
+    "sphere_radius": lambda v: cf.ExperimentGeometry(sphere_radius=v),
+    "temperature": lambda v: cf.ExperimentGeometry(temperature=v),
+    "beta": lambda v: cf.ElectrostaticBackground(beta=v),
+    "beta_sigma": lambda v: cf.ElectrostaticBackground(beta=1e-15, beta_sigma=v),
+    "d0": lambda v: cf.ElectrostaticBackground(beta=1e-15, d0=v),
+    "dt": lambda v: cf.ProcessSpec(dt=v),
+    "duration": lambda v: cf.ProcessSpec(duration=v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_SCALARS))
+def test_physical_scalars_must_be_finite(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        _SCALARS[name](bad)
