@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import ForceDataset
-from .units import DomainError, check_samples
+from .units import DomainError, check_amplitude, check_samples
 
 __all__ = [
     "Chi2Report",
@@ -44,7 +44,8 @@ def evaluate_theory(theory: Callable, d_m: np.ndarray) -> np.ndarray:
     The whole array goes to ``theory`` in one call first; that result is
     taken only when it is a float array of the same shape.  On any
     exception or any other result each point is evaluated on its own, and
-    a failing point raises :class:`TheoryEvaluationError` naming its d.
+    a failing point raises :class:`TheoryEvaluationError` naming its d, or
+    a :class:`DomainError` when the evaluator raised one (bad input).
     """
     try:
         out = np.asarray(theory(d_m))
@@ -57,9 +58,8 @@ def evaluate_theory(theory: Callable, d_m: np.ndarray) -> np.ndarray:
         try:
             preds[i] = float(theory(d))
         except Exception as exc:
-            raise TheoryEvaluationError(
-                f"theory evaluation failed at d = {d / 1e-6:g} um: {exc}"
-            ) from exc
+            error = DomainError if isinstance(exc, DomainError) else TheoryEvaluationError
+            raise error(f"theory evaluation failed at d = {d / 1e-6:g} um: {exc}") from exc
     return preds
 
 
@@ -109,8 +109,7 @@ def chi2_sf(x: float, k: int) -> float:
     odd k goes through the regularized incomplete gamma function.
     Absolute accuracy is ~1e-12, comfortably below the 1e-9 contract.
     """
-    if x < 0:
-        raise DomainError(f"chi2 statistic must be >= 0, got {x}")
+    check_amplitude("chi2 statistic", x)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {k}")
     if x == 0.0:
@@ -227,8 +226,8 @@ def binning_consistency(sigma_observed: float, sigma_expected: float) -> Binning
     F' * delta_rms.  Inverted inputs (observed below expected) return a
     zero excess with the ``inverted`` flag set and a warning.
     """
-    if sigma_expected < 0 or sigma_observed < 0:
-        raise DomainError("sigmas must be >= 0")
+    check_amplitude("sigma_observed", sigma_observed)
+    check_amplitude("sigma_expected", sigma_expected)
     if sigma_observed < sigma_expected:
         warnings.warn(
             "observed scatter below expectation; no fluctuation excess extractable",

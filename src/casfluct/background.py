@@ -98,6 +98,7 @@ class BackgroundFit:
             "chi2": self.chi2,
             "dof": self.dof,
             "points_used": self.points_used,
+            "d0_at_bounds": self.d0_at_bounds,
         }
 
 

@@ -56,7 +56,7 @@ from .provenance import (
     file_hash,
     meta_comment_lines,
 )
-from .units import UDYNE, ExperimentGeometry, check_positive
+from .units import UDYNE, ExperimentGeometry, check_amplitude, check_positive
 
 UM = 1e-6
 UDYNE_UM = UDYNE * UM  # beta unit in SI
@@ -85,8 +85,10 @@ def _grid(opts, axis: str) -> np.ndarray:
     """``--points`` values from ``--<axis>-min`` to ``--<axis>-max`` (log-spaced
     with ``--log-spacing``)."""
     lo, hi = getattr(opts, f"{axis}_min"), getattr(opts, f"{axis}_max")
-    if not lo > 0 or not hi > lo:
-        raise ValueError(f"need 0 < {axis}_min < {axis}_max, got [{lo}, {hi}]")
+    check_positive(f"{axis}_min", lo)
+    check_positive(f"{axis}_max", hi)
+    if not hi > lo:
+        raise ValueError(f"need {axis}_min < {axis}_max, got [{lo}, {hi}]")
     if opts.points < 2:
         raise ValueError(f"need >= 2 grid points, got points = {opts.points}")
     space = np.geomspace if getattr(opts, "log_spacing", False) else np.linspace
@@ -207,9 +209,7 @@ def _cmd_fit_beta(opts) -> int:
         subtractor = lambda d: sphere_plate_force(model, d, geometry)
     fit = fit_background(data, d_min=opts.d_min * UM, casimir_subtractor=subtractor)
     meta = _meta("fit-beta", opts, {"data": opts.data})
-    payload = fit.to_json_dict()
-    payload["d0_at_bounds"] = fit.d0_at_bounds
-    _write_json(opts.output, meta, payload)
+    _write_json(opts.output, meta, fit.to_json_dict())
     return 0
 
 
@@ -252,8 +252,10 @@ def _cmd_scan_delta(opts) -> int:
         raise ValueError("scan-delta requires --data")
     if opts.steps < 1:
         raise ValueError(f"need >= 1 scan step, got steps = {opts.steps}")
-    if not opts.delta_max > opts.delta_min >= 0:
-        raise ValueError("need 0 <= delta_min < delta_max")
+    check_amplitude("delta_min", opts.delta_min)
+    check_positive("delta_max", opts.delta_max)
+    if not opts.delta_max > opts.delta_min:
+        raise ValueError(f"need delta_min < delta_max, got [{opts.delta_min}, {opts.delta_max}]")
     data = load_dataset(opts.data)
     geometry = _geometry(opts)
     model = _build_model(opts.model, opts)
@@ -298,8 +300,11 @@ def _cmd_simulate(opts) -> int:
     casimir = None
     if opts.model:
         geometry = _geometry(opts)
-        # samples outside the span are recorded as expansion breakdowns
-        dense = np.geomspace(max(d - 10.0 * delta, 0.1 * d), d + 10.0 * delta, 80)
+        # samples outside the span are recorded as expansion breakdowns.  The span holds
+        # fourth_order_allowance's outer stencil points d -+ 0.1 d, rounded as it rounds them
+        # (0.9 * d may lie an ulp above), until ROADMAP item 3 deletes that stencil
+        lo = min(max(d - 10.0 * delta, 0.1 * d), d - 0.1 * d)
+        dense = np.geomspace(lo, max(d + 10.0 * delta, d + 0.1 * d), 80)
         casimir = force_curve(_build_model(opts.model, opts), geometry, dense).as_evaluator()
     if bg and casimir:
         force = TotalForceEvaluator(bg, casimir)

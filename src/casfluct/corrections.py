@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .lifshitz import float_or_array
-from .units import DomainError, check_amplitude, check_positive, check_samples
+from .units import check_amplitude, check_positive, check_samples
 
 __all__ = [
     "ConstantProfile",
@@ -164,8 +164,7 @@ def apparent_force(
     one, and ``delta_rms`` an array of one value per d; the result is then
     an array.
     """
-    if not np.all(np.asarray(d) > 0):
-        raise DomainError(f"distance must be > 0, got {d if np.ndim(d) == 0 else np.min(d)}")
+    check_positive("distance", d)
     check_amplitude("delta_rms", delta_rms)
     base = float_or_array(force(d))
     if not np.any(delta_rms):
@@ -176,8 +175,7 @@ def apparent_force(
 
 def inflated_sigma(sigma_force, f_prime, delta_rms) -> float | np.ndarray:
     """Scatter with the in-band fluctuation term, sqrt(sigma^2 + (F' delta)^2); arrays allowed."""
-    if np.any(np.asarray(sigma_force) < 0):
-        raise DomainError(f"sigma_force must be >= 0, got {np.min(sigma_force)}")
+    check_amplitude("sigma_force", sigma_force)
     check_amplitude("delta_rms", delta_rms)
     return float_or_array(np.hypot(sigma_force, f_prime * delta_rms))
 

@@ -38,7 +38,8 @@ from .permittivity import (
     Tabulated,
     eps_imag_axis,
 )
-from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry, check_samples
+from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry
+from .units import check_amplitude, check_positive, check_samples
 
 __all__ = [
     "LifshitzSettings",
@@ -337,7 +338,7 @@ def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
         pending = kinds
         for lo in range(0, stop, size):
             a = a_all[lo : lo + size]
-            if lo == 0 and first is not None:
+            if lo == 0:
                 vals, unconverged = first
             else:
                 xi_ev = n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV
@@ -386,13 +387,6 @@ def _zero_t_integral(model, d, kinds, settings) -> list[float]:
     return sums
 
 
-def _check_d_T(d: float, T: float) -> None:
-    if not d > 0:
-        raise DomainError(f"separation must be > 0, got {d}")
-    if T < 0:
-        raise DomainError(f"temperature must be >= 0, got {T}")
-
-
 def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
     """Reject d/R >= 0.1; warn above d/R = 1e-3."""
     ratio = d / geometry.sphere_radius
@@ -410,14 +404,15 @@ def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
 def _plate_kernels(model, ds, T, kinds: tuple, settings, geometry=None) -> list[list[float]]:
     """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
 
-    Every d is checked before the first sum: against the PFA for
-    ``geometry`` when one is given, then for d > 0 and T >= 0.
+    Every d is checked before the first sum: each against the PFA for
+    ``geometry`` when one is given, then all for finite d > 0, then T >= 0.
     """
     settings = settings or _DEFAULT_SETTINGS
-    for d in ds:
-        if geometry is not None:
+    if geometry is not None:
+        for d in ds:
             _check_pfa(d, geometry)
-        _check_d_T(d, T)
+    check_positive("separation", ds)
+    check_amplitude("temperature", T)
     zero_t = settings.zero_temperature_mode or T == 0.0
     if zero_t:
         values = []

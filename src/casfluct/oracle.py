@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import TheoryEvaluationError, evaluate_theory
+from .analysis import evaluate_theory
 from .corrections import apparent_force
 from .units import DomainError, check_amplitude, check_positive
 
@@ -207,8 +207,9 @@ def time_averaged_force(
     realized rms, with F'' from ``force.curvature``; the analytic scatter
     is |F'(d)| times that rms, with F' from ``force.gradient``.  The
     standard error of the Monte Carlo mean uses batch means, which stay
-    honest for band-limited (correlated) samples.  A sample the evaluator
-    rejects raises :class:`TheoryEvaluationError` naming it.  The force is
+    honest for band-limited (correlated) samples.  A sample outside the
+    evaluator's domain raises :class:`DomainError` naming it, any other
+    failure of the evaluator :class:`TheoryEvaluationError`.  The force is
     evaluated at every sample, in blocks of ``_BLOCK`` written into a buffer
     of ``_work`` when given, so it should be a spline or a closed form, not
     a :class:`SpherePlateForce` (~0.4 ms per d on a 2-core Xeon: ~7 min
@@ -341,10 +342,7 @@ def verify_second_order(
         series = sample_process(trial_spec, _work=work)
         try:
             report = time_averaged_force(force, d, series, _work=work)
-        except (DomainError, TheoryEvaluationError) as exc:
-            # a sample outside the evaluator's domain reaches here wrapped
-            if not isinstance(exc, DomainError) and not isinstance(exc.__cause__, DomainError):
-                raise
+        except DomainError:
             verdicts.append(
                 TrialVerdict(
                     seed=trial_spec.seed,

@@ -89,8 +89,7 @@ class Tabulated:
 
     def __post_init__(self) -> None:
         xi, ep = check_samples(("xi_ev", "eps"), self.xi_ev, self.eps)
-        if np.any(xi <= 0):
-            raise ValueError("all xi_ev must be > 0")
+        check_positive("xi_ev", xi)
         if np.any(ep < 1):
             raise ValueError("all eps samples must be >= 1")
         if np.any(np.diff(ep) > 0):
@@ -107,7 +106,7 @@ GOLD_PLASMA = Plasma(omega_p_ev=9.0)
 
 
 def eps_imag_axis(model: MaterialModel, xi_ev):
-    """Evaluate eps(i*xi) for a material model at xi > 0 (eV).
+    """Evaluate eps(i*xi) for a material model at finite xi > 0 (eV).
 
     Accepts scalars or arrays.  PerfectConductor is rejected: it is not a
     dielectric function but a boundary condition, applied as unit
@@ -121,8 +120,7 @@ def eps_imag_axis(model: MaterialModel, xi_ev):
     xi = np.asarray(xi_ev, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
-    if np.any(xi <= 0):
-        raise ValueError("xi_ev must be > 0")
+    check_positive("xi_ev", xi)
     if isinstance(model, Plasma):
         out = 1.0 + (model.omega_p_ev / xi) ** 2
     elif isinstance(model, Drude):
@@ -161,10 +159,8 @@ class OpticalAbsorptionTable:
 
     def __post_init__(self) -> None:
         w, e = check_samples(("omega_ev", "eps_imag"), self.omega_ev, self.eps_imag)
-        if np.any(w <= 0):
-            raise ValueError("all omega_ev must be > 0")
-        if np.any(e <= 0):
-            raise ValueError("all eps_imag must be > 0")
+        check_positive("omega_ev", w)
+        check_positive("eps_imag", e)
         object.__setattr__(self, "omega_ev", w)
         object.__setattr__(self, "eps_imag", e)
 
@@ -176,8 +172,7 @@ def drude_loss_spectrum(model: Drude, omega_ev):
     makes it the analytic reference pair for testing table ingestion.
     """
     w = np.asarray(omega_ev, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("omega_ev must be > 0")
+    check_positive("omega_ev", w)
     return model.omega_p_ev**2 * model.gamma_ev / (w * (w**2 + model.gamma_ev**2))
 
 
@@ -272,7 +267,7 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev):
     of the same shape).  Each value is bit-identical to a call on that xi
     alone: the table's quadrature nodes are built once per Gauss-Legendre
     order within a call, and only the segment holding xi is rebuilt per xi.
-    The whole grid is checked (xi > 0, NaN rejected) before any integral.
+    The whole grid is checked (finite xi > 0) before any integral.
 
     Below the first sample, eps'' is extended with the Drude low-frequency
     form recovered from the first two rows (closed-form kernel integral).
@@ -282,9 +277,7 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev):
     ``_KK_REL_TOL`` (relative); on a grid, that of the first such xi.
     """
     grid = np.asarray(xi_ev, dtype=float)
-    bad = grid[~(grid > 0)]
-    if bad.size:
-        raise ValueError(f"xi_ev must be > 0, got {bad[0]}")
+    check_positive("xi_ev", grid)
     nodes = {}  # order -> _kk_segments of the unsplit table
     out = np.empty(grid.size)
     for i, xi in enumerate(grid.ravel().tolist()):

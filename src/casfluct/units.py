@@ -8,7 +8,6 @@ the ``UDYNE`` constant here and its own ``UM`` = 1e-6 m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +32,21 @@ class DomainError(ValueError):
 
 
 def check_amplitude(name: str, value) -> None:
-    """Raise DomainError unless ``value`` (a scalar or an array) is finite and >= 0.
+    """Raise DomainError unless ``value`` (a scalar or an array) is finite and >= 0."""
+    _check_domain(name, value, ">=")
 
-    The test is written positively because NaN passes ``value < 0``.
-    """
+
+def check_positive(name: str, value) -> None:
+    """Raise DomainError unless ``value`` (a scalar or an array) is finite and > 0."""
+    _check_domain(name, value, ">")
+
+
+def _check_domain(name: str, value, relation: str) -> None:
+    """The one domain test; written positively, because NaN passes ``value < 0``."""
     v = np.asarray(value, dtype=float)
-    ok = np.isfinite(v) & (v >= 0)
-    if not np.all(ok):
-        raise DomainError(f"{name} must be finite and >= 0, got {v[~ok].flat[0]:g}")
-
-
-def check_positive(name: str, value: float) -> None:
-    """Raise DomainError unless the scalar ``value`` is finite and > 0 (NaN fails)."""
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value:g}")
+    ok = np.isfinite(v) & ((v > 0) if relation == ">" else (v >= 0))
+    if not ok.all():
+        raise DomainError(f"{name} must be finite and {relation} 0, got {v[~ok].flat[0]:g}")
 
 
 def check_samples(names, *columns, min_len: int = 1) -> tuple[np.ndarray, ...]:

@@ -155,6 +155,7 @@ class TestFit:
             "chi2",
             "dof",
             "points_used",
+            "d0_at_bounds",
         }
         assert report["beta_udyne_um"] == pytest.approx(215.0, rel=1e-10)
 

@@ -387,6 +387,18 @@ class TestSimulateCommand:
         assert len(blob["verdicts"]) == 10
         assert blob["n_mean_pass"] >= 9
 
+    @pytest.mark.parametrize("delta_rms", ["0.02", "0.005", "0"])
+    def test_model_at_small_and_zero_delta(self, delta_rms, tmp_path):
+        # the spline spans d -+ 0.1 d at least, where the fourth-order allowance samples it
+        out = tmp_path / "sim.json"
+        rc = main(["simulate", "--d", "3", "--delta-rms", delta_rms, "--model", "drude",
+                   "--duration", "2000", "--f-lo", "0.1", "-o", str(out)])
+        assert rc == 0
+        blob = json.loads(out.read_text())
+        assert not any(v["expansion_breakdown"] for v in blob["verdicts"])
+        if delta_rms != "0":
+            assert blob["n_mean_pass"] == blob["n_scatter_pass"] == 10
+
     def test_requires_force_choice(self, tmp_path):
         rc = main(["simulate", "--beta", "0", "-o", str(tmp_path / "s.json")])
         assert rc == 1
@@ -684,6 +696,11 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
     [
         pytest.param(["kk", "--table", "{table}", "--points", "0"], "points = 0", id="kk-points"),
         pytest.param(["kk", "--table", "{table}", "--xi-min", "0"], "xi_min", id="kk-xi-min"),
+        # an infinite upper grid bound passes `hi > lo`: it is checked like every other number
+        pytest.param(["kk", "--table", "{table}", "--xi-max", "inf"],
+                     "xi_max must be finite and > 0, got inf", id="kk-xi-max-inf"),
+        pytest.param(["force", "--d-max", "inf"], "d_max must be finite and > 0, got inf",
+                     id="force-d-max-inf"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{one_row}"],
                      "{one_row}: need at least 2", id="profile-one-row"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{headerless}"],
@@ -747,6 +764,27 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 1
     assert message.format(**files) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["scan-delta", "--data", "{data}", "--d0", "0.7", "--steps", "2"],
+                     "theory evaluation failed at d = 0.62 um: require d > d0", id="scan-delta-d0"),
+        pytest.param(["chi2", "--data", "{data}", "--theory", "{short_theory}"],
+                     "theory evaluation failed at d = 4 um: separation 4e-06 outside tabulated range",
+                     id="chi2-short-theory"),
+    ],
+)
+def test_data_outside_evaluator_domain_exits_1(argv, message, tmp_path, data_csv, capsys):
+    """A data point the force evaluator cannot take is bad input, not a numerical failure."""
+    short = tmp_path / "short.csv"
+    short.write_text("d_um,F_udyne\n" + "".join(f"{x!r},{215.0 / x!r}\n" for x in (0.5, 1.0, 2.0, 3.0)))
+    out = tmp_path / "out"
+    argv = [a.format(data=data_csv, short_theory=short) for a in argv] + ["-o", str(out)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

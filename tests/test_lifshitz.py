@@ -783,7 +783,7 @@ def test_grid_checked_in_full_before_first_sum(monkeypatch):
 
 def test_tower_grid_ending_at_zero_raises_before_any_sum(monkeypatch):
     _no_sums(monkeypatch)
-    with pytest.raises(cf.DomainError, match="separation must be > 0"):
+    with pytest.raises(cf.DomainError, match="separation must be finite and > 0, got 0$"):
         lifshitz._plate_kernels(cf.GOLD_DRUDE, [1e-6, 2e-6, 0.0], 300.0, lifshitz._TOWER, None)
 
 

@@ -156,7 +156,7 @@ class TestTimeAveragedForce:
         knots = np.linspace(0.9, 1.1, 12) * UM
         spline = cf.TabulatedForceCurve(knots, 1.0 / knots)
         s = np.array([0.0, 0.05, 0.2, -0.05]) * UM
-        with pytest.raises(cf.TheoryEvaluationError, match="d = 1.2 um") as info:
+        with pytest.raises(cf.DomainError, match="d = 1.2 um") as info:
             time_averaged_force(spline, 1e-6, s)
         assert isinstance(info.value.__cause__, cf.DomainError)
 

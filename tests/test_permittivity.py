@@ -185,7 +185,7 @@ class TestDispersionGrid:
             raise AssertionError("the grid must be checked before the first integral")
 
         monkeypatch.setattr(permittivity, "_kk_table_integral", no_integral)
-        with pytest.raises(ValueError, match="xi_ev must be > 0"):
+        with pytest.raises(cf.DomainError, match="xi_ev must be finite and > 0"):
             kk_transform(self.table, np.array([1.0, 2.0, bad, 3.0]))
 
     @pytest.mark.parametrize("grid, failing", [([1.5, 10.0, 100.0], 10.0),

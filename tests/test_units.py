@@ -140,3 +140,31 @@ _SCALARS = {
 def test_physical_scalars_must_be_finite(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         _SCALARS[name](bad)
+
+
+_OMEGA = np.geomspace(0.01, 100.0, 50)
+_ABSORPTION = cf.OpticalAbsorptionTable(_OMEGA, cf.drude_loss_spectrum(cf.GOLD_DRUDE, _OMEGA))
+
+# (id, the name the error gives, a call with the argument) for each physical
+# argument of a library function that is not a table column
+_ARGUMENTS = [
+    ("eps_imag_axis", "xi_ev", lambda v: cf.eps_imag_axis(cf.GOLD_DRUDE, v)),
+    ("drude_loss_spectrum", "omega_ev", lambda v: cf.drude_loss_spectrum(cf.GOLD_DRUDE, v)),
+    ("kk_transform", "xi_ev", lambda v: cf.kk_transform(_ABSORPTION, v)),
+    ("inflated_sigma", "sigma_force", lambda v: cf.inflated_sigma(v, 1.0, 1.0)),
+    ("chi2_sf-odd", "chi2 statistic", lambda v: cf.chi2_sf(v, 3)),
+    ("chi2_sf-even", "chi2 statistic", lambda v: cf.chi2_sf(v, 4)),
+    ("binning-observed", "sigma_observed", lambda v: cf.binning_consistency(v, 1.0)),
+    ("binning-expected", "sigma_expected", lambda v: cf.binning_consistency(1.0, v)),
+    ("plate_pressure-T", "temperature", lambda v: cf.plate_pressure(cf.GOLD_DRUDE, 1e-6, v)),
+    ("plate_pressure-d", "separation", lambda v: cf.plate_pressure(cf.GOLD_DRUDE, v, 300.0)),
+    ("apparent_force", "distance", lambda v: cf.apparent_force(lambda d: 1.0 / d, v, 0.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", [pytest.param(n, c, id=i) for i, n, c in _ARGUMENTS])
+def test_function_arguments_must_be_finite(name, call, bad):
+    # a NaN passes a plain `< 0` test and came back as a NaN result
+    with pytest.raises(cf.DomainError, match=f"^{name} must be finite and (>|>=) 0, got {bad:g}$"):
+        call(bad)
