@@ -16,13 +16,12 @@ UM = 1e-6
 geometry = cf.ExperimentGeometry()  # R = 12.4 cm, T = 300 K
 
 # Closed-form anchors -------------------------------------------------------
-zero_t = cf.LifshitzSettings(zero_temperature_mode=True)
-p_ideal = cf.plate_pressure(cf.PerfectConductor(), 1 * UM, 0.0, zero_t)
+p_ideal = cf.plate_pressure(cf.PerfectConductor(), 1 * UM, 0.0)
 print(f"ideal zero-T plate pressure at 1 um: {p_ideal:.6e} Pa "
       "(closed form pi^2 hbar c / 240 d^4 = 1.30013e-3 Pa)")
 
 geometry_t0 = cf.ExperimentGeometry(temperature=0.0)
-f_ideal = cf.sphere_plate_force(cf.PerfectConductor(), 1 * UM, geometry_t0, zero_t)
+f_ideal = cf.sphere_plate_force(cf.PerfectConductor(), 1 * UM, geometry_t0)
 print(f"ideal zero-T sphere-plate force at 1 um: {f_ideal / UDYNE:.4f} udyne "
       "(closed form pi^3 hbar c R / 360 d^3 = 33.76 udyne)\n")
 

@@ -42,7 +42,6 @@ from .dataset import DatasetError, ForceDataset, load_dataset, save_dataset
 from .lifshitz import (
     ConvergenceError,
     ForceCurve,
-    LifshitzSettings,
     PFAValidityError,
     SpherePlateForce,
     TabulatedForceCurve,

@@ -165,6 +165,8 @@ def chi_squared(
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
+    if fitted_params < 0:
+        raise ValueError(f"fitted_params must be >= 0, got {fitted_params}")
     preds = evaluate_theory(theory, data.d_m)
     resid = (data.force_N - preds) / data.sigma_N
     chi2 = float(np.sum(resid**2))

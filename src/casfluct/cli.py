@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,10 +31,9 @@ from .corrections import (
     inflated_sigma,
     tilt_noise_estimate,
 )
-from .dataset import load_dataset, read_csv, read_table, require_ascending
+from .dataset import load_dataset, read_csv, read_table
 from .lifshitz import (
     ConvergenceError,
-    LifshitzSettings,
     SpherePlateForce,
     TabulatedForceCurve,
     force_curve,
@@ -134,16 +133,14 @@ def _profile(opts):
 def _cmd_force(opts) -> int:
     model = _build_model(opts.model, opts)
     geometry = _geometry(opts)
-    settings = LifshitzSettings(zero_temperature_mode=opts.zero_temperature)
     grid = _grid(opts, "d") * UM
-    curve = force_curve(model, geometry, grid, settings)
+    curve = force_curve(model, geometry, grid)
     inputs = {"eps_table": opts.eps_table} if opts.eps_table else None
     meta = _meta("force", opts, inputs)
     meta.update(
         model=opts.model,
         temperature_K=geometry.temperature,
         radius_cm=opts.radius_cm,
-        settings_hash=config_hash(asdict(settings)),
     )
     rows = zip(curve.d_m / UM, curve.force_N / UDYNE)
     _write_csv(opts.output, meta, ["d_um", "F_udyne"], rows)
@@ -152,7 +149,6 @@ def _cmd_force(opts) -> int:
 
 def _cmd_correct(opts) -> int:
     geometry = _geometry(opts)
-    settings = LifshitzSettings()
     profile = _profile(opts)
     inputs = {key: getattr(opts, key) for key in ("eps_table", "profile_table") if getattr(opts, key)}
     meta = _meta("correct", opts, inputs)
@@ -160,7 +156,6 @@ def _cmd_correct(opts) -> int:
         beta_udyne_um=opts.beta,
         temperature_K=geometry.temperature,
         radius_cm=opts.radius_cm,
-        settings_hash=config_hash(asdict(settings)),
     )
     fig1 = opts.emit == "fig1"
     names = ("plasma", "drude") if fig1 else (opts.model,)
@@ -173,13 +168,12 @@ def _cmd_correct(opts) -> int:
     if fig1:
         # the Casimir part of both metal models, uncorrected and corrected, next to the T = 0 mirror
         meta["emit"] = "fig1"
-        mirror = LifshitzSettings(zero_temperature_mode=True)
-        f_pc = sphere_plate_force(PerfectConductor(), d, geometry, mirror) / UDYNE
+        f_pc = sphere_plate_force(PerfectConductor(), d, replace(geometry, temperature=0.0)) / UDYNE
         cols["F_pc0_udyne"], cols["Fd3_pc0_udyne_um3"] = f_pc, f_pc * d3
     else:
         meta["model"] = opts.model
     for name in names:
-        casimir = SpherePlateForce(_build_model(name, opts), geometry, settings)
+        casimir = SpherePlateForce(_build_model(name, opts), geometry)
         total = TotalForceEvaluator(bg, casimir)
         if fig1:
             f_c = cols[f"F_{name}_udyne"] = casimir(d) / UDYNE
@@ -221,7 +215,6 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
     compared directly.
     """
     header, rows = read_csv(path, ["d_um"], exact=False)
-    require_ascending(path, header, rows)
     if column is None and len(header) > 1:
         column = header[1]
     if column not in header[1:]:
@@ -385,7 +378,7 @@ _METAL = (
 _EPS_TABLE = ("eps_table", None, {"help": "CSV xi_ev,eps for the tabulated model"})
 _SPHERE = (
     ("radius_cm", 12.4, {"type": float, "help": "sphere radius (cm)"}),
-    ("temperature", 300.0, {"type": float, "help": "temperature (K)"}),
+    ("temperature", 300.0, {"type": float, "help": "temperature (K); 0 gives the T = 0 integral"}),
 )
 _BETA = ("beta", 215.0, {"type": float, "help": "background strength (udyne um)"})
 _D0 = ("d0", 0.0, {"type": float, "help": "background distance offset (um)"})
@@ -401,9 +394,6 @@ _COMMANDS = {
         ("points", 50, {"type": int, "help": "grid size"}),
         ("log_spacing", False, {"action": argparse.BooleanOptionalAction}),
         *_SPHERE,
-        ("zero_temperature", False, {
-            "action": argparse.BooleanOptionalAction,
-            "help": "use the continuous-frequency (T=0) integral"}),
         ("output", "force_curve.csv", _OUTPUT),
     )),
     "correct": ("apply the fluctuation correction to a force curve", _cmd_correct, (

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .lifshitz import float_or_array
-from .units import check_amplitude, check_positive, check_samples
+from .units import DomainError, check_amplitude, check_positive, check_samples
 
 __all__ = [
     "ConstantProfile",
@@ -79,7 +79,11 @@ class SqrtLawProfile:
 
 @dataclass(frozen=True)
 class TableProfile:
-    """Linearly interpolated delta_rms(d) from (d, delta) pairs."""
+    """Linearly interpolated delta_rms(d) from (d, delta) pairs.
+
+    A d outside the tabulated span raises :class:`DomainError`; the table
+    is never extrapolated.
+    """
 
     d: np.ndarray
     delta: np.ndarray
@@ -92,6 +96,9 @@ class TableProfile:
 
     def __call__(self, x: float) -> float:
         check_positive("distance", x)
+        lo, hi = float(self.d[0]), float(self.d[-1])
+        if not lo <= x <= hi:
+            raise DomainError(f"distance {x:g} outside tabulated range [{lo:g}, {hi:g}]")
         return float(np.interp(x, self.d, self.delta))
 
 

@@ -98,7 +98,9 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     by ``parse`` (by default, one finite float per field), which raises
     ValueError on a bad row; ``nan`` and ``inf`` are bad.  Bad rows are
     reported together in one :class:`DatasetError`, whose message names
-    the first ten as ``path:line`` and counts the rest.
+    the first ten as ``path:line`` and counts the rest.  Last, the first
+    column must be strictly ascending; the first row that breaks the
+    order is named as ``path:line``.
     """
     with open(path, "r", newline="") as fh:
         text = fh.read()
@@ -132,12 +134,6 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
         raise DatasetError(" | ".join(listed), list(problems))
     if not rows:
         raise DatasetError(f"{path}: no data rows, the table is empty")
-    return header, rows
-
-
-def require_ascending(path, header: list[str], rows: dict) -> None:
-    """Raise a :class:`DatasetError` naming ``path:line`` at the first of the
-    ``read_csv`` rows whose first column does not exceed the row before."""
     items = list(rows.items())
     for (_, prev), (lineno, cur) in zip(items, items[1:]):
         if cur[0] <= prev[0]:
@@ -146,14 +142,14 @@ def require_ascending(path, header: list[str], rows: dict) -> None:
                 f"got {cur[0]} after {prev[0]}",
                 [lineno],
             )
+    return header, rows
 
 
 def read_table(path, columns: list[str], build):
     """``build(*arrays)``, one float array per column, of a numeric CSV whose
     header is exactly ``columns`` and whose first column is strictly ascending;
     a ValueError from ``build`` names ``path``."""
-    header, rows = read_csv(path, columns)
-    require_ascending(path, header, rows)
+    _, rows = read_csv(path, columns)
     try:
         return build(*(np.array(column) for column in zip(*rows.values())))
     except ValueError as exc:
@@ -183,8 +179,7 @@ def load_dataset(path) -> ForceDataset:
     Rows that fail validation are reported together, each as ``path:line``,
     in a single :class:`DatasetError`.
     """
-    header, rows = read_csv(path, _COLUMNS, _parse_bin)
-    require_ascending(path, header, rows)
+    _, rows = read_csv(path, _COLUMNS, _parse_bin)
     cols = list(zip(*rows.values()))
     return ForceDataset(
         d_um=np.array(cols[0]),

@@ -42,7 +42,6 @@ from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeome
 from .units import check_amplitude, check_positive, check_samples
 
 __all__ = [
-    "LifshitzSettings",
     "ConvergenceError",
     "PFAValidityError",
     "plate_pressure",
@@ -62,25 +61,13 @@ class PFAValidityError(ValueError):
     """Separation too large relative to the sphere radius for the PFA."""
 
 
-@dataclass(frozen=True)
-class LifshitzSettings:
-    """Numerical controls for the Matsubara sum and the k-integrals."""
-
-    matsubara_rel_tol: float = 1e-9
-    matsubara_max_terms: int = 5000
-    quad_rel_tol: float = 1e-8
-    zero_temperature_mode: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("matsubara_rel_tol", "quad_rel_tol"):
-            v = getattr(self, name)
-            if not 0 < v <= 1e-2:
-                raise ValueError(f"{name} must be in (0, 1e-2], got {v}")
-        if self.matsubara_max_terms < 1:
-            raise ValueError("matsubara_max_terms must be >= 1")
-
-
-_DEFAULT_SETTINGS = LifshitzSettings()
+# Numerical controls, read at call time: a Matsubara series stops at the
+# first term below _MATSUBARA_REL_TOL of its sum and fails past
+# _MATSUBARA_MAX_TERMS terms; each k-integral stops at the first
+# Gauss-Laguerre order within _QUAD_REL_TOL of the one before.
+_MATSUBARA_REL_TOL = 1e-9
+_MATSUBARA_MAX_TERMS = 5000
+_QUAD_REL_TOL = 1e-8
 
 _LAG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _LAG_ORDERS = (32, 64, 128, 256)
@@ -309,7 +296,7 @@ def _first_blocks(model, plans, n, xi1, kinds, rel) -> list:
     return out
 
 
-def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
+def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
     inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  The
@@ -321,9 +308,9 @@ def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
     raises alone.  A block may compute terms past the stop; only a
     consumed term can raise.
     """
-    rel = settings.quad_rel_tol
+    rel, stop_rel = _QUAD_REL_TOL, _MATSUBARA_REL_TOL
     xi1 = _xi1_rad(T)
-    n_max = settings.matsubara_max_terms
+    n_max = _MATSUBARA_MAX_TERMS
     n = np.arange(1, n_max + 1)
     plans = []
     for d in ds:
@@ -353,7 +340,7 @@ def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
                         raise _unconverged_k_integral(kind, inner)
                     term = scale * inner
                     acc[kind] += term
-                    if not abs(term) <= settings.matsubara_rel_tol * abs(acc[kind]):
+                    if not abs(term) <= stop_rel * abs(acc[kind]):
                         still.append(kind)
                 pending = tuple(still)
                 if not pending:
@@ -370,16 +357,16 @@ def _thermal_sum(model, ds, T, kinds, settings) -> list[list[float]]:
     return [series(d, *plan, first) for d, plan, first in zip(ds, plans, firsts)]
 
 
-def _zero_t_integral(model, d, kinds, settings) -> list[float]:
+def _zero_t_integral(model, d, kinds) -> list[float]:
     """int_0^inf I(a) da of each kernel, I(a) = exp(-a)*inner(a), by 128-node Gauss-Laguerre.
 
     The rule is not checked for convergence, and neither are its
-    k-integrals: for Drude-like models both stop short of ``quad_rel_tol``
+    k-integrals: for Drude-like models both stop short of ``_QUAD_REL_TOL``
     (the 64-node rule differs by ~2e-4).
     """
     A, W = _lag_nodes(128)
     xi_ev = A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV)
-    vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds, settings.quad_rel_tol)
+    vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds, _QUAD_REL_TOL)
     sums = [0.0] * len(kinds)
     for w, row in zip(W.tolist(), vals.tolist()):
         for i, v in enumerate(row):
@@ -401,28 +388,27 @@ def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
         )
 
 
-def _plate_kernels(model, ds, T, kinds: tuple, settings, geometry=None) -> list[list[float]]:
+def _plate_kernels(model, ds, T, kinds: tuple, geometry=None) -> list[list[float]]:
     """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
 
     Every d is checked before the first sum: each against the PFA for
     ``geometry`` when one is given, then all for finite d > 0, then T >= 0.
     """
-    settings = settings or _DEFAULT_SETTINGS
     if geometry is not None:
         for d in ds:
             _check_pfa(d, geometry)
     check_positive("separation", ds)
     check_amplitude("temperature", T)
-    zero_t = settings.zero_temperature_mode or T == 0.0
+    zero_t = T == 0.0
     if zero_t:
         values = []
         for d in ds:
             if isinstance(model, PerfectConductor):
                 values.append([_PC_ZERO_T[kind] for kind in kinds])
             else:
-                values.append(_zero_t_integral(model, d, kinds, settings))
+                values.append(_zero_t_integral(model, d, kinds))
     else:
-        values = _thermal_sum(model, ds, T, kinds, settings)
+        values = _thermal_sum(model, ds, T, kinds)
     out = []
     for d, row in zip(ds, values):
         si = []
@@ -436,35 +422,24 @@ def _plate_kernels(model, ds, T, kinds: tuple, settings, geometry=None) -> list[
     return out
 
 
-def plate_pressure(
-    model: MaterialModel,
-    d: float,
-    T: float,
-    settings: LifshitzSettings | None = None,
-) -> float:
+def plate_pressure(model: MaterialModel, d: float, T: float) -> float:
     """Attractive parallel-plate pressure in Pa (positive), at separation d (m).
 
-    With ``zero_temperature_mode`` (or T = 0) the Matsubara sum is replaced
-    by the continuous imaginary-frequency integral, in closed form for a
-    perfect conductor.
+    At T = 0 the Matsubara sum is replaced by the continuous
+    imaginary-frequency integral, in closed form for a perfect conductor.
     """
-    return _plate_kernels(model, (d,), T, ("pressure",), settings)[0][0]
+    return _plate_kernels(model, (d,), T, ("pressure",))[0][0]
 
 
-def plate_energy(
-    model: MaterialModel,
-    d: float,
-    T: float,
-    settings: LifshitzSettings | None = None,
-) -> float:
+def plate_energy(model: MaterialModel, d: float, T: float) -> float:
     """Interaction free energy per unit area in J/m^2 (negative = binding)."""
-    return _plate_kernels(model, (d,), T, ("energy",), settings)[0][0]
+    return _plate_kernels(model, (d,), T, ("energy",))[0][0]
 
 
 _TOWER = ("energy", "pressure", "slope")
 
 
-def _sphere_kernels(model, d, geometry, kinds: tuple, settings) -> np.ndarray:
+def _sphere_kernels(model, d, geometry, kinds: tuple) -> np.ndarray:
     """-2 pi R times each kernel of ``kinds`` at each d of ``d``, shaped d's shape + (len(kinds),).
 
     Under the PFA that is F for the energy, F' for the pressure and F'' for
@@ -472,7 +447,7 @@ def _sphere_kernels(model, d, geometry, kinds: tuple, settings) -> np.ndarray:
     """
     grid = np.asarray(d, dtype=float)
     ds = (d,) if grid.ndim == 0 else grid.ravel()
-    values = np.array(_plate_kernels(model, ds, geometry.temperature, kinds, settings, geometry))
+    values = np.array(_plate_kernels(model, ds, geometry.temperature, kinds, geometry))
     # (-2 pi R) * E, left to right, as for one Python float E
     return -2.0 * math.pi * geometry.sphere_radius * values.reshape(grid.shape + (len(kinds),))
 
@@ -481,7 +456,6 @@ def sphere_plate_force(
     model: MaterialModel,
     d: float | np.ndarray,
     geometry: ExperimentGeometry | None = None,
-    settings: LifshitzSettings | None = None,
 ) -> float | np.ndarray:
     """Attractive sphere-plate force in N (positive) via F = -2 pi R E(d).
 
@@ -490,7 +464,7 @@ def sphere_plate_force(
     is rejected and d/R > 1e-3 warned about.
     """
     geometry = geometry or ExperimentGeometry()
-    return float_or_array(_sphere_kernels(model, d, geometry, ("energy",), settings)[..., 0])
+    return float_or_array(_sphere_kernels(model, d, geometry, ("energy",))[..., 0])
 
 
 class SpherePlateForce:
@@ -501,26 +475,19 @@ class SpherePlateForce:
     of the call from one batched tower pass, bit for bit the values of a
     pass per d, and keeps them until a call at other d, so F, F' and F''
     on one grid cost a single pass.  The kept pass is keyed by d alone:
-    treat ``model``, ``geometry`` and ``settings`` as fixed after
-    construction.
+    treat ``model`` and ``geometry`` as fixed after construction.
     """
 
-    def __init__(
-        self,
-        model: MaterialModel,
-        geometry: ExperimentGeometry | None = None,
-        settings: LifshitzSettings | None = None,
-    ):
+    def __init__(self, model: MaterialModel, geometry: ExperimentGeometry | None = None):
         self.model = model
         self.geometry = geometry or ExperimentGeometry()
-        self.settings = settings or _DEFAULT_SETTINGS
         self._key, self._kept = None, None
 
     def _kernel(self, d, j: int):
         grid = np.asarray(d, dtype=float)
         key = (grid.shape, grid.tobytes())
         if key != self._key:
-            self._kept = _sphere_kernels(self.model, d, self.geometry, _TOWER, self.settings)
+            self._kept = _sphere_kernels(self.model, d, self.geometry, _TOWER)
             self._key = key
         return float_or_array(self._kept[..., j].copy())
 
@@ -560,15 +527,10 @@ class ForceCurve:
         return TabulatedForceCurve(self.d_m, self.force_N)
 
 
-def force_curve(
-    model: MaterialModel,
-    geometry: ExperimentGeometry,
-    d_m,
-    settings: LifshitzSettings | None = None,
-) -> ForceCurve:
+def force_curve(model: MaterialModel, geometry: ExperimentGeometry, d_m) -> ForceCurve:
     """Evaluate the sphere-plate force on a distance grid in one batched pass."""
     d = np.asarray(d_m, dtype=float)
-    forces = sphere_plate_force(model, d, geometry, settings)
+    forces = sphere_plate_force(model, d, geometry)
     return ForceCurve(model=model, geometry=geometry, d_m=d, force_N=forces)
 
 

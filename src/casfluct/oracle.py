@@ -323,7 +323,8 @@ def verify_second_order(
 
     Per trial: (a) the Monte Carlo mean must match the quadratic apparent
     force within 4 batch-mean standard errors plus the analytic
-    fourth-order allowance; (b) for delta_rms/d <= 0.1 the Monte Carlo
+    fourth-order allowance, or within n.bit_length() ulps of it for n
+    samples, whichever is larger; (b) for delta_rms/d <= 0.1 the Monte Carlo
     standard deviation must match |F'| delta_rms within 5%.  A series that
     drives the separation out of the evaluator's domain, or a failed mean
     check at delta_rms/d > 0.1, is recorded as an expansion breakdown
@@ -359,7 +360,10 @@ def verify_second_order(
             continue
         allowance = fourth_order_allowance(force, d, report.realized_rms)
         discrepancy = abs(report.mean_force - report.analytic_mean)
-        tolerance = 4.0 * report.se_mean + allowance
+        # numpy's pairwise mean rounds by up to ~log2(n) ulps; at delta = 0 the
+        # statistical part is exactly 0 and that rounding is all that is left
+        floor = report.n_samples.bit_length() * math.ulp(abs(report.analytic_mean))
+        tolerance = max(4.0 * report.se_mean + allowance, floor)
         mean_ok = discrepancy <= tolerance
         mc_sigma = math.sqrt(report.variance_force)
         pred = report.analytic_excess_sigma

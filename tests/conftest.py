@@ -35,11 +35,6 @@ def geometry_t0():
     return cf.ExperimentGeometry(sphere_radius=0.124, temperature=0.0)
 
 
-@pytest.fixture(scope="session")
-def zero_t_settings():
-    return cf.LifshitzSettings(zero_temperature_mode=True)
-
-
 @pytest.fixture
 def synthetic_dataset():
     """Factory for background-law datasets with optional noise, in um/udyne."""

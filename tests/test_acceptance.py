@@ -29,14 +29,14 @@ class _Timer:
         self.elapsed = time.monotonic() - self.t0
 
 
-def test_criterion_01_closed_form_casimir_limits(geometry_t0, zero_t_settings):
+def test_criterion_01_closed_form_casimir_limits(geometry_t0):
     with _Timer() as t:
-        p = cf.plate_pressure(cf.PerfectConductor(), 1e-6, 0.0, zero_t_settings)
+        p = cf.plate_pressure(cf.PerfectConductor(), 1e-6, 0.0)
         rel_p = abs(p / 1.300e-3 - 1.0)
 
         fd3 = []
         for d_um in np.linspace(0.5, 3.0, 6):
-            f = cf.sphere_plate_force(cf.PerfectConductor(), d_um * UM, geometry_t0, zero_t_settings)
+            f = cf.sphere_plate_force(cf.PerfectConductor(), d_um * UM, geometry_t0)
             fd3.append(f / UDYNE * d_um**3)
         rel_f = max(abs(v / 33.76 - 1.0) for v in fd3)
     assert rel_p <= 1e-3

@@ -116,6 +116,13 @@ class TestChiSquared:
         report = chi_squared(ds, lambda d: 0.0, dof_override=6)
         assert report.dof == 6
 
+    @pytest.mark.parametrize("dof_override", [None, 2])
+    def test_negative_fitted_params_rejected(self, synthetic_dataset, dof_override):
+        # n - fitted_params would count more degrees of freedom than data points
+        ds = synthetic_dataset([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="fitted_params must be >= 0, got -3"):
+            chi_squared(ds, lambda d: 0.0, fitted_params=-3, dof_override=dof_override)
+
     def test_theory_failure_names_point(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
 

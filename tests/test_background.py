@@ -231,9 +231,9 @@ class TestTotalForce:
         for d in (0.7, 1.0, 2.5):
             assert TotalForceEvaluator(bg, cas)(d) == bg.force(d) + cas(d)
 
-    def test_reference_sum(self, geometry_t0, zero_t_settings):
+    def test_reference_sum(self, geometry_t0):
         bg = ElectrostaticBackground(beta=215.0 * UDYNE_UM)
-        f_c = cf.sphere_plate_force(cf.PerfectConductor(), 1e-6, geometry_t0, zero_t_settings)
+        f_c = cf.sphere_plate_force(cf.PerfectConductor(), 1e-6, geometry_t0)
         got = TotalForceEvaluator(bg, lambda d: f_c)(1e-6) / 1e-11
         assert got == pytest.approx(215.0 + 33.76, rel=1e-3)
 

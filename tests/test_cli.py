@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -83,6 +84,18 @@ class TestForceCommand:
         assert np.all(np.diff(rows[:, 1]) < 0)
         joined = "\n".join(comments)
         assert "tool_version" in joined and "config_hash" in joined
+
+    def test_zero_temperature_is_the_closed_form(self, tmp_path):
+        # T = 0 is asked for by the temperature alone, and the header says so
+        out = tmp_path / "t0.csv"
+        rc = main(["force", "--model", "perfect", "--temperature", "0", "--d-min", "0.5",
+                   "--d-max", "3", "--points", "6", "-o", str(out)])
+        assert rc == 0
+        comments, _, rows = read_csv(out)
+        assert "# temperature_K: 0.0" in comments
+        d = rows[:, 0] * 1e-6
+        want = math.pi**3 * 1.054571817e-34 * 299792458.0 * 0.124 / (360.0 * d**3) / 1e-11
+        np.testing.assert_allclose(rows[:, 1], want, rtol=1e-12, atol=0)
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -171,12 +184,9 @@ class TestCorrectCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unconverged_pressure_exit_code(self, tmp_path, monkeypatch, capsys):
-        import functools
+        import casfluct.lifshitz as lif
 
-        import casfluct.cli as cli
-
-        strict = functools.partial(cli.LifshitzSettings, quad_rel_tol=1e-16)
-        monkeypatch.setattr(cli, "LifshitzSettings", strict)
+        monkeypatch.setattr(lif, "_QUAD_REL_TOL", 1e-16)
         rc = main(["correct", "--points", "3", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "numerical" in capsys.readouterr().err
@@ -191,9 +201,9 @@ class TestCorrectCommand:
             passes.extend(args[1])  # the separations summed
             return real_sum(*args)
 
-        def recording(model, ds, T, kinds, settings, *args):
-            calls.append((type(model).__name__, len(ds), T == 0 or settings.zero_temperature_mode))
-            return real_kernels(model, ds, T, kinds, settings, *args)
+        def recording(model, ds, T, *args):
+            calls.append((type(model).__name__, len(ds), T == 0))
+            return real_kernels(model, ds, T, *args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("correct must not run this")
@@ -396,8 +406,9 @@ class TestSimulateCommand:
         assert rc == 0
         blob = json.loads(out.read_text())
         assert not any(v["expansion_breakdown"] for v in blob["verdicts"])
+        assert blob["n_mean_pass"] == 10  # at 0 the mean differs from F(d) by rounding alone
         if delta_rms != "0":
-            assert blob["n_mean_pass"] == blob["n_scatter_pass"] == 10
+            assert blob["n_scatter_pass"] == 10
 
     def test_requires_force_choice(self, tmp_path):
         rc = main(["simulate", "--beta", "0", "-o", str(tmp_path / "s.json")])
@@ -483,8 +494,7 @@ class TestKKCommand:
 
 @pytest.mark.parametrize(
     "command, dest, default",
-    [("kk", "log_spacing", True), ("force", "log_spacing", False),
-     ("force", "zero_temperature", False)],
+    [("kk", "log_spacing", True), ("force", "log_spacing", False)],
 )
 def test_boolean_flag_equals_config_file(command, dest, default, tmp_path):
     """--x and --no-x set the same option as a config file, and override it."""
@@ -512,10 +522,9 @@ def test_boolean_flag_equals_config_file(command, dest, default, tmp_path):
     assert rows["flag"].tobytes() == rows["config"].tobytes()
     assert rows["config+flag"].tobytes() == rows["default"].tobytes()
     assert rows["flag"].tobytes() != rows["default"].tobytes()
-    if dest == "log_spacing":
-        spacing = {True: np.geomspace, False: np.linspace}
-        np.testing.assert_allclose(rows["flag"][:, 0], spacing[not default](lo, hi, n), rtol=0, atol=0)
-        np.testing.assert_allclose(rows["default"][:, 0], spacing[default](lo, hi, n), rtol=0, atol=0)
+    spacing = {True: np.geomspace, False: np.linspace}
+    np.testing.assert_allclose(rows["flag"][:, 0], spacing[not default](lo, hi, n), rtol=0, atol=0)
+    np.testing.assert_allclose(rows["default"][:, 0], spacing[default](lo, hi, n), rtol=0, atol=0)
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -665,7 +674,7 @@ def test_subcommand_runs_at_its_defaults(argv, tmp_path, data_csv):
 @pytest.mark.parametrize(
     "command, digest",
     [
-        ("force", "15a9527d9e15"),
+        ("force", "5f58af87dd4b"),
         ("correct", "8912a45ee068"),
         ("fit-beta", "60d26495bff7"),
         ("chi2", "f9cd21dcc500"),
@@ -718,6 +727,11 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "amplitude must be finite and >= 0, got nan", id="sqrt-amplitude-nan"),
         pytest.param(["correct", "--profile", "table", "--profile-table", "{nan_row}"],
                      "{nan_row}:3: not a finite number: 'nan'", id="profile-nan-row"),
+        # a profile table is never extrapolated: the 0.6-6 um grid leaves a 1-2 um table
+        pytest.param(["correct", "--profile", "table", "--profile-table", "{narrow}"],
+                     "distance 6e-07 outside tabulated range [1e-06, 2e-06]", id="profile-narrow"),
+        pytest.param(["chi2", "--data", "{data}", "--theory", "{theory}", "--fitted-params", "-3"],
+                     "fitted_params must be >= 0, got -3", id="chi2-fitted-params-negative"),
         pytest.param(["simulate", "--delta-rms", "nan"], "target_rms must be finite and >= 0, got nan",
                      id="simulate-delta-rms-nan"),
         pytest.param(["tilt-estimate", "--ref-noise-nm", "nan"],
@@ -758,6 +772,8 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
         "table": str(_optical_table(tmp_path / "optical.csv")),
         "one_row": str(_profile_table(tmp_path / "one.csv", rows=["1.0,0.1"])),
         "nan_row": str(_profile_table(tmp_path / "nan.csv", rows=["0.5,0.1", "6.5,nan"])),
+        "narrow": str(_profile_table(tmp_path / "narrow.csv", rows=["1.0,0.1", "2.0,0.2"])),
+        "theory": str(_theory_curve(tmp_path / "theory.csv")),
         "headerless": str(tmp_path / "bare.csv"),
     }
     (tmp_path / "bare.csv").write_text("0.5,0.1\n6.5,0.2\n")

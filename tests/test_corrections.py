@@ -178,6 +178,13 @@ class TestProfiles:
         p = TableProfile(d=np.array([1e-6, 3e-6]), delta=np.array([0.1e-6, 0.3e-6]))
         assert p(2e-6) == pytest.approx(0.2e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [0.6e-6, 6e-6, 0.999e-6, 3.001e-6])
+    def test_table_profile_never_extrapolates(self, d):
+        p = TableProfile(d=np.array([1e-6, 3e-6]), delta=np.array([0.1e-6, 0.3e-6]))
+        assert p(1e-6) == 0.1e-6 and p(3e-6) == 0.3e-6  # the ends are inside
+        with pytest.raises(cf.DomainError, match=rf"distance {d:g} outside tabulated range \[1e-06, 3e-06\]"):
+            p(d)
+
     def test_domain(self):
         p = ConstantProfile(1e-7)
         with pytest.raises(cf.DomainError):

@@ -10,7 +10,6 @@ import casfluct as cf
 from casfluct import lifshitz
 from casfluct.lifshitz import (
     ConvergenceError,
-    LifshitzSettings,
     PFAValidityError,
     SpherePlateForce,
     TabulatedForceCurve,
@@ -30,9 +29,9 @@ UDYNE = 1e-11
 
 
 
-def plate_tower(model, d, T, settings=None) -> tuple:
+def plate_tower(model, d, T) -> tuple:
     """E (J/m^2), P (Pa) and dP/dd (Pa/m) at one d, from one tower pass of the engine."""
-    return tuple(lifshitz._plate_kernels(model, (d,), T, lifshitz._TOWER, settings)[0])
+    return tuple(lifshitz._plate_kernels(model, (d,), T, lifshitz._TOWER)[0])
 
 
 # Frozen closed forms (independent of the Matsubara machinery):
@@ -40,35 +39,25 @@ IDEAL_T0_PRESSURE_1UM = math.pi**2 * HBAR * C / (240.0 * (1e-6) ** 4)  # 1.30013
 PFA_FD3 = math.pi**3 * HBAR * C * 0.124 / 360.0  # 3.37649e-28 N m^3
 
 
-class TestSettings:
-    def test_defaults(self):
-        s = LifshitzSettings()
-        assert s.matsubara_rel_tol == 1e-9
-        assert s.matsubara_max_terms == 5000
-        assert not s.zero_temperature_mode
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LifshitzSettings(matsubara_rel_tol=0.0)
-        with pytest.raises(ValueError):
-            LifshitzSettings(quad_rel_tol=0.5)
-        with pytest.raises(ValueError):
-            LifshitzSettings(matsubara_max_terms=0)
+def test_numerical_controls():
+    assert lifshitz._MATSUBARA_REL_TOL == 1e-9
+    assert lifshitz._MATSUBARA_MAX_TERMS == 5000
+    assert lifshitz._QUAD_REL_TOL == 1e-8
 
 
 class TestClosedFormLimits:
-    def test_ideal_zero_temperature_pressure(self, zero_t_settings):
-        p = plate_pressure(cf.PerfectConductor(), 1e-6, 0.0, zero_t_settings)
+    def test_ideal_zero_temperature_pressure(self):
+        p = plate_pressure(cf.PerfectConductor(), 1e-6, 0.0)
         assert p == pytest.approx(IDEAL_T0_PRESSURE_1UM, rel=1e-6)
 
-    def test_ideal_zero_temperature_energy(self, zero_t_settings):
-        e = plate_energy(cf.PerfectConductor(), 1e-6, 0.0, zero_t_settings)
+    def test_ideal_zero_temperature_energy(self):
+        e = plate_energy(cf.PerfectConductor(), 1e-6, 0.0)
         want = -math.pi**2 * HBAR * C / (720.0 * (1e-6) ** 3)
         assert e == pytest.approx(want, rel=1e-6)
 
-    def test_power_law_exact(self, zero_t_settings):
+    def test_power_law_exact(self):
         vals = [
-            plate_pressure(cf.PerfectConductor(), d, 0.0, zero_t_settings) * d**4
+            plate_pressure(cf.PerfectConductor(), d, 0.0) * d**4
             for d in (0.5e-6, 1e-6, 2e-6)
         ]
         assert max(vals) / min(vals) - 1 < 1e-3  # < 0.1%
@@ -78,15 +67,15 @@ class TestClosedFormLimits:
         p = plate_pressure(cf.PerfectConductor(), d, 300.0)
         assert p == pytest.approx(ZETA3 * KB * 300.0 / (4.0 * math.pi * d**3), rel=1e-9)
 
-    def test_zero_temperature_integral_near_perfect_plasma(self, zero_t_settings):
+    def test_zero_temperature_integral_near_perfect_plasma(self):
         # The perfect mirror's T = 0 values are closed forms, so anchor the
         # T = 0 integral with a plasma metal of skin depth delta << d: E, P and
         # dP/dd approach the mirror's closed forms as 1 - c*delta/d with
         # c = 4, 16/3 and 20/3 (E ~ d^-3 (1 - 4 delta/d), differentiated).
         d, omega_p_ev = 1e-6, 1e4
         delta = HBAR * C / (omega_p_ev * 1.602176634e-19)
-        plasma = plate_tower(cf.Plasma(omega_p_ev), d, 0.0, zero_t_settings)
-        mirror = plate_tower(cf.PerfectConductor(), d, 0.0, zero_t_settings)
+        plasma = plate_tower(cf.Plasma(omega_p_ev), d, 0.0)
+        mirror = plate_tower(cf.PerfectConductor(), d, 0.0)
         for got, ideal, c in zip(plasma, mirror, (4.0, 16.0 / 3.0, 20.0 / 3.0)):
             assert got / ideal == pytest.approx(1.0 - c * delta / d, abs=1e-7)
 
@@ -109,20 +98,20 @@ class TestClosedFormLimits:
 
 
 class TestSpherePlate:
-    def test_pfa_constant(self, geometry_t0, zero_t_settings):
+    def test_pfa_constant(self, geometry_t0):
         for d in (0.5e-6, 1e-6, 3e-6):
-            f = sphere_plate_force(cf.PerfectConductor(), d, geometry_t0, zero_t_settings)
+            f = sphere_plate_force(cf.PerfectConductor(), d, geometry_t0)
             assert f * d**3 == pytest.approx(PFA_FD3, rel=5e-3)
 
-    def test_pfa_example_value(self, geometry_t0, zero_t_settings):
-        f = sphere_plate_force(cf.PerfectConductor(), 1e-6, geometry_t0, zero_t_settings)
+    def test_pfa_example_value(self, geometry_t0):
+        f = sphere_plate_force(cf.PerfectConductor(), 1e-6, geometry_t0)
         assert f / UDYNE == pytest.approx(33.76, rel=5e-3)
 
-    def test_linear_in_radius(self, zero_t_settings):
+    def test_linear_in_radius(self):
         g1 = cf.ExperimentGeometry(sphere_radius=0.124, temperature=0.0)
         g2 = cf.ExperimentGeometry(sphere_radius=0.248, temperature=0.0)
-        f1 = sphere_plate_force(cf.PerfectConductor(), 1e-6, g1, zero_t_settings)
-        f2 = sphere_plate_force(cf.PerfectConductor(), 1e-6, g2, zero_t_settings)
+        f1 = sphere_plate_force(cf.PerfectConductor(), 1e-6, g1)
+        f2 = sphere_plate_force(cf.PerfectConductor(), 1e-6, g2)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
 
     def test_model_ordering(self, geometry):
@@ -204,10 +193,10 @@ def test_n0_te_rule_that_misses_its_check_raises(monkeypatch):
     plate_energy(cf.GOLD_DRUDE, 1e-6, 300.0)  # no TE term at zero frequency
 
 
-def test_matsubara_non_convergence_carries_partial_sum():
-    settings = LifshitzSettings(matsubara_max_terms=3)
+def test_matsubara_non_convergence_carries_partial_sum(monkeypatch):
+    monkeypatch.setattr(lifshitz, "_MATSUBARA_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError) as err:
-        plate_pressure(cf.GOLD_DRUDE, 0.5e-6, 300.0, settings)
+        plate_pressure(cf.GOLD_DRUDE, 0.5e-6, 300.0)
     assert err.value.terms == 3
     assert err.value.partial_sum > 0
 
@@ -436,31 +425,30 @@ TOWER_MODELS = {
 TOWER_D = np.geomspace(0.3e-6, 8e-6, 5)
 
 
-def _tower_case(name, T, **settings):
-    """(model, geometry, settings); T = 0 runs in zero-temperature mode."""
-    geometry = cf.ExperimentGeometry(temperature=T)
-    return TOWER_MODELS[name], geometry, LifshitzSettings(zero_temperature_mode=T == 0.0, **settings)
+def _tower_case(name, T):
+    """(model, geometry); T = 0 takes the continuous-frequency integral."""
+    return TOWER_MODELS[name], cf.ExperimentGeometry(temperature=T)
 
 
 @pytest.mark.parametrize("T", [0.0, 77.0, 300.0])
 @pytest.mark.parametrize("name", list(TOWER_MODELS))
 class TestDerivativeTower:
     def test_force_is_sphere_plate_force(self, name, T):
-        model, geometry, settings = _tower_case(name, T)
-        force = SpherePlateForce(model, geometry, settings)
+        model, geometry = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry)
         for d in TOWER_D:
-            assert force(d) == sphere_plate_force(model, d, geometry, settings)
+            assert force(d) == sphere_plate_force(model, d, geometry)
 
     def test_gradient_is_pressure(self, name, T):
-        model, geometry, settings = _tower_case(name, T)
-        force = SpherePlateForce(model, geometry, settings)
+        model, geometry = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry)
         radius = geometry.sphere_radius
         for d in TOWER_D:
-            assert force.gradient(d) == -2.0 * math.pi * radius * plate_pressure(model, d, T, settings)
+            assert force.gradient(d) == -2.0 * math.pi * radius * plate_pressure(model, d, T)
 
     def test_curvature_matches_richardson_of_gradient(self, name, T):
-        model, geometry, settings = _tower_case(name, T)
-        force = SpherePlateForce(model, geometry, settings)
+        model, geometry = _tower_case(name, T)
+        force = SpherePlateForce(model, geometry)
         # For Drude-like models the T = 0 frequency integral (128 nodes) is
         # ~2e-4 from the 64-node value for E, P and dP/dd alike, so P and
         # dP/dd are each about that far from exact and from each other.
@@ -472,11 +460,12 @@ class TestDerivativeTower:
 
 @pytest.mark.parametrize("T", [77.0, 300.0])
 @pytest.mark.parametrize("name", list(TOWER_MODELS))
-def test_unconverged_pressure_and_slope_raise(name, T):
-    model, geometry, settings = _tower_case(name, T, quad_rel_tol=1e-16)
-    force = SpherePlateForce(model, geometry, settings)
+def test_unconverged_pressure_and_slope_raise(name, T, monkeypatch):
+    monkeypatch.setattr(lifshitz, "_QUAD_REL_TOL", 1e-16)
+    model, geometry = _tower_case(name, T)
+    force = SpherePlateForce(model, geometry)
     with pytest.raises(ConvergenceError):
-        plate_pressure(model, 1e-6, T, settings)
+        plate_pressure(model, 1e-6, T)
     with pytest.raises(ConvergenceError):
         force.gradient(1e-6)
     with pytest.raises(ConvergenceError):
@@ -569,18 +558,18 @@ PINNED_MAX_TERMS_3 = {
 
 
 @pytest.mark.parametrize("key", list(PINNED_MAX_TERMS_3), ids="-".join)
-def test_matsubara_max_terms_still_raises(key):
+def test_matsubara_max_terms_still_raises(key, monkeypatch):
     name, func = key
-    settings = LifshitzSettings(matsubara_max_terms=3)
+    monkeypatch.setattr(lifshitz, "_MATSUBARA_MAX_TERMS", 3)
     evaluate = {"plate_energy": plate_energy, "plate_pressure": plate_pressure, "plate_tower": plate_tower}[func]
     with pytest.raises(ConvergenceError, match="within 3 terms") as err:
-        evaluate(TOWER_MODELS[name], 0.5e-6, 300.0, settings)
+        evaluate(TOWER_MODELS[name], 0.5e-6, 300.0)
     assert err.value.terms == 3
     assert err.value.partial_sum == PINNED_MAX_TERMS_3[key]
 
 
 # The pressure k-integral of the first term the sum consumes (n = 1; the
-# n = 0 TE term for plasma) at d = 0.5 um, 300 K: with quad_rel_tol = 1e-16
+# n = 0 TE term for plasma) at d = 0.5 um, 300 K: with _QUAD_REL_TOL = 1e-16
 # no order agrees with the one before, so the sum stops there.
 PINNED_FIRST_UNCONVERGED = {
     "perfect": 9.788559337691146,
@@ -591,15 +580,15 @@ PINNED_FIRST_UNCONVERGED = {
 
 
 @pytest.mark.parametrize("name", list(PINNED_FIRST_UNCONVERGED))
-def test_unconverged_k_integral_raises_at_first_consumed_term(name):
-    settings = LifshitzSettings(quad_rel_tol=1e-16)
+def test_unconverged_k_integral_raises_at_first_consumed_term(name, monkeypatch):
+    monkeypatch.setattr(lifshitz, "_QUAD_REL_TOL", 1e-16)
     model = TOWER_MODELS[name]
     for evaluate in (plate_pressure, plate_tower):
         with pytest.raises(ConvergenceError, match="pressure k-integral") as err:
-            evaluate(model, 0.5e-6, 300.0, settings)
+            evaluate(model, 0.5e-6, 300.0)
         assert err.value.terms == 256
         assert err.value.partial_sum == PINNED_FIRST_UNCONVERGED[name]
-    plate_energy(model, 0.5e-6, 300.0, settings)  # the energy kernel never raises
+    plate_energy(model, 0.5e-6, 300.0)  # the energy kernel never raises
 
 
 def _reference_plate(model, d, T):
@@ -722,7 +711,7 @@ def test_grid_equals_scalar_bit_for_bit(name, T, monkeypatch):
     for kinds, scalar in _SCALAR.items():
         for grid in (GRID_D[:1], GRID_D):
             calls.clear()
-            values = lifshitz._plate_kernels(model, grid, T, kinds, None)
+            values = lifshitz._plate_kernels(model, grid, T, kinds)
             want = [scalar(model, d, T) for d in grid]
             if len(kinds) == 1:
                 want = [[v] for v in want]
@@ -741,15 +730,15 @@ def _raised(call) -> tuple:
 
 @pytest.mark.parametrize("kinds", list(_SCALAR), ids="-".join)
 @pytest.mark.parametrize("name", list(TOWER_MODELS))
-def test_grid_raises_first_failing_d_like_scalar(name, kinds):
+def test_grid_raises_first_failing_d_like_scalar(name, kinds, monkeypatch):
     model = TOWER_MODELS[name]
-    settings = LifshitzSettings(matsubara_max_terms=3)
+    monkeypatch.setattr(lifshitz, "_MATSUBARA_MAX_TERMS", 3)
     scalar = _SCALAR[kinds]
-    scalar(model, 8e-6, 300.0, settings)  # converges within 3 terms
+    scalar(model, 8e-6, 300.0)  # converges within 3 terms
     grid = [8e-6, 0.5e-6, 1e-6]
-    got = _raised(lambda: lifshitz._plate_kernels(model, grid, 300.0, kinds, settings))
-    assert got == _raised(lambda: scalar(model, 0.5e-6, 300.0, settings))
-    assert got != _raised(lambda: scalar(model, 1e-6, 300.0, settings))
+    got = _raised(lambda: lifshitz._plate_kernels(model, grid, 300.0, kinds))
+    assert got == _raised(lambda: scalar(model, 0.5e-6, 300.0))
+    assert got != _raised(lambda: scalar(model, 1e-6, 300.0))
 
 
 def test_unconverged_pressure_inside_tower_grid():
@@ -761,7 +750,7 @@ def test_unconverged_pressure_inside_tower_grid():
     assert _raised(lambda: force([0.3e-6, 0.1e-6, 0.12e-6])) == want
     assert _raised(lambda: force.curvature(np.array([0.3e-6, 0.1e-6, 0.12e-6]))) == want
     grid = GRID_D[::-1].tolist() + [0.1e-6, 0.12e-6]
-    assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, grid, 77.0, lifshitz._TOWER, None)) == want
+    assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, grid, 77.0, lifshitz._TOWER)) == want
 
 
 def _no_sums(monkeypatch):
@@ -773,18 +762,18 @@ def _no_sums(monkeypatch):
 def test_grid_checked_in_full_before_first_sum(monkeypatch):
     # 0.5 um does not converge within 3 terms, but the last d fails the PFA check
     geometry = cf.ExperimentGeometry(sphere_radius=1e-5, temperature=300.0)
-    settings = LifshitzSettings(matsubara_max_terms=3)
+    monkeypatch.setattr(lifshitz, "_MATSUBARA_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
-        plate_energy(cf.GOLD_DRUDE, 0.5e-6, 300.0, settings)
+        plate_energy(cf.GOLD_DRUDE, 0.5e-6, 300.0)
     _no_sums(monkeypatch)
     with pytest.warns(UserWarning, match="degraded"), pytest.raises(PFAValidityError):
-        sphere_plate_force(cf.GOLD_DRUDE, np.array([0.5e-6, 2e-6]), geometry, settings)
+        sphere_plate_force(cf.GOLD_DRUDE, np.array([0.5e-6, 2e-6]), geometry)
 
 
 def test_tower_grid_ending_at_zero_raises_before_any_sum(monkeypatch):
     _no_sums(monkeypatch)
     with pytest.raises(cf.DomainError, match="separation must be finite and > 0, got 0$"):
-        lifshitz._plate_kernels(cf.GOLD_DRUDE, [1e-6, 2e-6, 0.0], 300.0, lifshitz._TOWER, None)
+        lifshitz._plate_kernels(cf.GOLD_DRUDE, [1e-6, 2e-6, 0.0], 300.0, lifshitz._TOWER)
 
 
 def _with_warnings(call) -> tuple:

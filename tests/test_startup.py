@@ -37,7 +37,7 @@ _SCIPY_FREE_STEPS = {
     "force-drude": ["force", "--model", "drude", "--points", "5", "-o", "drude.csv"],
     "force-tabulated": ["force", "--model", "tabulated", "--eps-table", "eps.csv", "--points", "5",
                         "-o", "tabulated.csv"],
-    "force --zero-temperature": ["force", "--zero-temperature", "--points", "5", "-o", "t0.csv"],
+    "force --temperature 0": ["force", "--temperature", "0", "--points", "5", "-o", "t0.csv"],
     "correct": ["correct", "--points", "5", "-o", "corrected.csv"],
     "correct --emit fig1": ["correct", "--emit", "fig1", "--points", "5", "-o", "fig1.csv"],
     "fit-beta": ["fit-beta", "--data", "data.csv", "-o", "fit.json"],
