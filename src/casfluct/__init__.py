@@ -12,7 +12,6 @@ from .analysis import (
     BinningExcess,
     Chi2Report,
     ScanResult,
-    TheoryEvaluationError,
     binning_consistency,
     chi2_sf,
     chi_squared,

@@ -20,7 +20,6 @@ from .units import DomainError, check_amplitude, check_samples
 
 __all__ = [
     "Chi2Report",
-    "TheoryEvaluationError",
     "evaluate_theory",
     "chi2_sf",
     "chi_squared",
@@ -34,33 +33,21 @@ _EPS = 1e-16
 _MAX_ITER = 600
 
 
-class TheoryEvaluationError(RuntimeError):
-    """Theory evaluator failed at a data point; names the point."""
-
-
 def evaluate_theory(theory: Callable, d_m: np.ndarray) -> np.ndarray:
     """``theory`` at every separation of ``d_m`` (meters), as a float array.
 
-    The whole array goes to ``theory`` in one call first; that result is
-    taken only when it is a float array of the same shape.  On any
-    exception or any other result each point is evaluated on its own, and
-    a failing point raises :class:`TheoryEvaluationError` naming its d, or
-    a :class:`DomainError` when the evaluator raised one (bad input).
+    ``theory`` is called once, on the whole array, and whatever it raises
+    reaches the caller unchanged: a :class:`DomainError` of an evaluator
+    names the separation outside its domain.  A result that is not one
+    float per separation raises :class:`TypeError`.
     """
-    try:
-        out = np.asarray(theory(d_m))
-        if out.dtype.kind == "f" and out.shape == d_m.shape:
-            return out.astype(float, copy=False)
-    except Exception:
-        pass  # a genuine failure recurs in the per-point pass, which names its d
-    preds = np.empty(d_m.shape)
-    for i, d in enumerate(d_m):
-        try:
-            preds[i] = float(theory(d))
-        except Exception as exc:
-            error = DomainError if isinstance(exc, DomainError) else TheoryEvaluationError
-            raise error(f"theory evaluation failed at d = {d / 1e-6:g} um: {exc}") from exc
-    return preds
+    out = np.asarray(theory(d_m))
+    if out.dtype.kind != "f" or out.shape != d_m.shape:
+        raise TypeError(
+            f"theory must return one float per separation, shape {d_m.shape}; "
+            f"got {out.dtype} of shape {out.shape}"
+        )
+    return out.astype(float, copy=False)
 
 
 def _upper_gamma_reg(a: float, x: float) -> float:
@@ -157,11 +144,10 @@ def chi_squared(
 ) -> Chi2Report:
     """chi^2 = sum ((F_i - theory(d_i)) / sigma_i)^2 with explicit dof accounting.
 
-    ``theory`` maps separation in meters to force in newtons; one that
-    accepts an array is called once for all points (see
-    :func:`evaluate_theory`).  Degrees of
-    freedom are never inferred: they are n - fitted_params, or exactly
-    ``dof_override`` when given.
+    ``theory`` maps an array of separations in meters to forces in
+    newtons; it is called once for all points (see :func:`evaluate_theory`).
+    Degrees of freedom are never inferred: they are n - fitted_params, or
+    exactly ``dof_override`` when given.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")

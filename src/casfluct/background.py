@@ -257,11 +257,11 @@ class TotalForceEvaluator:
         self.bg = bg
         self.casimir = casimir
 
-    def __call__(self, d: float) -> float:
+    def __call__(self, d: float | np.ndarray) -> float | np.ndarray:
         return self.bg.force(d) + self.casimir(d)
 
-    def gradient(self, d: float) -> float:
+    def gradient(self, d: float | np.ndarray) -> float | np.ndarray:
         return self.bg.gradient(d) + self.casimir.gradient(d)
 
-    def curvature(self, d: float) -> float:
+    def curvature(self, d: float | np.ndarray) -> float | np.ndarray:
         return self.bg.curvature(d) + self.casimir.curvature(d)

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .analysis import TheoryEvaluationError, chi_squared, scan_delta
+from .analysis import chi_squared, scan_delta
 from .background import ElectrostaticBackground, TotalForceEvaluator, fit_background
 from .corrections import (
     ConstantProfile,
@@ -212,16 +212,17 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
 
     ``column`` selects a named force column from the header instead, so
     e.g. the F_apparent_udyne column of a corrected-curve file can be
-    compared directly.
+    compared directly.  Like the header, it is matched case-insensitively.
     """
     header, rows = read_csv(path, ["d_um"], exact=False)
-    if column is None and len(header) > 1:
-        column = header[1]
-    if column not in header[1:]:
+    names = [name.lower() for name in header[1:]]
+    if not names:
+        raise ValueError(f"{path}: no force column after d_um; header has {header}")
+    if column is not None and column.lower() not in names:
         raise ValueError(f"{path}: no column {column!r}; header has {header}")
     if len(rows) < 4:
         raise ValueError(f"{path}: need >= 4 theory rows for spline interpolation")
-    idx = header.index(column)
+    idx = 1 if column is None else 1 + names.index(column.lower())
     d_um = np.array([r[0] for r in rows.values()])
     f_ud = np.array([r[idx] for r in rows.values()])
     return TabulatedForceCurve(d_um * UM, f_ud * UDYNE)
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
     try:
         opts = _merge_opts(args.command, args)
         return args.func(opts)
-    except (ConvergenceError, TheoryEvaluationError, ArithmeticError) as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"casfluct {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

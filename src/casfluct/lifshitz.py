@@ -36,6 +36,7 @@ from .permittivity import (
     PerfectConductor,
     Plasma,
     Tabulated,
+    UnsupportedModelError,
     eps_imag_axis,
 )
 from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry
@@ -247,7 +248,7 @@ def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> 
                     raise _unconverged_k_integral(kind, value)
                 te[kind] = value
         return [v + te[kind] for kind, v in zip(kinds, tm)]
-    raise TypeError(f"unknown material model {model!r}")
+    raise UnsupportedModelError(f"unknown material model {model!r}")
 
 
 def _xi1_rad(T: float) -> float:

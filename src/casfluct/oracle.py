@@ -65,6 +65,8 @@ class ProcessSpec:
         check_amplitude("target_rms", self.target_rms)
         check_positive("dt", self.dt)
         check_positive("duration", self.duration)
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         nyquist = 0.5 / self.dt
         if not 0 <= self.f_lo < self.f_hi <= nyquist:
             raise ValueError(
@@ -207,11 +209,11 @@ def time_averaged_force(
     realized rms, with F'' from ``force.curvature``; the analytic scatter
     is |F'(d)| times that rms, with F' from ``force.gradient``.  The
     standard error of the Monte Carlo mean uses batch means, which stay
-    honest for band-limited (correlated) samples.  A sample outside the
-    evaluator's domain raises :class:`DomainError` naming it, any other
-    failure of the evaluator :class:`TheoryEvaluationError`.  The force is
-    evaluated at every sample, in blocks of ``_BLOCK`` written into a buffer
-    of ``_work`` when given, so it should be a spline or a closed form, not
+    honest for band-limited (correlated) samples.  The force is called once
+    per block of ``_BLOCK`` samples, written into a buffer of ``_work`` when
+    given, and its own exception propagates: a sample outside its domain
+    raises the evaluator's :class:`DomainError`.  It is evaluated at every
+    sample, so it should be a spline or a closed form, not
     a :class:`SpherePlateForce` (~0.4 ms per d on a 2-core Xeon: ~7 min
     for 10^6 samples).
     """
@@ -326,10 +328,11 @@ def verify_second_order(
     fourth-order allowance, or within n.bit_length() ulps of it for n
     samples, whichever is larger; (b) for delta_rms/d <= 0.1 the Monte Carlo
     standard deviation must match |F'| delta_rms within 5%.  A series that
-    drives the separation out of the evaluator's domain, or a failed mean
-    check at delta_rms/d > 0.1, is recorded as an expansion breakdown
-    rather than raised: large excursions are exactly where the quadratic
-    description is documented to stop working.  Like
+    drives the separation out of the evaluator's domain (a
+    :class:`DomainError`), or a failed mean check at delta_rms/d > 0.1, is
+    recorded as an expansion breakdown rather than raised: large excursions
+    are exactly where the quadratic description is documented to stop
+    working.  Any other exception of the evaluator propagates.  Like
     :func:`time_averaged_force`, it evaluates the force at every sample: pass
     a spline or a closed form, not a :class:`SpherePlateForce`.
     """

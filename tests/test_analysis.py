@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import casfluct as cf
 from casfluct.analysis import (
-    TheoryEvaluationError,
     binning_consistency,
     chi2_sf,
     chi_squared,
@@ -85,7 +84,7 @@ class TestChiSquared:
 
         def theory(d_m):
             d_um = d_m / UM
-            off = 2.0 if abs(d_um - 2.0) < 1e-9 else 0.0
+            off = np.where(abs(d_um - 2.0) < 1e-9, 2.0, 0.0)
             return (215.0 / d_um + off) * UDYNE
 
         report = chi_squared(ds, theory)
@@ -113,7 +112,7 @@ class TestChiSquared:
 
     def test_dof_override(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
-        report = chi_squared(ds, lambda d: 0.0, dof_override=6)
+        report = chi_squared(ds, np.zeros_like, dof_override=6)
         assert report.dof == 6
 
     @pytest.mark.parametrize("dof_override", [None, 2])
@@ -127,12 +126,13 @@ class TestChiSquared:
         ds = synthetic_dataset([1.0, 2.0, 3.0])
 
         def theory(d_m):
-            if d_m > 1.5e-6:
-                raise FloatingPointError("laboratory accident")
-            return 0.0
+            if np.any(d_m > 1.5e-6):
+                raise FloatingPointError(f"laboratory accident at d = {d_m[d_m > 1.5e-6][0] / UM:g} um")
+            return np.zeros_like(d_m)
 
-        with pytest.raises(TheoryEvaluationError, match="d = 2"):
+        with pytest.raises(FloatingPointError, match="^laboratory accident at d = 2 um$") as info:
             chi_squared(ds, theory)
+        assert info.value.__cause__ is None  # the evaluator's own error, not a wrapper
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     def test_rescaling_invariance(self, scale):
@@ -155,7 +155,7 @@ class TestChiSquared:
 
     def test_json_shape(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
-        blob = chi_squared(ds, lambda d: 0.0).to_json_dict()
+        blob = chi_squared(ds, np.zeros_like).to_json_dict()
         assert set(blob) == {"chi2", "dof", "reduced", "p_value", "residuals"}
         assert set(blob["residuals"][0]) == {"d_um", "resid_sigma"}
 
@@ -182,9 +182,26 @@ class TestArrayEvaluation:
         chi_squared(dataset, theory)
         assert shapes == [(200,)]
 
+    def test_failing_theory_called_once(self, dataset):
+        calls = []
+        error = ValueError("this evaluator's own failure")
+
+        def theory(d_m):
+            calls.append(np.shape(d_m))
+            raise error
+
+        with pytest.raises(ValueError) as info:
+            chi_squared(dataset, theory)
+        assert info.value is error
+        assert calls == [(200,)]  # one call, no per-point retry
+
+    @staticmethod
+    def _per_point(theory):
+        return lambda d_m: np.array([theory(float(d)) for d in d_m])
+
     def test_spline_equals_per_point(self, dataset):
         spline = self._total().casimir
-        assert chi_squared(dataset, spline) == chi_squared(dataset, lambda d: spline(float(d)))
+        assert chi_squared(dataset, spline) == chi_squared(dataset, self._per_point(spline))
 
     def test_apparent_force_equals_per_point(self, dataset):
         total = self._total()
@@ -193,38 +210,41 @@ class TestArrayEvaluation:
             return cf.apparent_force(total, d, 0.1 * UM)
 
         got = chi_squared(dataset, theory, fitted_params=1)
-        want = chi_squared(dataset, lambda d: theory(float(d)), fitted_params=1)
+        want = chi_squared(dataset, self._per_point(theory), fitted_params=1)
         assert got.chi2 == pytest.approx(want.chi2, rel=1e-15, abs=0.0)
         assert got.p_value == pytest.approx(want.p_value, rel=1e-12, abs=0.0)
         assert got.dof == want.dof
 
-    def test_wrong_shape_falls_back_to_points(self, synthetic_dataset):
+    def test_wrong_shape_rejected(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
-        per_point = chi_squared(ds, lambda d: 215.0 / (d / UM) * UDYNE)
         # np.sum returns one number for the whole array: not a per-point result
-        summed = chi_squared(ds, lambda d: np.sum(215.0 / (d / UM) * UDYNE))
-        assert summed == per_point
+        with pytest.raises(TypeError, match=r"one float per separation, shape \(3,\); got float64 of shape \(\)"):
+            chi_squared(ds, lambda d: np.sum(215.0 / (d / UM) * UDYNE))
+        with pytest.raises(TypeError, match=r"got float64 of shape \(1, 3\)"):
+            chi_squared(ds, np.atleast_2d)
+        with pytest.raises(TypeError, match=r"got int64 of shape \(3,\)"):
+            chi_squared(ds, lambda d: np.ones(len(d), dtype=np.int64))
 
     def test_spline_out_of_range_names_point(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
         knots = np.linspace(0.5, 2.5, 10) * UM
         spline = cf.TabulatedForceCurve(knots, 215.0 * UDYNE * UM / knots)
         # out of the spline's domain is bad input: a DomainError, not a numerical failure
-        with pytest.raises(cf.DomainError, match="d = 3 um") as info:
+        with pytest.raises(cf.DomainError, match=r"separation 3e-06 outside tabulated range") as info:
             chi_squared(ds, spline)
-        assert isinstance(info.value.__cause__, cf.DomainError)
+        assert info.value.__cause__ is None
 
-    def test_scalar_only_theory_names_point(self, synthetic_dataset):
+    def test_scalar_only_theory_error_propagates(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
+        calls = []
 
         def theory(d_m):
-            d_m = float(d_m)  # TypeError on an array
-            if d_m > 1.5e-6:
-                raise FloatingPointError("laboratory accident")
-            return 0.0
+            calls.append(d_m)
+            return math.exp(-d_m)  # math takes no array
 
-        with pytest.raises(TheoryEvaluationError, match="d = 2 um: laboratory accident"):
+        with pytest.raises(TypeError, match="only .*arrays can be converted"):
             chi_squared(ds, theory)
+        assert len(calls) == 1
 
 
 class TestScanDelta:

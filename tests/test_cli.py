@@ -351,6 +351,29 @@ class TestChi2ColumnSelection:
         assert rc == 1
         assert "no column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [None, "F_udyne", "F_UDYNE", "f_udyne"])
+    def test_column_name_ignores_case(self, tmp_path, data_csv, column):
+        lower = _theory_curve(tmp_path / "lower.csv")
+        upper = tmp_path / "upper.csv"
+        upper.write_text(lower.read_text().replace("d_um,F_udyne", "D_UM,F_Udyne", 1))
+        outs = [tmp_path / "lower.json", tmp_path / "upper.json"]
+        pick = [] if column is None else ["--column", column]
+        for theory, out in zip((lower, upper), outs):
+            assert main(["chi2", "--data", str(data_csv), "--theory", str(theory),
+                         *pick, "-o", str(out)]) == 0
+        blobs = [json.loads(out.read_text()) for out in outs]
+        for blob in blobs:
+            del blob["_meta"]  # the input path differs
+        assert blobs[0] == blobs[1]
+
+    def test_no_force_column(self, tmp_path, data_csv, capsys):
+        theory = tmp_path / "t.csv"
+        theory.write_text("d_um\n1\n2\n3\n4\n")
+        rc = main(["chi2", "--data", str(data_csv), "--theory", str(theory),
+                   "-o", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert f"{theory}: no force column after d_um; header has ['d_um']" in capsys.readouterr().err
+
 
 class TestScanDeltaCommand:
     def test_scan(self, tmp_path, data_csv):
@@ -758,6 +781,8 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "temperature must be finite and >= 0, got inf", id="force-temperature-inf"),
         pytest.param(["simulate", "--duration", "inf"],
                      "duration must be finite and > 0, got inf", id="simulate-duration-inf"),
+        pytest.param(["simulate", "--seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="simulate-seed-negative"),
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
@@ -787,9 +812,9 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
     "argv, message",
     [
         pytest.param(["scan-delta", "--data", "{data}", "--d0", "0.7", "--steps", "2"],
-                     "theory evaluation failed at d = 0.62 um: require d > d0", id="scan-delta-d0"),
+                     "scan-delta: require d > d0 = 7e-07, got d = 6.2e-07", id="scan-delta-d0"),
         pytest.param(["chi2", "--data", "{data}", "--theory", "{short_theory}"],
-                     "theory evaluation failed at d = 4 um: separation 4e-06 outside tabulated range",
+                     "chi2: separation 6e-06 outside tabulated range [5e-07, 3e-06]",
                      id="chi2-short-theory"),
     ],
 )

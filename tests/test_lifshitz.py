@@ -201,6 +201,13 @@ def test_matsubara_non_convergence_carries_partial_sum(monkeypatch):
     assert err.value.partial_sum > 0
 
 
+@pytest.mark.parametrize("T", [0.0, 300.0])
+@pytest.mark.parametrize("d", [1e-6, 1e-3])  # at 1 mm and 300 K only the n = 0 term survives
+def test_unknown_model_one_error(d, T):
+    with pytest.raises(cf.UnsupportedModelError, match="unknown material model"):
+        plate_energy(object(), d, T)
+
+
 def test_tabulated_material_force_close_to_drude(geometry):
     xi = np.geomspace(1e-3, 1e3, 160)
     tab = cf.Tabulated(xi_ev=xi, eps=cf.eps_imag_axis(cf.GOLD_DRUDE, xi), low_freq=cf.GOLD_DRUDE)

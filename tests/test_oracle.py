@@ -60,6 +60,14 @@ class TestProcessSpec:
         with pytest.raises(ValueError):
             ProcessSpec(target_rms=-1.0, **FAST)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            ProcessSpec(seed=seed, **FAST)
+
+    def test_numpy_integer_seed(self):
+        assert ProcessSpec(seed=np.int64(3), **FAST).seed == 3
+
 
 class TestSampleProcess:
     def test_deterministic(self):
@@ -156,9 +164,10 @@ class TestTimeAveragedForce:
         knots = np.linspace(0.9, 1.1, 12) * UM
         spline = cf.TabulatedForceCurve(knots, 1.0 / knots)
         s = np.array([0.0, 0.05, 0.2, -0.05]) * UM
-        with pytest.raises(cf.DomainError, match="d = 1.2 um") as info:
+        # the spline's own DomainError, unwrapped, names the sample's separation
+        with pytest.raises(cf.DomainError, match=r"separation 1\.2e-06 outside tabulated range") as info:
             time_averaged_force(spline, 1e-6, s)
-        assert isinstance(info.value.__cause__, cf.DomainError)
+        assert info.value.__cause__ is None
 
     def test_statistics_equal_whole_array_reference(self):
         bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
@@ -186,17 +195,19 @@ class TestTimeAveragedForce:
         assert calls == []  # the domain is checked before any evaluation
 
     def test_failing_point_past_first_block_named(self):
+        calls = []
+
         def force(x):
-            x = np.asarray(x)
+            calls.append(len(x))
             if np.any(x > 1.1e-6):
-                raise ValueError("outside this evaluator's range")
+                raise ValueError(f"d = {x.max():g} outside this evaluator's range")
             return 1.0 / x
 
         s = np.zeros(200_000)
-        s[100_000] = 0.2e-6
-        with pytest.raises(cf.TheoryEvaluationError, match=r"d = 1\.2 um: outside") as info:
+        s[100_000] = 0.2e-6  # in the second block
+        with pytest.raises(ValueError, match=r"^d = 1\.2e-06 outside this evaluator's range$"):
             time_averaged_force(force, 1e-6, s)
-        assert isinstance(info.value.__cause__, ValueError)
+        assert calls == [oracle._BLOCK, oracle._BLOCK]  # one call per block, none per point
 
     def test_report_fields(self, polynomial):
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
@@ -265,7 +276,7 @@ class TestVerifySecondOrder:
             raise ZeroDivisionError("not a domain problem")
 
         spec = ProcessSpec(target_rms=1e-8, seed=1, **FAST)
-        with pytest.raises(cf.TheoryEvaluationError):
+        with pytest.raises(ZeroDivisionError, match="not a domain problem"):
             verify_second_order(force, 1e-6, spec, trials=10)
 
     @pytest.mark.parametrize("kind", ["white", "one-over-f"])
