@@ -8,7 +8,7 @@ scaled by d^3, combines a fluctuation budget, and scales a tilt-noise
 measurement between pendulum lengths.
 """
 
-import numpy as np
+import math
 
 import casfluct as cf
 
@@ -40,15 +40,17 @@ for d_um in (0.6, 1.5, 3.0, 6.0):
 print("  -> beta * delta^2 = 215 * 0.01 = 2.15, independent of d")
 
 # Quadrature budget ----------------------------------------------------------
-budget = cf.FluctuationBudget((
-    cf.FluctuationSource("seismic tilt", 60e-9, "out-of-band"),
-    cf.FluctuationSource("air-current tilt", 80e-9, "out-of-band"),
-    cf.FluctuationSource("position readout", 40e-9, "in-band"),
-))
-combo = cf.combine_delta_sources(budget)
-print(f"\nbudget: in-band {combo.in_band / 1e-9:.0f} nm, "
-      f"out-of-band {combo.out_of_band / 1e-9:.0f} nm, "
-      f"total {combo.total / 1e-9:.0f} nm")
+# (label, rms in m, inside the measurement band?); uncorrelated sources add in quadrature
+sources = (
+    ("seismic tilt", 60e-9, False),
+    ("air-current tilt", 80e-9, False),
+    ("position readout", 40e-9, True),
+)
+in_band = math.sqrt(sum(rms**2 for _, rms, band in sources if band))
+out_of_band = math.sqrt(sum(rms**2 for _, rms, band in sources if not band))
+print(f"\nbudget: in-band {in_band / 1e-9:.0f} nm, "
+      f"out-of-band {out_of_band / 1e-9:.0f} nm, "
+      f"total {math.hypot(in_band, out_of_band) / 1e-9:.0f} nm")
 print("the total drives the mean shift; only the in-band part widens the scatter")
 
 # Tilt-noise scaling ---------------------------------------------------------

@@ -9,10 +9,8 @@ independent Monte Carlo time-averaging check of the corrections.
 """
 
 from .analysis import (
-    BinningExcess,
     Chi2Report,
     ScanResult,
-    binning_consistency,
     chi2_sf,
     chi_squared,
     scan_delta,
@@ -27,13 +25,9 @@ from .background import (
 )
 from .corrections import (
     ConstantProfile,
-    DeltaCombination,
-    FluctuationBudget,
-    FluctuationSource,
     SqrtLawProfile,
     TableProfile,
     apparent_force,
-    combine_delta_sources,
     inflated_sigma,
     tilt_noise_estimate,
 )

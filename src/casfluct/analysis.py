@@ -1,4 +1,4 @@
-"""Chi-squared model comparison, tail probabilities, and scatter diagnostics.
+"""Chi-squared model comparison, tail probabilities and fluctuation-amplitude scans.
 
 Tail probabilities are computed exactly: the finite Poisson sum for even
 degrees of freedom and the regularized incomplete gamma function (series
@@ -9,9 +9,8 @@ deliberately avoided because the interesting values live in the tails.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "chi_squared",
     "ScanResult",
     "scan_delta",
-    "BinningExcess",
-    "binning_consistency",
 ]
 
 _EPS = 1e-16
@@ -198,30 +195,3 @@ def scan_delta(
     )
     best = int(np.argmin([r.chi2 for r in reports]))  # first minimum = smallest delta
     return ScanResult(deltas=tuple(grid), reports=reports, argmin_delta=grid[best])
-
-
-class BinningExcess(NamedTuple):
-    """Excess in-band scatter extracted from observed vs expected sigma."""
-
-    excess: float
-    inverted: bool
-
-
-def binning_consistency(sigma_observed: float, sigma_expected: float) -> BinningExcess:
-    """Excess scatter sqrt(sigma_obs^2 - sigma_exp^2).
-
-    This is the in-band fluctuation contribution to be matched against
-    F' * delta_rms.  Inverted inputs (observed below expected) return a
-    zero excess with the ``inverted`` flag set and a warning.
-    """
-    check_amplitude("sigma_observed", sigma_observed)
-    check_amplitude("sigma_expected", sigma_expected)
-    if sigma_observed < sigma_expected:
-        warnings.warn(
-            "observed scatter below expectation; no fluctuation excess extractable",
-            stacklevel=2,
-        )
-        return BinningExcess(0.0, True)
-    return BinningExcess(
-        math.sqrt(sigma_observed**2 - sigma_expected**2), False
-    )

@@ -296,7 +296,7 @@ def _cmd_simulate(opts) -> int:
         geometry = _geometry(opts)
         # samples outside the span are recorded as expansion breakdowns.  The span holds
         # fourth_order_allowance's outer stencil points d -+ 0.1 d, rounded as it rounds them
-        # (0.9 * d may lie an ulp above), until ROADMAP item 3 deletes that stencil
+        # (0.9 * d may lie an ulp above), until ROADMAP item 4 deletes that stencil
         lo = min(max(d - 10.0 * delta, 0.1 * d), d - 0.1 * d)
         dense = np.geomspace(lo, max(d + 10.0 * delta, d + 0.1 * d), 80)
         casimir = force_curve(_build_model(opts.model, opts), geometry, dense).as_evaluator()

@@ -11,16 +11,15 @@ per-point scatter,
     sigma_Fa^2 = sigma_F^2 + (F'(d) delta_rms)^2.
 
 Out-of-band sources shift the mean only; in-band sources do both.
-Uncorrelated sources combine in quadrature.  The same quadratic form
-covers static surface roughness, so an rms roughness can simply be added
-to the budget.
+Uncorrelated sources, static surface roughness among them, add to
+delta_rms in quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +30,6 @@ __all__ = [
     "ConstantProfile",
     "SqrtLawProfile",
     "TableProfile",
-    "FluctuationProfile",
-    "FluctuationSource",
-    "FluctuationBudget",
-    "DeltaCombination",
-    "combine_delta_sources",
     "apparent_force",
     "inflated_sigma",
     "tilt_noise_estimate",
@@ -100,61 +94,6 @@ class TableProfile:
         if not lo <= x <= hi:
             raise DomainError(f"distance {x:g} outside tabulated range [{lo:g}, {hi:g}]")
         return float(np.interp(x, self.d, self.delta))
-
-
-FluctuationProfile = Union[ConstantProfile, SqrtLawProfile, TableProfile]
-
-
-_BANDS = ("in-band", "out-of-band")
-
-
-@dataclass(frozen=True)
-class FluctuationSource:
-    """One contribution to the fluctuation budget."""
-
-    label: str
-    delta_rms: float  # m
-    band: str  # 'in-band' or 'out-of-band'
-
-    def __post_init__(self) -> None:
-        check_amplitude("delta_rms", self.delta_rms)
-        if self.band not in _BANDS:
-            raise ValueError(f"band must be one of {_BANDS}, got {self.band!r}")
-
-
-@dataclass(frozen=True)
-class FluctuationBudget:
-    sources: tuple[FluctuationSource, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", tuple(self.sources))
-
-
-class DeltaCombination(NamedTuple):
-    """Quadrature-combined rms per band."""
-
-    in_band: float
-    out_of_band: float
-
-    @property
-    def total(self) -> float:
-        """Combined rms of all sources; this drives the mean-force shift."""
-        return math.hypot(self.in_band, self.out_of_band)
-
-
-def combine_delta_sources(budget: FluctuationBudget) -> DeltaCombination:
-    """Add uncorrelated sources in quadrature, split by band.
-
-    The total feeds the mean-force shift; only the in-band part feeds the
-    scatter inflation.
-    """
-    sq = {band: 0.0 for band in _BANDS}
-    for src in budget.sources:
-        sq[src.band] += src.delta_rms**2
-    return DeltaCombination(
-        in_band=math.sqrt(sq["in-band"]),
-        out_of_band=math.sqrt(sq["out-of-band"]),
-    )
 
 
 def apparent_force(

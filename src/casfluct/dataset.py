@@ -1,11 +1,14 @@
 """Binned force-vs-distance measurements and their CSV form.
 
 The on-disk schema is ``d_um, force_udyne, sigma_udyne, n_samples,
-bin_width_um`` with a mandatory header and ``#`` comment lines.  The
-dataset object keeps the file's native micrometer/microdyne values (so a
-load/save round trip is bit-identical) and exposes SI views for the
-physics layers.  Every input CSV of the package, not only datasets, is
-read by :func:`read_csv`.
+bin_width_um`` with a mandatory header and ``#`` comment lines.
+``sigma_udyne`` is the standard error of the bin's mean force: the sigma
+that chi-squared, the background fit and the amplitude scan divide by.
+``n_samples`` and ``bin_width_um`` are validated and carried, but no
+computation reads them.  The dataset object keeps the file's native
+micrometer/microdyne values (so a load/save round trip is bit-identical)
+and exposes SI views for the physics layers.  Every input CSV of the
+package, not only datasets, is read by :func:`read_csv`.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class ForceDataset:
             raise DatasetError("all sigma must be > 0")
         if np.any(self.n_samples <= 0):
             raise DatasetError("all n_samples must be >= 1")
+        if np.any(self.bin_width_um < 0):
+            raise DatasetError("all bin_width_um must be >= 0")
 
     def __len__(self) -> int:
         return len(self.d_um)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import casfluct as cf
 from casfluct.analysis import (
-    binning_consistency,
     chi2_sf,
     chi_squared,
     scan_delta,
@@ -299,36 +298,3 @@ class TestScanDelta:
             scan_delta(ds, family, [])
         with pytest.raises(ValueError):
             scan_delta(ds, family, [2e-7, 1e-7])
-
-
-class TestBinningConsistency:
-    def test_pythagorean(self):
-        assert binning_consistency(5.0, 3.0).excess == pytest.approx(4.0, rel=0)
-
-    def test_equal_sigmas(self):
-        assert binning_consistency(2.5, 2.5).excess == 0.0
-
-    def test_coarse_bin_anchor(self):
-        # observed 1.32*sqrt(10) vs expected sqrt(10)
-        out = binning_consistency(1.32 * math.sqrt(10.0), math.sqrt(10.0))
-        assert out.excess == pytest.approx(2.724701818548225, rel=1e-12)
-        assert not out.inverted
-
-    def test_inverted_inputs_warn(self):
-        with pytest.warns(UserWarning):
-            out = binning_consistency(1.0, 2.0)
-        assert out.excess == 0.0
-        assert out.inverted
-
-    @given(
-        a=st.floats(min_value=0, max_value=1e6),
-        b=st.floats(min_value=0, max_value=1e6),
-    )
-    def test_recovers_quadrature_component(self, a, b):
-        out = binning_consistency(math.hypot(a, b), a)
-        # the subtraction is ill-conditioned for b << a; tolerance tracks that
-        assert out.excess == pytest.approx(b, abs=2e-7 * (a + b + 1.0))
-
-    def test_domain(self):
-        with pytest.raises(cf.DomainError):
-            binning_consistency(-1.0, 0.0)

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 import casfluct as cf
 from casfluct.corrections import (
     ConstantProfile,
-    FluctuationBudget,
-    FluctuationSource,
     SqrtLawProfile,
     TableProfile,
     apparent_force,
-    combine_delta_sources,
     inflated_sigma,
     tilt_noise_estimate,
 )
@@ -124,45 +121,6 @@ class TestInflatedSigma:
             inflated_sigma(1.0, 1.0, -1.0)
 
 
-def _budget(in_band=(), out_of_band=()):
-    sources = [FluctuationSource(f"in{i}", v, "in-band") for i, v in enumerate(in_band)]
-    sources += [FluctuationSource(f"out{i}", v, "out-of-band") for i, v in enumerate(out_of_band)]
-    return FluctuationBudget(tuple(sources))
-
-
-class TestCombineSources:
-    def test_single_source(self):
-        combo = combine_delta_sources(_budget(in_band=(2.0, 0.0)))
-        assert combo.in_band == 2.0
-        assert combo.out_of_band == 0.0
-
-    def test_three_four_five(self):
-        combo = combine_delta_sources(_budget(in_band=(3.0, 4.0)))
-        assert combo.in_band == pytest.approx(5.0, rel=0)
-
-    def test_one_two_two(self):
-        combo = combine_delta_sources(_budget(out_of_band=(1.0, 2.0, 2.0)))
-        assert combo.out_of_band == pytest.approx(3.0, rel=0)
-
-    def test_total_combines_bands(self):
-        combo = combine_delta_sources(_budget(in_band=(3.0,), out_of_band=(4.0,)))
-        assert combo.total == pytest.approx(5.0, rel=0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6))
-    def test_permutation_invariant_and_bounded(self, values):
-        a = combine_delta_sources(_budget(in_band=values)).in_band
-        b = combine_delta_sources(_budget(in_band=list(reversed(values)))).in_band
-        assert a == pytest.approx(b, rel=1e-12)
-        assert max(values) <= a + 1e-12
-        assert a <= sum(values) + 1e-12
-
-    def test_band_validation(self):
-        with pytest.raises(ValueError):
-            FluctuationSource("x", 1.0, "sideways")
-        with pytest.raises(ValueError):
-            FluctuationSource("x", -1.0, "in-band")
-
-
 class TestProfiles:
     def test_sqrt_law_reference_points(self):
         p = SqrtLawProfile()  # amplitude 1 um, scale 3 um
@@ -239,7 +197,6 @@ def test_amplitudes_must_be_finite_and_non_negative(bad):
         lambda: ConstantProfile(bad),
         lambda: SqrtLawProfile(amplitude=bad),
         lambda: TableProfile(d=np.array([1e-6, 2e-6]), delta=np.array([1e-7, bad])),
-        lambda: FluctuationSource("x", bad, "in-band"),
         lambda: cf.ProcessSpec(target_rms=bad),
         lambda: apparent_force(lambda x: x, 1e-6, bad),
         lambda: inflated_sigma(1.0, 1.0, bad),

@@ -157,3 +157,15 @@ def test_constructor_invariants():
             n_samples=np.array([]),
             bin_width_um=np.array([]),
         )
+
+
+def test_negative_bin_width_rejected_as_load_dataset_would(tmp_path):
+    # a dataset save_dataset writes must load back, and load_dataset refuses w < 0
+    with pytest.raises(cf.DatasetError, match="^all bin_width_um must be >= 0$"):
+        cf.ForceDataset(
+            d_um=np.array([1.0, 2.0, 3.0]),
+            force_udyne=np.array([1.0, 2.0, 3.0]),
+            sigma_udyne=np.array([0.1, 0.1, 0.1]),
+            n_samples=np.array([1, 1, 1]),
+            bin_width_um=np.array([0.1, -0.2, 0.1]),
+        )

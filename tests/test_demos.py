@@ -1,4 +1,5 @@
-"""Every demo script, and the README's library quick start, runs to completion as a plain script."""
+"""Every demo script, and the README's library quick start, runs to completion as a plain
+script; demos 02 and 04 print the quadrature sums they compute inline."""
 
 import os
 import re
@@ -23,11 +24,19 @@ def _run(script, cwd):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# a line each of these demos must print: the quadrature sums they compute inline
+PRINTS = {
+    "02_fluctuation_correction": "budget: in-band 40 nm, out-of-band 100 nm, total 108 nm",
+    "04_model_comparison": "-> excess scatter 2.725 (coarse-bin sigma units)",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    _run(demo, tmp_path)
+    assert PRINTS.get(demo.stem, "") in _run(demo, tmp_path)
 
 
 def test_readme_quick_start_exits_0(tmp_path):

@@ -154,8 +154,6 @@ _ARGUMENTS = [
     ("inflated_sigma", "sigma_force", lambda v: cf.inflated_sigma(v, 1.0, 1.0)),
     ("chi2_sf-odd", "chi2 statistic", lambda v: cf.chi2_sf(v, 3)),
     ("chi2_sf-even", "chi2 statistic", lambda v: cf.chi2_sf(v, 4)),
-    ("binning-observed", "sigma_observed", lambda v: cf.binning_consistency(v, 1.0)),
-    ("binning-expected", "sigma_expected", lambda v: cf.binning_consistency(1.0, v)),
     ("plate_pressure-T", "temperature", lambda v: cf.plate_pressure(cf.GOLD_DRUDE, 1e-6, v)),
     ("plate_pressure-d", "separation", lambda v: cf.plate_pressure(cf.GOLD_DRUDE, v, 300.0)),
     ("apparent_force", "distance", lambda v: cf.apparent_force(lambda d: 1.0 / d, v, 0.0)),
