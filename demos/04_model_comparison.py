@@ -59,7 +59,7 @@ for label, theory, params in [
 
 # Scan the fluctuation amplitude as a free parameter
 grid = np.linspace(0.0, 0.2, 21) * UM
-scan = cf.scan_delta(data, lambda delta: corrected(total_drude, delta), grid)
+scan = cf.scan_delta(data, total_drude, grid)
 print(f"\namplitude scan (drude): best delta_rms = {scan.argmin_delta / UM:.3f} um "
       f"(truth {delta_true / UM:.3f}), chi2 = {scan.best_report.chi2:.2f}")
 

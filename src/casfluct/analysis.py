@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .corrections import apparent_from_values
 from .dataset import ForceDataset
 from .units import DomainError, check_amplitude, check_samples
 
@@ -151,9 +152,14 @@ def chi_squared(
     if fitted_params < 0:
         raise ValueError(f"fitted_params must be >= 0, got {fitted_params}")
     preds = evaluate_theory(theory, data.d_m)
+    dof = dof_override if dof_override is not None else len(data) - fitted_params
+    return _report(data, preds, dof)
+
+
+def _report(data: ForceDataset, preds: np.ndarray, dof: int) -> Chi2Report:
+    """The chi^2 report of the predictions ``preds``, one per point of ``data``."""
     resid = (data.force_N - preds) / data.sigma_N
     chi2 = float(np.sum(resid**2))
-    dof = dof_override if dof_override is not None else len(data) - fitted_params
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     return Chi2Report(
@@ -178,20 +184,25 @@ class ScanResult:
         return self.reports[self.deltas.index(self.argmin_delta)]
 
 
-def scan_delta(
-    data: ForceDataset,
-    theory_family: Callable[[float], Callable],
-    grid,
-) -> ScanResult:
+def scan_delta(data: ForceDataset, force: Callable, grid) -> ScanResult:
     """Profile chi^2 over a grid of rms-fluctuation amplitudes.
 
-    ``theory_family(delta)`` must return a force evaluator.  One parameter
-    (the amplitude) counts as fitted, so dof = n - 1.  Ties break toward
-    the smaller amplitude.
+    Each amplitude delta scores the apparent force F + (1/2) F'' delta^2
+    of the evaluator ``force`` (F itself at delta = 0), the chi^2 of
+    ``apparent_force(force, ., delta)`` bit for bit.  F and
+    ``force.curvature`` are each evaluated once, on all the points of
+    ``data``, whatever the length of the grid; F'' is not asked for when
+    the grid holds zero alone.  One parameter (the amplitude) counts as
+    fitted, so dof = n - 1.  Ties break toward the smaller amplitude.
     """
-    grid = [float(g) for g in check_samples(("grid",), grid)[0]]
+    grid = check_samples(("grid",), grid)[0]
+    check_amplitude("delta_rms", grid)
+    base = evaluate_theory(force, data.d_m)
+    second = evaluate_theory(force.curvature, data.d_m) if np.any(grid) else None
+    deltas = grid.tolist()
     reports = tuple(
-        chi_squared(data, theory_family(delta), fitted_params=1) for delta in grid
+        _report(data, apparent_from_values(base, second, delta) if delta else base, len(data) - 1)
+        for delta in deltas
     )
     best = int(np.argmin([r.chi2 for r in reports]))  # first minimum = smallest delta
-    return ScanResult(deltas=tuple(grid), reports=reports, argmin_delta=grid[best])
+    return ScanResult(deltas=tuple(deltas), reports=reports, argmin_delta=deltas[best])

@@ -254,19 +254,15 @@ def _cmd_scan_delta(opts) -> int:
     geometry = _geometry(opts)
     model = _build_model(opts.model, opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
-    # dense spline of the dispersion curve; cheap to re-evaluate per delta
+    # dense spline of the dispersion curve: F and F'' at the data come from it once per scan
     lo, hi = float(data.d_m.min()) * 0.8, float(data.d_m.max()) * 1.2
     dense = np.geomspace(lo, hi, 120)
     casimir = force_curve(model, geometry, dense).as_evaluator()
     total = TotalForceEvaluator(bg, casimir)
-
-    def family(delta: float):
-        return lambda d: apparent_force(total, d, delta)
-
     grid = np.linspace(opts.delta_min, opts.delta_max, opts.steps) * UM
     if grid[0] == 0.0:
         grid[0] = 1e-15  # strictly ascending grid; zero handled as 'no fluctuation'
-    result = scan_delta(data, family, grid)
+    result = scan_delta(data, total, grid)
     meta = _meta("scan-delta", opts, {"data": opts.data})
     meta["argmin_delta_um"] = result.argmin_delta / UM
     rows = [

@@ -116,7 +116,12 @@ def apparent_force(
     if not np.any(delta_rms):
         return base
     second = float_or_array(force.curvature(d) if curvature is None else curvature)
-    return base + 0.5 * second * delta_rms**2
+    return apparent_from_values(base, second, delta_rms)
+
+
+def apparent_from_values(force_value, curvature, delta_rms):
+    """F + (1/2) F'' delta_rms^2 from values of F and F'' at the same d."""
+    return force_value + 0.5 * curvature * delta_rms**2
 
 
 def inflated_sigma(sigma_force, f_prime, delta_rms) -> float | np.ndarray:

@@ -131,7 +131,7 @@ def _integrand(kind: str, y, r_tm2, r_te2):
     return y**3 * (r_tm2 / den_tm**2 + r_te2 / den_te**2)
 
 
-def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float):
+def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float, need=None):
     """exp(a_i) * integral over y in [a_i, inf) of each kernel in ``kinds``, for each a_i.
 
     Gauss-Laguerre in t = y - a_i, evaluated as a (rows x order) grid; the
@@ -141,12 +141,14 @@ def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float):
     row and each kernel stops at the first order that agrees with the one
     before, and each row is reduced on its own with ``np.dot``, so a value
     depends neither on the other rows nor on which other kernels were
-    requested.  Returns the values and the mask of those still unconverged
-    at the last order, both shaped (rows x kinds); callers decide whether
-    an unconverged value is an error.
+    requested.  ``need``, a (rows x kinds) mask, limits each row to the
+    kernels it marks; every kernel of every row by default.  Returns the
+    values and the mask of those still unconverged at the last order, both
+    shaped (rows x kinds), with 0 and False where a row was not asked for
+    a kernel; callers decide whether an unconverged value is an error.
     """
     vals = np.zeros((a.size, len(kinds)))
-    pending = np.ones(vals.shape, dtype=bool)
+    pending = np.ones(vals.shape, dtype=bool) if need is None else np.array(need, dtype=bool)
     for step, order in enumerate(_LAG_ORDERS):
         rows = np.flatnonzero(pending.any(axis=1))
         if rows.size == 0:
@@ -177,11 +179,11 @@ def _unconverged_k_integral(kind: str, value: float) -> ConvergenceError:
     )
 
 
-def _r2_factory(model: MaterialModel, xi_ev: np.ndarray, a: np.ndarray, terms=slice(None)) -> Callable:
-    """``r2_of_y`` of ``_inner_rows`` for rows a = 2 xi d / c; row i is at frequency xi_ev[terms][i] (eV)."""
+def _r2_factory(model: MaterialModel, xi_ev: np.ndarray, a: np.ndarray) -> Callable:
+    """``r2_of_y`` of ``_inner_rows`` for rows a = 2 xi d / c; row i is at frequency xi_ev[i] (eV)."""
     if isinstance(model, PerfectConductor):
         return lambda y, rows: (np.ones_like(y), np.ones_like(y))
-    eps = eps_imag_axis(model, xi_ev)[terms]
+    eps = eps_imag_axis(model, xi_ev)
     return lambda y, rows: _r2_metal(eps[rows, None], y, a[rows, None])
 
 
@@ -221,117 +223,121 @@ def _n0_te_energy(b: float) -> float:
     return fine
 
 
-def _n0_scaled(model: MaterialModel, d: float, kinds: tuple, rel_tol: float) -> list[float]:
-    """Zero-frequency term of each scaled sum (a = 0, model-specific TE)."""
+def _n0_scaled(model: MaterialModel, ds, kinds: tuple, rel_tol: float) -> list:
+    """Zero-frequency term of each scaled sum (a = 0, model-specific TE) at each d of ``ds``.
+
+    An entry holds the values of one d, or the ``ConvergenceError`` that d
+    raises alone.  The plasma TE pressure and slope of every d come from
+    one ``_inner_rows`` call, a row per d with its own b.
+    """
     tm = [_N0_TM[kind] for kind in kinds]
     if isinstance(model, PerfectConductor):
-        return [2.0 * v for v in tm]
+        return [[2.0 * v for v in tm]] * len(ds)
     if isinstance(model, (Drude, Tabulated)):
-        return tm  # TE reflection vanishes at zero frequency
-    if isinstance(model, Plasma):
-        omega_p = model.omega_p_ev * EV / CONSTANTS.hbar  # rad/s
-        b = 2.0 * d * omega_p / CONSTANTS.c
-        te = {}
-        if "energy" in kinds:
-            te["energy"] = _n0_te_energy(b)
-        laguerre = tuple(kind for kind in kinds if kind != "energy")
-        if laguerre:
+        return [tm] * len(ds)  # TE reflection vanishes at zero frequency
+    if not isinstance(model, Plasma):
+        raise UnsupportedModelError(f"unknown material model {model!r}")
+    omega_p = model.omega_p_ev * EV / CONSTANTS.hbar  # rad/s
+    b = 2.0 * np.asarray(ds, dtype=float) * omega_p / CONSTANTS.c
+    laguerre = tuple(kind for kind in kinds if kind != "energy")
+    vals, unconverged = np.zeros((b.size, 0)), np.zeros((b.size, 0), dtype=bool)
+    if laguerre:
 
-            def r2(y, rows):
-                s = np.sqrt(y * y + b * b)
-                r = (y - s) / (y + s)
-                return np.zeros_like(y), r * r
+        def r2(y, rows):
+            s = np.sqrt(y * y + b[rows, None] * b[rows, None])
+            r = (y - s) / (y + s)
+            return np.zeros_like(y), r * r
 
-            vals, unconverged = _inner_rows(np.zeros(1), r2, laguerre, rel_tol)
-            for kind, value, bad in zip(laguerre, vals[0].tolist(), unconverged[0]):
-                if bad:
+        vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre, rel_tol)
+    out = []
+    for b_d, row, bad in zip(b.tolist(), vals.tolist(), unconverged.tolist()):
+        try:
+            te = {"energy": _n0_te_energy(b_d)} if "energy" in kinds else {}
+            for kind, value, flagged in zip(laguerre, row, bad):
+                if flagged:
                     raise _unconverged_k_integral(kind, value)
                 te[kind] = value
-        return [v + te[kind] for kind, v in zip(kinds, tm)]
-    raise UnsupportedModelError(f"unknown material model {model!r}")
+            out.append([v + te[kind] for kind, v in zip(kinds, tm)])
+        except ConvergenceError as err:
+            out.append(err)
+    return out
 
 
 def _xi1_rad(T: float) -> float:
     return 2.0 * math.pi * CONSTANTS.k_B * T / CONSTANTS.hbar
 
 
-# The Matsubara series is computed in blocks of terms: the first block holds
-# the terms with a_n <= _BLOCK_A (the default 1e-9 stop lands at a_n ~ 15-40),
-# every later block as many again, and no block more than _BLOCK_MAX terms.
-# The first blocks of a grid of d share _inner_rows calls of at most
-# _BLOCK_MAX rows, which also bounds the memory of one call.
+# The Matsubara series of each d is computed in blocks of terms: the first
+# block holds the terms with a_n <= _BLOCK_A (the default 1e-9 stop lands at
+# a_n ~ 15-40), every later block as many again, and no block more than
+# _BLOCK_MAX terms.  A grid of d is summed in rounds: each round takes the
+# next block of every d still summing and packs them all into _inner_rows
+# calls of at most _BLOCK_MAX rows, which also bounds the memory of one call.
 _BLOCK_A = 30.0
 _BLOCK_MAX = 256
 
 
-def _first_blocks(model, plans, n, xi1, kinds, rel) -> list:
-    """(values, unconverged) of ``_inner_rows`` for the first block of each d, or None.
+def _packed_blocks(model, blocks, xi1, kinds, rel) -> list:
+    """(values, unconverged) of ``_inner_rows`` for each block of ``blocks``.
 
-    ``plans`` holds (a_all, stop, size) per d.  The blocks are packed in
-    grid order into ``_inner_rows`` calls of at most ``_BLOCK_MAX`` rows,
-    no block split between calls, with one ``eps_imag_axis`` call per
-    ``_inner_rows`` call.  Rows are reduced on their own, so each value
-    equals that of a call for its d alone.  A d with no terms gets None.
+    A block is (a, n, mask): its rows a_n, their Matsubara indices n and
+    the kernels of ``kinds`` its rows compute, one bool per kernel.  The
+    blocks are packed in order into ``_inner_rows`` calls of at most
+    ``_BLOCK_MAX`` rows, no block split between calls, with one
+    ``eps_imag_axis`` call per ``_inner_rows`` call.  Rows are reduced on
+    their own, so each value equals that of a call for its block alone.
     """
-    blocks = [a_all[:size] if stop else None for a_all, stop, size in plans]
     groups, rows = [], _BLOCK_MAX
-    for i, a in enumerate(blocks):
-        if a is None:
-            continue
+    for i, (a, _, _) in enumerate(blocks):
         if rows + a.size > _BLOCK_MAX:
             groups.append([])
             rows = 0
         groups[-1].append(i)
         rows += a.size
-    out = [None] * len(blocks)
+    out = []
     for members in groups:
-        a = np.concatenate([blocks[i] for i in members])
-        terms = np.concatenate([np.arange(blocks[i].size) for i in members])
-        xi_ev = n[: terms.max() + 1] * xi1 * CONSTANTS.hbar / EV
-        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a, terms), kinds, rel)
-        lo = 0
-        for i in members:
-            hi = lo + blocks[i].size
-            out[i] = (vals[lo:hi], unconverged[lo:hi])
-            lo = hi
+        a, n, masks = zip(*(blocks[i] for i in members))
+        sizes = [part.size for part in a]
+        a = np.concatenate(a)
+        xi_ev = np.concatenate(n) * xi1 * CONSTANTS.hbar / EV
+        need = np.repeat(masks, sizes, axis=0)
+        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), kinds, rel, need)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        out += [(vals[lo:hi], unconverged[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     return out
 
 
 def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
-    inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  The
-    first block of terms of every d comes from ``_first_blocks``; each
-    later block of one d from one ``_inner_rows`` and one
-    ``eps_imag_axis`` call.  Then, one d at a time in grid order, the
-    terms are added one at a time in n, each kernel stopping at its own
-    converged term count, so a grid raises what its first failing d
-    raises alone.  A block may compute terms past the stop; only a
-    consumed term can raise.
+    inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  Each
+    round packs the next block of terms of every d still summing into
+    shared ``_inner_rows`` calls (``_packed_blocks``), a row computing
+    only the kernels its d still needs.  Then, one d at a time in grid
+    order, the terms are added one at a time in n, each kernel stopping at
+    its own converged term count.  A d that fails keeps its error and
+    drops every later d, so a grid raises what its first failing d raises
+    alone.  A block may compute terms past the stop; only a consumed term
+    can raise.
     """
     rel, stop_rel = _QUAD_REL_TOL, _MATSUBARA_REL_TOL
     xi1 = _xi1_rad(T)
     n_max = _MATSUBARA_MAX_TERMS
     n = np.arange(1, n_max + 1)
-    plans = []
-    for d in ds:
-        a_all = 2.0 * d * n * xi1 / CONSTANTS.c
-        stop = int(np.searchsorted(a_all, 700.0, side="right"))  # later terms underflow to zero
-        size = min(max(int(np.searchsorted(a_all, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
-        # keep only the terms a block can reach, not n_max of them per d
-        plans.append((a_all[: stop + size].copy(), stop, size))
+    column = {kind: j for j, kind in enumerate(kinds)}
 
-    def series(d, a_all, stop, size, first) -> list[float]:
-        acc = {kind: 0.5 * v for kind, v in zip(kinds, _n0_scaled(model, d, kinds, rel))}
+    def series(d, zero):
+        """Yields the block it needs next and is sent its (values, unconverged); returns its sums."""
+        if isinstance(zero, ConvergenceError):
+            raise zero
+        a = 2.0 * d * n * xi1 / CONSTANTS.c  # a_n of every term, not kept: each block computes its own
+        stop = int(np.searchsorted(a, 700.0, side="right"))  # later terms underflow to zero
+        size = min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
+        acc = {kind: 0.5 * v for kind, v in zip(kinds, zero)}
         pending = kinds
         for lo in range(0, stop, size):
-            a = a_all[lo : lo + size]
-            if lo == 0:
-                vals, unconverged = first
-            else:
-                xi_ev = n[lo : lo + size] * xi1 * CONSTANTS.hbar / EV
-                vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), pending, rel)
-            column = {kind: j for j, kind in enumerate(pending)}
+            a = 2.0 * d * n[lo : lo + size] * xi1 / CONSTANTS.c
+            vals, unconverged = yield a, n[lo : lo + size], [kind in pending for kind in kinds]
             for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
                 scale = math.exp(-a_n)
                 still = []
@@ -354,8 +360,30 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
             )
         return [acc[kind] for kind in kinds]
 
-    firsts = _first_blocks(model, plans, n, xi1, kinds, rel)
-    return [series(d, *plan, first) for d, plan, first in zip(ds, plans, firsts)]
+    out = [None] * len(ds)
+
+    def advance(steps) -> list:
+        """Send each (index, series, value) its value, in grid order; the series that ask for more."""
+        live = []
+        for i, gen, sent in steps:
+            try:
+                live.append((i, gen, gen.send(sent)))
+            except StopIteration as done:
+                out[i] = done.value
+            except ConvergenceError as err:
+                out[i] = err
+                break  # no later d can be the first to fail
+        return live
+
+    zeros = _n0_scaled(model, ds, kinds, rel)
+    live = advance((i, series(d, zero), None) for i, (d, zero) in enumerate(zip(ds, zeros)))
+    while live:
+        results = _packed_blocks(model, [block for _, _, block in live], xi1, kinds, rel)
+        live = advance((i, gen, result) for (i, gen, _), result in zip(live, results))
+    for value in out:
+        if isinstance(value, ConvergenceError):
+            raise value
+    return out
 
 
 def _zero_t_integral(model, d, kinds) -> list[float]:

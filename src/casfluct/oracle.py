@@ -133,10 +133,12 @@ class _Workspace:
             self.series[:] = 0.0
             return self.series
         rng = np.random.default_rng(spec.seed)
-        re, im = self._normals[:m], self._normals[m:]  # every bin, so the stream is fixed
+        spectrum, band = self.spectrum, self.band
+        # every real part is drawn, so the imaginary parts start at the same place in
+        # the stream; those past the band are zeroed unread, so none is drawn
+        re, im = self._normals[:m], self._normals[m : m + band.stop]
         rng.standard_normal(out=re)
         rng.standard_normal(out=im)
-        spectrum, band = self.spectrum, self.band
         spectrum[: band.start] = 0.0
         spectrum[band.stop :] = 0.0
         np.multiply(self.shape, re[band], out=spectrum.real[band])
@@ -214,7 +216,7 @@ def time_averaged_force(
     given, and its own exception propagates: a sample outside its domain
     raises the evaluator's :class:`DomainError`.  It is evaluated at every
     sample, so it should be a spline or a closed form, not
-    a :class:`SpherePlateForce` (~0.4 ms per d on a 2-core Xeon: ~7 min
+    a :class:`SpherePlateForce` (~0.45 ms per d on a 2-core Xeon: ~8 min
     for 10^6 samples).
     """
     series = np.asarray(series, dtype=float)

@@ -247,16 +247,15 @@ class TestArrayEvaluation:
 
 
 class TestScanDelta:
-    def _family(self):
-        bg = cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
-        return bg, lambda delta: (lambda d_m: cf.apparent_force(bg, d_m, delta))
+    @staticmethod
+    def _force():
+        return cf.ElectrostaticBackground(beta=215.0 * UDYNE * UM)
 
     def _data(self, delta_true_um, noise=0.02, seed=3):
-        bg, family = self._family()
+        bg = self._force()
         d_um = np.linspace(0.6, 3.0, 9)
-        theory = family(delta_true_um * UM)
         rng = np.random.default_rng(seed)
-        force = np.array([theory(d * UM) for d in d_um]) / UDYNE
+        force = np.array([cf.apparent_force(bg, d * UM, delta_true_um * UM) for d in d_um]) / UDYNE
         force = force + rng.standard_normal(len(d_um)) * noise
         return cf.ForceDataset(
             d_um=d_um,
@@ -267,34 +266,67 @@ class TestScanDelta:
         )
 
     def test_recovers_true_amplitude(self):
-        _, family = self._family()
         ds = self._data(0.1)
         grid = np.arange(0.02, 0.21, 0.02) * UM
-        result = scan_delta(ds, family, grid)
+        result = scan_delta(ds, self._force(), grid)
         assert abs(result.argmin_delta - 0.1 * UM) <= 0.02 * UM + 1e-15
 
     def test_zero_truth_prefers_smallest(self):
-        _, family = self._family()
         ds = self._data(0.0, noise=1e-6)
         grid = np.arange(0.0, 0.2, 0.02) * UM
-        result = scan_delta(ds, family, grid)
+        result = scan_delta(ds, self._force(), grid)
         assert result.argmin_delta == grid[0]
         chi2s = [r.chi2 for r in result.reports]
         assert all(a <= b + 1e-9 for a, b in zip(chi2s, chi2s[1:]))
 
     def test_totality_and_dof(self):
-        _, family = self._family()
         ds = self._data(0.1)
         grid = np.linspace(0.01, 0.3, 7) * UM
-        result = scan_delta(ds, family, grid)
+        result = scan_delta(ds, self._force(), grid)
         assert len(result.reports) == 7
         assert all(np.isfinite(r.chi2) for r in result.reports)
         assert all(r.dof == len(ds) - 1 for r in result.reports)
 
     def test_grid_validation(self):
-        _, family = self._family()
         ds = self._data(0.1)
         with pytest.raises(ValueError):
-            scan_delta(ds, family, [])
+            scan_delta(ds, self._force(), [])
         with pytest.raises(ValueError):
-            scan_delta(ds, family, [2e-7, 1e-7])
+            scan_delta(ds, self._force(), [2e-7, 1e-7])
+        with pytest.raises(cf.DomainError, match="delta_rms"):
+            scan_delta(ds, self._force(), [-1e-7, 1e-7])
+
+    def test_equals_apparent_force_per_step_bit_for_bit(self, synthetic_dataset):
+        data = synthetic_dataset(np.linspace(0.6, 6.0, 200), extra=lambda x: 33.76 / x**3,
+                                 rng=np.random.default_rng(4))
+        force = TestArrayEvaluation._total()
+        grid = np.linspace(0.0, 0.3, 31) * UM
+        result = scan_delta(data, force, grid)
+        assert result.deltas == tuple(grid.tolist())
+        for delta, report in zip(result.deltas, result.reports):
+            want = chi_squared(data, lambda d: cf.apparent_force(force, d, delta), fitted_params=1)
+            assert report == want
+        assert result.reports[0] == chi_squared(data, force, fitted_params=1)
+
+    @pytest.mark.parametrize("steps", [1, 5, 101])
+    def test_one_evaluation_of_f_and_f2_per_scan(self, steps):
+        ds = self._data(0.1)
+        bg = self._force()
+        calls = []
+
+        class Counting:
+            def __call__(self, d):
+                calls.append(("F", np.shape(d)))
+                return bg(d)
+
+            def curvature(self, d):
+                calls.append(("F''", np.shape(d)))
+                return bg.curvature(d)
+
+        scan_delta(ds, Counting(), np.linspace(0.01, 0.3, steps) * UM)
+        assert calls == [("F", (len(ds),)), ("F''", (len(ds),))]
+
+    def test_zero_alone_asks_no_curvature(self):
+        ds = self._data(0.0)
+        result = scan_delta(ds, lambda d: 215.0 * UDYNE * UM / d, [0.0])
+        assert result.argmin_delta == 0.0

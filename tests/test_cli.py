@@ -389,21 +389,29 @@ class TestScanDeltaCommand:
         assert np.all(np.isfinite(rows))
 
 
-    def test_one_apparent_force_call_per_step(self, tmp_path, data_csv, monkeypatch):
+    def test_one_force_evaluation_per_scan(self, tmp_path, data_csv, monkeypatch):
         import casfluct.cli as cli
 
         shapes = []
-        real = cli.apparent_force
+        real = cli.scan_delta
 
-        def counting(force, d, *args, **kwargs):
-            shapes.append(np.shape(d))
-            return real(force, d, *args, **kwargs)
+        class Counting:
+            def __init__(self, force):
+                self.force = force
 
-        monkeypatch.setattr(cli, "apparent_force", counting)
+            def __call__(self, d):
+                shapes.append(("F", np.shape(d)))
+                return self.force(d)
+
+            def curvature(self, d):
+                shapes.append(("F''", np.shape(d)))
+                return self.force.curvature(d)
+
+        monkeypatch.setattr(cli, "scan_delta", lambda data, force, grid: real(data, Counting(force), grid))
         rc = main(["scan-delta", "--data", str(data_csv), "--steps", "31",
                    "-o", str(tmp_path / "scan.csv")])
         assert rc == 0
-        assert shapes == [(len(DATA_ROWS),)] * 31
+        assert shapes == [("F", (len(DATA_ROWS),)), ("F''", (len(DATA_ROWS),))]
 
 
 class TestSimulateCommand:

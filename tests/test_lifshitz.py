@@ -690,7 +690,7 @@ def _recording_inner_rows(monkeypatch):
 
 
 def test_curve_shares_inner_rows_calls(monkeypatch):
-    """The count gate: an 80-point Drude curve takes 13 _inner_rows calls, not one per d (87)."""
+    """The count gate: an 80-point Drude curve takes 7 _inner_rows calls, not one per block per d (87)."""
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
@@ -701,12 +701,32 @@ def test_curve_shares_inner_rows_calls(monkeypatch):
     geometry = cf.ExperimentGeometry(temperature=300.0)
     force_curve(cf.GOLD_DRUDE, geometry, np.geomspace(0.3e-6, 8e-6, 80))
     sizes = [a.size for a in calls]
-    assert len(sizes) == 13
+    assert len(sizes) == 7
     assert sum(sizes) == 1414  # the rows evaluated with one call per block per d
     assert max(sizes) <= lifshitz._BLOCK_MAX
 
 
 GRID_D = np.geomspace(0.3e-6, 8e-6, 30)
+
+
+def test_tower_grid_rows_compute_only_pending_kernels(monkeypatch):
+    """A round packs every d still summing into one call; a row computes only the kernels its d still needs."""
+    calls, kernels = _recording_inner_rows(monkeypatch), []
+    real = lifshitz._integrand
+
+    def counting(kind, y, *args):
+        if y.shape[1] == lifshitz._LAG_ORDERS[0]:
+            kernels.append(y.shape[0])  # rows evaluating this kernel at the first order
+        return real(kind, y, *args)
+
+    monkeypatch.setattr(lifshitz, "_integrand", counting)
+    lifshitz._plate_kernels(cf.GOLD_DRUDE, GRID_D, 300.0, lifshitz._TOWER)
+    rows = sum(a.size for a in calls)
+    # the rows and row-kernels of one call per block per d with its pending kernels, in 4 calls, not 15
+    assert (len(calls), rows, sum(kernels)) == (4, 588, 1683)
+    assert sum(kernels) < 3 * rows
+
+
 _SCALAR = {("energy",): plate_energy, ("pressure",): plate_pressure, lifshitz._TOWER: plate_tower}
 
 
@@ -746,6 +766,38 @@ def test_grid_raises_first_failing_d_like_scalar(name, kinds, monkeypatch):
     got = _raised(lambda: lifshitz._plate_kernels(model, grid, 300.0, kinds))
     assert got == _raised(lambda: scalar(model, 0.5e-6, 300.0))
     assert got != _raised(lambda: scalar(model, 1e-6, 300.0))
+
+
+def test_grid_raises_earlier_d_that_fails_in_a_later_round(monkeypatch):
+    # flag as unconverged the first term of 8 um's second block and the first term
+    # of 0.47 um: 0.47 um fails in the first round, 8 um in the second, and the grid
+    # [8 um, 0.47 um] raises what 8 um raises alone
+    T, d_early, d_late = 300.0, 8e-6, 0.47e-6
+    n = np.arange(1, 101)
+
+    def a_of(d):
+        return 2.0 * d * n * lifshitz._xi1_rad(T) / cf.CONSTANTS.c
+
+    a_early = a_of(d_early)
+    flagged = {float(a_early[np.searchsorted(a_early, lifshitz._BLOCK_A, side="right")]): "early",
+               float(a_of(d_late)[0]): "late"}
+    seen = []
+    real = lifshitz._inner_rows
+
+    def flagging(a, *args):
+        vals, bad = real(a, *args)
+        hit = np.isin(a, list(flagged))
+        seen.append(sorted(flagged[v] for v in a[hit].tolist()))
+        bad = bad.copy()
+        bad[hit] = True
+        return vals, bad
+
+    monkeypatch.setattr(lifshitz, "_inner_rows", flagging)
+    want = _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_early, T))
+    assert want != _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_late, T))
+    seen.clear()
+    assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, [d_early, d_late], T, ("pressure",))) == want
+    assert seen == [["late"], ["early"]]  # one _inner_rows call per round
 
 
 def test_unconverged_pressure_inside_tower_grid():

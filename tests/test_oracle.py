@@ -117,6 +117,29 @@ class TestSampleProcess:
                            dt=0.05, duration=duration)
         assert sample_process(spec).tobytes() == _whole_array_series(spec).tobytes()
 
+    def test_draws_no_imaginary_part_past_the_band(self, monkeypatch):
+        # every real part, then the imaginary parts up to the band's top bin: the
+        # series still equals the draw-everything reference above, bit for bit
+        spec = ProcessSpec(target_rms=3e-8, seed=7, **FAST)
+        sizes = []
+        real = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, out):
+                sizes.append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        series = sample_process(spec).copy()
+        monkeypatch.undo()
+        freqs = np.fft.rfftfreq(spec.n_samples, spec.dt)
+        assert sizes == [freqs.size, int(np.searchsorted(freqs, spec.f_hi, side="right"))]
+        assert sizes[1] < freqs.size
+        assert series.tobytes() == _whole_array_series(spec).tobytes()
+
     def test_zero_rms_gives_zeros(self):
         s = sample_process(ProcessSpec(target_rms=0.0, seed=3, **FAST))
         assert np.all(s == 0.0)
