@@ -61,7 +61,7 @@ for label, theory, params in [
 grid = np.linspace(0.0, 0.2, 21) * UM
 scan = cf.scan_delta(data, total_drude, grid)
 print(f"\namplitude scan (drude): best delta_rms = {scan.argmin_delta / UM:.3f} um "
-      f"(truth {delta_true / UM:.3f}), chi2 = {scan.best_report.chi2:.2f}")
+      f"(truth {delta_true / UM:.3f}), chi2 = {min(scan.chi2):.2f}")
 
 # Scatter bookkeeping: excess noise between coarse and fine binnings
 sigma_expected = math.sqrt(10.0)

@@ -147,17 +147,10 @@ def chi_squared(
     Degrees of freedom are never inferred: they are n - fitted_params, or
     exactly ``dof_override`` when given.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
     if fitted_params < 0:
         raise ValueError(f"fitted_params must be >= 0, got {fitted_params}")
     preds = evaluate_theory(theory, data.d_m)
     dof = dof_override if dof_override is not None else len(data) - fitted_params
-    return _report(data, preds, dof)
-
-
-def _report(data: ForceDataset, preds: np.ndarray, dof: int) -> Chi2Report:
-    """The chi^2 report of the predictions ``preds``, one per point of ``data``."""
     resid = (data.force_N - preds) / data.sigma_N
     chi2 = float(np.sum(resid**2))
     if dof < 1:
@@ -173,36 +166,44 @@ def _report(data: ForceDataset, preds: np.ndarray, dof: int) -> Chi2Report:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """chi^2 profile over a fluctuation-amplitude grid."""
+    """chi^2 profile over a fluctuation-amplitude grid: chi^2, reduced chi^2 and p-value per delta."""
 
     deltas: tuple[float, ...]
-    reports: tuple[Chi2Report, ...]
+    chi2: tuple[float, ...]
+    reduced: tuple[float, ...]
+    p_value: tuple[float, ...]
+    dof: int
     argmin_delta: float
-
-    @property
-    def best_report(self) -> Chi2Report:
-        return self.reports[self.deltas.index(self.argmin_delta)]
 
 
 def scan_delta(data: ForceDataset, force: Callable, grid) -> ScanResult:
     """Profile chi^2 over a grid of rms-fluctuation amplitudes.
 
     Each amplitude delta scores the apparent force F + (1/2) F'' delta^2
-    of the evaluator ``force`` (F itself at delta = 0), the chi^2 of
-    ``apparent_force(force, ., delta)`` bit for bit.  F and
-    ``force.curvature`` are each evaluated once, on all the points of
-    ``data``, whatever the length of the grid; F'' is not asked for when
-    the grid holds zero alone.  One parameter (the amplitude) counts as
-    fitted, so dof = n - 1.  Ties break toward the smaller amplitude.
+    of the evaluator ``force`` (F itself at delta = 0): its chi^2, reduced
+    chi^2 and p-value are those of ``chi_squared`` on
+    ``apparent_force(force, ., delta)`` with ``fitted_params=1``, bit for
+    bit.  F and ``force.curvature`` are each evaluated once, on all the
+    points of ``data``; F'' is not asked for when the grid holds zero
+    alone.  Ties break toward the smaller amplitude.
     """
     grid = check_samples(("grid",), grid)[0]
     check_amplitude("delta_rms", grid)
+    dof = len(data) - 1
+    if dof < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     base = evaluate_theory(force, data.d_m)
     second = evaluate_theory(force.curvature, data.d_m) if np.any(grid) else None
     deltas = grid.tolist()
-    reports = tuple(
-        _report(data, apparent_from_values(base, second, delta) if delta else base, len(data) - 1)
-        for delta in deltas
+    chi2 = []
+    for delta in deltas:
+        pred = apparent_from_values(base, second, delta) if delta else base
+        chi2.append(float(np.sum(((data.force_N - pred) / data.sigma_N) ** 2)))
+    return ScanResult(
+        deltas=tuple(deltas),
+        chi2=tuple(chi2),
+        reduced=tuple(c / dof for c in chi2),
+        p_value=tuple(chi2_sf(c, dof) for c in chi2),
+        dof=dof,
+        argmin_delta=deltas[int(np.argmin(chi2))],  # first minimum = smallest delta
     )
-    best = int(np.argmin([r.chi2 for r in reports]))  # first minimum = smallest delta
-    return ScanResult(deltas=tuple(deltas), reports=reports, argmin_delta=deltas[best])

@@ -28,6 +28,7 @@ from .corrections import (
     SqrtLawProfile,
     TableProfile,
     apparent_force,
+    apparent_from_values,
     inflated_sigma,
     tilt_noise_estimate,
 )
@@ -177,8 +178,8 @@ def _cmd_correct(opts) -> int:
         total = TotalForceEvaluator(bg, casimir)
         if fig1:
             f_c = cols[f"F_{name}_udyne"] = casimir(d) / UDYNE
-            # curvature= is needed: the force is the Casimir part alone, the curvature the total's
-            f_a = apparent_force(casimir, d, delta, curvature=total.curvature(d)) / UDYNE
+            # the force is the Casimir part alone, the curvature the total's
+            f_a = apparent_from_values(casimir(d), total.curvature(d), delta) / UDYNE
             cols[f"Fa_{name}_udyne"] = f_a
             cols[f"Fd3_{name}_udyne_um3"], cols[f"Fad3_{name}_udyne_um3"] = f_c * d3, f_a * d3
         else:
@@ -265,10 +266,7 @@ def _cmd_scan_delta(opts) -> int:
     result = scan_delta(data, total, grid)
     meta = _meta("scan-delta", opts, {"data": opts.data})
     meta["argmin_delta_um"] = result.argmin_delta / UM
-    rows = [
-        [delta / UM, rep.chi2, rep.reduced, rep.p_value]
-        for delta, rep in zip(result.deltas, result.reports)
-    ]
+    rows = zip(np.divide(result.deltas, UM), result.chi2, result.reduced, result.p_value)
     _write_csv(opts.output, meta, ["delta_um", "chi2", "reduced", "p"], rows)
     return 0
 

@@ -97,26 +97,22 @@ class TableProfile:
 
 
 def apparent_force(
-    force: Callable,
-    d: float | np.ndarray,
-    delta_rms: float | np.ndarray,
-    curvature: float | np.ndarray | None = None,
+    force: Callable, d: float | np.ndarray, delta_rms: float | np.ndarray
 ) -> float | np.ndarray:
     """Time-averaged apparent force F(d) + (1/2) F''(d) delta_rms^2.
 
-    F'' is the ``curvature`` value at ``d`` when given, else the evaluator's
-    own ``force.curvature(d)``, which is not asked for when every delta_rms
-    is zero.  ``d`` may be an array when the force and its curvature accept
-    one, and ``delta_rms`` an array of one value per d; the result is then
-    an array.
+    F'' is the evaluator's own ``force.curvature(d)``, which is not asked
+    for when every delta_rms is zero.  ``d`` may be an array when the force
+    and its curvature accept one, and ``delta_rms`` an array of one value
+    per d; the result is then an array.  :func:`apparent_from_values`
+    takes F and F'' as values instead.
     """
     check_positive("distance", d)
     check_amplitude("delta_rms", delta_rms)
     base = float_or_array(force(d))
     if not np.any(delta_rms):
         return base
-    second = float_or_array(force.curvature(d) if curvature is None else curvature)
-    return apparent_from_values(base, second, delta_rms)
+    return apparent_from_values(base, float_or_array(force.curvature(d)), delta_rms)
 
 
 def apparent_from_values(force_value, curvature, delta_rms):

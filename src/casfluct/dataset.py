@@ -45,7 +45,6 @@ class ForceDataset:
     sigma_udyne: np.ndarray
     n_samples: np.ndarray
     bin_width_um: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         columns = [getattr(self, name) for name in _COLUMNS]
@@ -179,7 +178,7 @@ def _parse_bin(fields: list[str]) -> tuple:
 
 
 def load_dataset(path) -> ForceDataset:
-    """Load a force dataset from CSV, validating every row; its label is ``str(path)``.
+    """Load a force dataset from CSV, validating every row.
 
     Rows that fail validation are reported together, each as ``path:line``,
     in a single :class:`DatasetError`.
@@ -192,7 +191,6 @@ def load_dataset(path) -> ForceDataset:
         sigma_udyne=np.array(cols[2]),
         n_samples=np.array(cols[3]),
         bin_width_um=np.array(cols[4]),
-        label=str(path),
     )
 
 

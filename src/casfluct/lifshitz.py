@@ -131,7 +131,7 @@ def _integrand(kind: str, y, r_tm2, r_te2):
     return y**3 * (r_tm2 / den_tm**2 + r_te2 / den_te**2)
 
 
-def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float, need=None):
+def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, need=None):
     """exp(a_i) * integral over y in [a_i, inf) of each kernel in ``kinds``, for each a_i.
 
     Gauss-Laguerre in t = y - a_i, evaluated as a (rows x order) grid; the
@@ -165,7 +165,7 @@ def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, rel_tol: float, 
             idx = rows[sub]
             if step:
                 prev = vals[idx, j]
-                pending[idx, j] = ~(np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300))
+                pending[idx, j] = ~(np.abs(val - prev) <= _QUAD_REL_TOL * np.maximum(np.abs(val), 1e-300))
             vals[idx, j] = val
     return vals, pending
 
@@ -223,12 +223,12 @@ def _n0_te_energy(b: float) -> float:
     return fine
 
 
-def _n0_scaled(model: MaterialModel, ds, kinds: tuple, rel_tol: float) -> list:
+def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:
     """Zero-frequency term of each scaled sum (a = 0, model-specific TE) at each d of ``ds``.
 
-    An entry holds the values of one d, or the ``ConvergenceError`` that d
-    raises alone.  The plasma TE pressure and slope of every d come from
-    one ``_inner_rows`` call, a row per d with its own b.
+    The plasma TE pressure and slope of every d come from one
+    ``_inner_rows`` call, a row per d with its own b.  The first d, in grid
+    order, whose term fails to converge raises its ``ConvergenceError``.
     """
     tm = [_N0_TM[kind] for kind in kinds]
     if isinstance(model, PerfectConductor):
@@ -248,18 +248,15 @@ def _n0_scaled(model: MaterialModel, ds, kinds: tuple, rel_tol: float) -> list:
             r = (y - s) / (y + s)
             return np.zeros_like(y), r * r
 
-        vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre, rel_tol)
+        vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre)
     out = []
     for b_d, row, bad in zip(b.tolist(), vals.tolist(), unconverged.tolist()):
-        try:
-            te = {"energy": _n0_te_energy(b_d)} if "energy" in kinds else {}
-            for kind, value, flagged in zip(laguerre, row, bad):
-                if flagged:
-                    raise _unconverged_k_integral(kind, value)
-                te[kind] = value
-            out.append([v + te[kind] for kind, v in zip(kinds, tm)])
-        except ConvergenceError as err:
-            out.append(err)
+        te = {"energy": _n0_te_energy(b_d)} if "energy" in kinds else {}
+        for kind, value, flagged in zip(laguerre, row, bad):
+            if flagged:
+                raise _unconverged_k_integral(kind, value)
+            te[kind] = value
+        out.append([v + te[kind] for kind, v in zip(kinds, tm)])
     return out
 
 
@@ -277,7 +274,7 @@ _BLOCK_A = 30.0
 _BLOCK_MAX = 256
 
 
-def _packed_blocks(model, blocks, xi1, kinds, rel) -> list:
+def _packed_blocks(model, blocks, xi1, kinds) -> list:
     """(values, unconverged) of ``_inner_rows`` for each block of ``blocks``.
 
     A block is (a, n, mask): its rows a_n, their Matsubara indices n and
@@ -301,7 +298,7 @@ def _packed_blocks(model, blocks, xi1, kinds, rel) -> list:
         a = np.concatenate(a)
         xi_ev = np.concatenate(n) * xi1 * CONSTANTS.hbar / EV
         need = np.repeat(masks, sizes, axis=0)
-        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), kinds, rel, need)
+        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), kinds, need)
         bounds = np.cumsum([0, *sizes]).tolist()
         out += [(vals[lo:hi], unconverged[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     return out
@@ -315,12 +312,12 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     shared ``_inner_rows`` calls (``_packed_blocks``), a row computing
     only the kernels its d still needs.  Then, one d at a time in grid
     order, the terms are added one at a time in n, each kernel stopping at
-    its own converged term count.  A d that fails keeps its error and
-    drops every later d, so a grid raises what its first failing d raises
-    alone.  A block may compute terms past the stop; only a consumed term
-    can raise.
+    its own converged term count.  The grid raises the first failure it
+    meets: the n = 0 terms come first (``_n0_scaled``), then the rounds,
+    and within a round the first failing d in grid order.  A block may
+    compute terms past the stop; only a consumed term can raise.
     """
-    rel, stop_rel = _QUAD_REL_TOL, _MATSUBARA_REL_TOL
+    stop_rel = _MATSUBARA_REL_TOL
     xi1 = _xi1_rad(T)
     n_max = _MATSUBARA_MAX_TERMS
     n = np.arange(1, n_max + 1)
@@ -328,8 +325,6 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
 
     def series(d, zero):
         """Yields the block it needs next and is sent its (values, unconverged); returns its sums."""
-        if isinstance(zero, ConvergenceError):
-            raise zero
         a = 2.0 * d * n * xi1 / CONSTANTS.c  # a_n of every term, not kept: each block computes its own
         stop = int(np.searchsorted(a, 700.0, side="right"))  # later terms underflow to zero
         size = min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
@@ -370,19 +365,13 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
                 live.append((i, gen, gen.send(sent)))
             except StopIteration as done:
                 out[i] = done.value
-            except ConvergenceError as err:
-                out[i] = err
-                break  # no later d can be the first to fail
         return live
 
-    zeros = _n0_scaled(model, ds, kinds, rel)
+    zeros = _n0_scaled(model, ds, kinds)
     live = advance((i, series(d, zero), None) for i, (d, zero) in enumerate(zip(ds, zeros)))
     while live:
-        results = _packed_blocks(model, [block for _, _, block in live], xi1, kinds, rel)
+        results = _packed_blocks(model, [block for _, _, block in live], xi1, kinds)
         live = advance((i, gen, result) for (i, gen, _), result in zip(live, results))
-    for value in out:
-        if isinstance(value, ConvergenceError):
-            raise value
     return out
 
 
@@ -395,7 +384,7 @@ def _zero_t_integral(model, d, kinds) -> list[float]:
     """
     A, W = _lag_nodes(128)
     xi_ev = A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV)
-    vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds, _QUAD_REL_TOL)
+    vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds)
     sums = [0.0] * len(kinds)
     for w, row in zip(W.tolist(), vals.tolist()):
         for i, v in enumerate(row):
@@ -403,29 +392,25 @@ def _zero_t_integral(model, d, kinds) -> list[float]:
     return sums
 
 
-def _check_pfa(d: float, geometry: ExperimentGeometry) -> None:
-    """Reject d/R >= 0.1; warn above d/R = 1e-3."""
-    ratio = d / geometry.sphere_radius
-    if ratio >= 0.1:
-        raise PFAValidityError(
-            f"d/R = {ratio:.3g} >= 0.1: proximity-force approximation invalid"
-        )
-    if ratio > 1e-3:
-        warnings.warn(
-            f"d/R = {ratio:.3g} > 1e-3: proximity-force approximation degraded",
-            stacklevel=5,
-        )
+def _check_pfa(ds, geometry: ExperimentGeometry) -> None:
+    """Warn once for all d with 1e-3 < d/R < 0.1, then reject the first d with d/R >= 0.1."""
+    ratio = np.asarray(ds, dtype=float) / geometry.sphere_radius
+    degraded, invalid = ratio[(ratio > 1e-3) & (ratio < 0.1)], ratio[ratio >= 0.1]
+    if degraded.size:
+        warnings.warn(f"{degraded.size} of {ratio.size} separations have 1e-3 < d/R < 0.1 (largest "
+                      f"{degraded.max():.3g}): proximity-force approximation degraded", stacklevel=5)
+    if invalid.size:
+        raise PFAValidityError(f"d/R = {invalid[0]:.3g} >= 0.1: proximity-force approximation invalid")
 
 
 def _plate_kernels(model, ds, T, kinds: tuple, geometry=None) -> list[list[float]]:
     """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
 
-    Every d is checked before the first sum: each against the PFA for
-    ``geometry`` when one is given, then all for finite d > 0, then T >= 0.
+    Every d is checked before the first sum: against the PFA for
+    ``geometry`` when one is given, then for finite d > 0, then T >= 0.
     """
     if geometry is not None:
-        for d in ds:
-            _check_pfa(d, geometry)
+        _check_pfa(ds, geometry)
     check_positive("separation", ds)
     check_amplitude("temperature", T)
     zero_t = T == 0.0

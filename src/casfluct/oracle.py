@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import evaluate_theory
-from .corrections import apparent_force
+from .corrections import apparent_force, inflated_sigma
 from .units import DomainError, check_amplitude, check_positive
 
 __all__ = [
@@ -247,7 +247,7 @@ def time_averaged_force(
         se_mean=se_mean,
         variance_force=var,
         analytic_mean=apparent_force(force, d, realized_rms),
-        analytic_excess_sigma=abs(grad) * realized_rms,
+        analytic_excess_sigma=inflated_sigma(0.0, grad, realized_rms),
         n_samples=n,
         realized_rms=realized_rms,
     )

@@ -246,6 +246,14 @@ class TestArrayEvaluation:
         assert len(calls) == 1
 
 
+def _assert_steps_are_chi_squared(data, force, result):
+    """Each step of a scan scores what chi_squared gives apparent_force at its delta, bit for bit."""
+    for i, delta in enumerate(result.deltas):
+        want = chi_squared(data, lambda d: cf.apparent_force(force, d, delta), fitted_params=1)
+        got = (result.chi2[i], result.reduced[i], result.p_value[i], result.dof)
+        assert got == (want.chi2, want.reduced, want.p_value, want.dof)
+
+
 class TestScanDelta:
     @staticmethod
     def _force():
@@ -276,16 +284,17 @@ class TestScanDelta:
         grid = np.arange(0.0, 0.2, 0.02) * UM
         result = scan_delta(ds, self._force(), grid)
         assert result.argmin_delta == grid[0]
-        chi2s = [r.chi2 for r in result.reports]
-        assert all(a <= b + 1e-9 for a, b in zip(chi2s, chi2s[1:]))
+        _assert_steps_are_chi_squared(ds, self._force(), result)
+        assert all(a <= b + 1e-9 for a, b in zip(result.chi2, result.chi2[1:]))
 
     def test_totality_and_dof(self):
         ds = self._data(0.1)
         grid = np.linspace(0.01, 0.3, 7) * UM
         result = scan_delta(ds, self._force(), grid)
-        assert len(result.reports) == 7
-        assert all(np.isfinite(r.chi2) for r in result.reports)
-        assert all(r.dof == len(ds) - 1 for r in result.reports)
+        assert len(result.chi2) == len(result.reduced) == len(result.p_value) == 7
+        assert all(np.isfinite(result.chi2)) and all(0.0 <= p <= 1.0 for p in result.p_value)
+        assert result.dof == len(ds) - 1
+        _assert_steps_are_chi_squared(ds, self._force(), result)
 
     def test_grid_validation(self):
         ds = self._data(0.1)
@@ -303,10 +312,12 @@ class TestScanDelta:
         grid = np.linspace(0.0, 0.3, 31) * UM
         result = scan_delta(data, force, grid)
         assert result.deltas == tuple(grid.tolist())
-        for delta, report in zip(result.deltas, result.reports):
-            want = chi_squared(data, lambda d: cf.apparent_force(force, d, delta), fitted_params=1)
-            assert report == want
-        assert result.reports[0] == chi_squared(data, force, fitted_params=1)
+        assert result.dof == len(data) - 1
+        _assert_steps_are_chi_squared(data, force, result)
+        at_zero = chi_squared(data, force, fitted_params=1)
+        assert (result.chi2[0], result.reduced[0], result.p_value[0]) == (
+            at_zero.chi2, at_zero.reduced, at_zero.p_value)
+        assert result.argmin_delta == result.deltas[int(np.argmin(result.chi2))]
 
     @pytest.mark.parametrize("steps", [1, 5, 101])
     def test_one_evaluation_of_f_and_f2_per_scan(self, steps):

@@ -143,6 +143,18 @@ class TestForceCommand:
         assert "proximity-force approximation invalid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_pfa_warning_per_grid(self, tmp_path):
+        # every d of 130-200 um has d/R > 1e-3 on the default 12.4 cm sphere
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["force", "--d-min", "130", "--d-max", "200", "--points", "5",
+                       "-o", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert [str(w.message) for w in caught if w.category is UserWarning] == [
+            "5 of 5 separations have 1e-3 < d/R < 0.1 (largest 0.00161): "
+            "proximity-force approximation degraded"
+        ]
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "c.csv"
         main(["force", "--points", "3", "--d-min", "1", "--d-max", "2", "-o", str(out)])

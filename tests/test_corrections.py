@@ -11,6 +11,7 @@ from casfluct.corrections import (
     SqrtLawProfile,
     TableProfile,
     apparent_force,
+    apparent_from_values,
     inflated_sigma,
     tilt_noise_estimate,
 )
@@ -41,10 +42,12 @@ class TestApparentForce:
         assert np.ptp(vals) / np.mean(vals) < 1e-6
         assert np.mean(vals) == pytest.approx(2.15, rel=1e-9)
 
-    def test_curvature_override(self):
-        f = lambda x: 0.0
-        assert apparent_force(f, 1.0, 2.0, curvature=10.0) == pytest.approx(20.0, rel=0)
-        assert apparent_force(f, 1.0, 2.0, curvature=5.0) == pytest.approx(10.0, rel=0)
+    def test_curvature_from_values(self):
+        # F'' given as a value, as fig1 gives the total's curvature with the Casimir force
+        assert apparent_from_values(0.0, 10.0, 2.0) == 20.0
+        assert apparent_from_values(0.0, 5.0, 2.0) == 10.0
+        bg = cf.ElectrostaticBackground(beta=215.0)
+        assert apparent_force(bg, 1.5, 0.1) == apparent_from_values(bg(1.5), bg.curvature(1.5), 0.1)
 
     def test_domain_errors(self):
         with pytest.raises(cf.DomainError):
@@ -83,9 +86,12 @@ class TestApparentForceOnArrays:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_curvature_value_array(self):
-        d = np.array([1.0, 2.0])
-        got = apparent_force(lambda x: 0.0 * x, d, 2.0, curvature=np.array([10.0, 4.0]))
+        got = apparent_from_values(np.zeros(2), np.array([10.0, 4.0]), 2.0)
         assert np.array_equal(got, [20.0, 8.0])
+        assert np.array_equal(apparent_from_values(np.zeros(2), 10.0, np.array([2.0, 1.0])), [20.0, 5.0])
+        cas, d = self._spline(), np.linspace(0.5e-6, 7.5e-6, 200)
+        want = apparent_from_values(cas(d), cas.curvature(d), 0.1e-6)
+        assert np.array_equal(apparent_force(cas, d, 0.1e-6), want)
 
     def test_domain_checks_every_point(self):
         with pytest.raises(cf.DomainError, match="distance must be finite and > 0, got 0$"):

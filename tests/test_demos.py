@@ -1,8 +1,10 @@
 """Every demo script, and the README's library quick start, runs to completion as a plain
-script; demos 02 and 04 print the quadrature sums they compute inline."""
+script; demos 02 and 04 print the quadrature sums they compute inline.  Every line of the
+README's CLI quick start parses."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import casfluct
+from casfluct.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -45,3 +48,17 @@ def test_readme_quick_start_exits_0(tmp_path):
     script = tmp_path / "quick_start.py"
     script.write_text(code)
     _run(script, tmp_path)
+
+
+def test_readme_cli_quick_start_parses():
+    """Parse only, nothing runs: a renamed or removed flag shows up as a README line that fails."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start \(CLI\)\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    lines = block.strip().splitlines()
+    assert len(lines) >= 11 and all(line.startswith("casfluct ") for line in lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            _build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README quick start line does not parse: {line}")

@@ -768,10 +768,10 @@ def test_grid_raises_first_failing_d_like_scalar(name, kinds, monkeypatch):
     assert got != _raised(lambda: scalar(model, 1e-6, 300.0))
 
 
-def test_grid_raises_earlier_d_that_fails_in_a_later_round(monkeypatch):
+def test_grid_raises_first_failure_it_meets(monkeypatch):
     # flag as unconverged the first term of 8 um's second block and the first term
     # of 0.47 um: 0.47 um fails in the first round, 8 um in the second, and the grid
-    # [8 um, 0.47 um] raises what 8 um raises alone
+    # [8 um, 0.47 um] raises what 0.47 um raises alone, without a second round
     T, d_early, d_late = 300.0, 8e-6, 0.47e-6
     n = np.arange(1, 101)
 
@@ -793,11 +793,11 @@ def test_grid_raises_earlier_d_that_fails_in_a_later_round(monkeypatch):
         return vals, bad
 
     monkeypatch.setattr(lifshitz, "_inner_rows", flagging)
-    want = _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_early, T))
-    assert want != _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_late, T))
+    want = _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_late, T))
+    assert want != _raised(lambda: plate_pressure(cf.GOLD_DRUDE, d_early, T))
     seen.clear()
     assert _raised(lambda: lifshitz._plate_kernels(cf.GOLD_DRUDE, [d_early, d_late], T, ("pressure",))) == want
-    assert seen == [["late"], ["early"]]  # one _inner_rows call per round
+    assert seen == [["late"]]  # the first round's one _inner_rows call, then no more
 
 
 def test_unconverged_pressure_inside_tower_grid():
@@ -842,11 +842,13 @@ def _with_warnings(call) -> tuple:
     return value, [(w.category, str(w.message)) for w in caught]
 
 
-def test_grid_warns_like_points():
+def test_grid_warns_once():
     geometry = cf.ExperimentGeometry(sphere_radius=1e-3, temperature=300.0)
     grid = np.geomspace(0.5e-6, 8e-6, 6)
-    points, want = _with_warnings(lambda: [sphere_plate_force(cf.GOLD_DRUDE, d, geometry) for d in grid])
-    assert len(want) == 4  # one per d with d/R > 1e-3
+    points, per_point = _with_warnings(lambda: [sphere_plate_force(cf.GOLD_DRUDE, d, geometry) for d in grid])
+    assert len(per_point) == 4  # one per d with d/R > 1e-3
+    want = [(UserWarning, "4 of 6 separations have 1e-3 < d/R < 0.1 (largest 0.008): "
+                          "proximity-force approximation degraded")]
     forces, got = _with_warnings(lambda: sphere_plate_force(cf.GOLD_DRUDE, grid, geometry))
     assert got == want and forces.tolist() == points
     curve, got = _with_warnings(lambda: force_curve(cf.GOLD_DRUDE, geometry, grid))
