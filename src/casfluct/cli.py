@@ -6,9 +6,10 @@ background fit), ``chi2`` (model comparison), ``scan-delta`` (fluctuation
 amplitude scan), ``simulate`` (Monte Carlo time-averaging check),
 ``tilt-estimate`` (pendulum tilt-noise scaling), and ``kk`` (absorption
 table to eps(i*xi)).  All outputs are plot-ready CSV/JSON written
-atomically, carry provenance headers (tool version, config hash, input
-hashes), and are byte-reproducible for fixed seeds.  Exit codes: 0 ok,
-1 validation error, 2 numerical failure.
+atomically, carry provenance headers (tool version, config hash, a hash of
+each input file given), and are byte-reproducible for fixed seeds.  A run
+without the --data, --theory or --table its subcommand has exits 1 naming
+the flag.  Exit codes: 0 ok, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,11 +69,10 @@ def _build_model(name: str, opts):
         return Plasma(omega_p_ev=opts.omega_p)
     if name == "drude":
         return Drude(omega_p_ev=opts.omega_p, gamma_ev=opts.gamma)
-    if name == "tabulated":
-        if not opts.eps_table:
-            raise ValueError("--model tabulated requires --eps-table")
-        return load_eps_table(opts.eps_table, low_freq=Drude(opts.omega_p, opts.gamma))
-    raise ValueError(f"unknown model {name!r}; choose perfect|plasma|drude|tabulated")
+    # tabulated: argparse choices and the config check let no other name through
+    if not opts.eps_table:
+        raise ValueError("--model tabulated requires --eps-table")
+    return load_eps_table(opts.eps_table, low_freq=Drude(opts.omega_p, opts.gamma))
 
 
 def _geometry(opts) -> ExperimentGeometry:
@@ -95,10 +95,11 @@ def _grid(opts, axis: str) -> np.ndarray:
     return space(lo, hi, opts.points)
 
 
-def _meta(command: str, opts, inputs: dict | None = None) -> dict:
+def _meta(command: str, opts) -> dict:
     meta = {"command": command, "config_hash": config_hash(vars(opts))}
-    for name, path in (inputs or {}).items():
-        meta[f"input_hash:{name}"] = file_hash(path)
+    for name in _INPUT_FILES:
+        if path := getattr(opts, name, None):
+            meta[f"input_hash:{name}"] = file_hash(path)
     return meta
 
 
@@ -136,8 +137,7 @@ def _cmd_force(opts) -> int:
     geometry = _geometry(opts)
     grid = _grid(opts, "d") * UM
     curve = force_curve(model, geometry, grid)
-    inputs = {"eps_table": opts.eps_table} if opts.eps_table else None
-    meta = _meta("force", opts, inputs)
+    meta = _meta("force", opts)
     meta.update(
         model=opts.model,
         temperature_K=geometry.temperature,
@@ -151,8 +151,7 @@ def _cmd_force(opts) -> int:
 def _cmd_correct(opts) -> int:
     geometry = _geometry(opts)
     profile = _profile(opts)
-    inputs = {key: getattr(opts, key) for key in ("eps_table", "profile_table") if getattr(opts, key)}
-    meta = _meta("correct", opts, inputs)
+    meta = _meta("correct", opts)
     meta.update(
         beta_udyne_um=opts.beta,
         temperature_K=geometry.temperature,
@@ -193,8 +192,6 @@ def _cmd_correct(opts) -> int:
 
 
 def _cmd_fit_beta(opts) -> int:
-    if not opts.data:
-        raise ValueError("fit-beta requires --data")
     data = load_dataset(opts.data)
     subtractor = None
     if opts.subtract:
@@ -203,7 +200,7 @@ def _cmd_fit_beta(opts) -> int:
         # F only: SpherePlateForce would also pay for F' and F''
         subtractor = lambda d: sphere_plate_force(model, d, geometry)
     fit = fit_background(data, d_min=opts.d_min * UM, casimir_subtractor=subtractor)
-    meta = _meta("fit-beta", opts, {"data": opts.data})
+    meta = _meta("fit-beta", opts)
     _write_json(opts.output, meta, fit.to_json_dict())
     return 0
 
@@ -230,21 +227,17 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
 
 
 def _cmd_chi2(opts) -> int:
-    if not opts.data or not opts.theory:
-        raise ValueError("chi2 requires --data and --theory")
     data = load_dataset(opts.data)
     theory = _load_theory_curve(opts.theory, column=opts.column)
     report = chi_squared(
         data, theory, fitted_params=opts.fitted_params, dof_override=opts.dof
     )
-    meta = _meta("chi2", opts, {"data": opts.data, "theory": opts.theory})
+    meta = _meta("chi2", opts)
     _write_json(opts.output, meta, report.to_json_dict())
     return 0
 
 
 def _cmd_scan_delta(opts) -> int:
-    if not opts.data:
-        raise ValueError("scan-delta requires --data")
     if opts.steps < 1:
         raise ValueError(f"need >= 1 scan step, got steps = {opts.steps}")
     check_amplitude("delta_min", opts.delta_min)
@@ -264,7 +257,7 @@ def _cmd_scan_delta(opts) -> int:
     if grid[0] == 0.0:
         grid[0] = 1e-15  # strictly ascending grid; zero handled as 'no fluctuation'
     result = scan_delta(data, total, grid)
-    meta = _meta("scan-delta", opts, {"data": opts.data})
+    meta = _meta("scan-delta", opts)
     meta["argmin_delta_um"] = result.argmin_delta / UM
     rows = zip(np.divide(result.deltas, UM), result.chi2, result.reduced, result.p_value)
     _write_csv(opts.output, meta, ["delta_um", "chi2", "reduced", "p"], rows)
@@ -313,10 +306,7 @@ def _cmd_simulate(opts) -> int:
         "analytic_mean": first.analytic_mean / UDYNE if first else None,
         "mc_sigma": float(np.sqrt(first.variance_force)) / UDYNE if first else None,
         "analytic_sigma": first.analytic_excess_sigma / UDYNE if first else None,
-        "trials": record.trials,
-        "n_mean_pass": record.n_mean_pass,
-        "n_scatter_pass": record.n_scatter_pass,
-        "n_scatter_applicable": record.n_scatter_applicable,
+        **{f.name: getattr(record, f.name) for f in fields(record) if f.name != "verdicts"},
         "verdicts": [v.to_json_dict() for v in record.verdicts],
     }
     _write_json(opts.output, meta, payload)
@@ -332,28 +322,17 @@ def _cmd_tilt(opts) -> int:
     ) / 1e-9
     print(f"estimated rms position noise: {estimate_nm:.4g} nm")
     if opts.output:
-        meta = _meta("tilt-estimate", opts)
-        _write_json(
-            opts.output,
-            meta,
-            {
-                "ref_noise_nm": opts.ref_noise_nm,
-                "ref_length_cm": opts.ref_length_cm,
-                "length_cm": opts.length_cm,
-                "mode_freq_ratio": opts.mode_freq_ratio,
-                "estimate_nm": estimate_nm,
-            },
-        )
+        echo = {dest: getattr(opts, dest) for dest, _, _ in _COMMANDS["tilt-estimate"][2]}
+        del echo["output"]
+        _write_json(opts.output, _meta("tilt-estimate", opts), {**echo, "estimate_nm": estimate_nm})
     return 0
 
 
 def _cmd_kk(opts) -> int:
-    if not opts.table:
-        raise ValueError("kk requires --table")
     table = load_optical_table(opts.table)
     grid = _grid(opts, "xi")
     eps = kk_transform(table, grid)
-    meta = _meta("kk", opts, {"table": opts.table})
+    meta = _meta("kk", opts)
     _write_csv(opts.output, meta, ["xi_ev", "eps"], zip(grid, eps))
     return 0
 
@@ -380,6 +359,10 @@ _D0 = ("d0", 0.0, {"type": float, "help": "background distance offset (um)"})
 _DELTA_RMS = ("delta_rms", 0.1, {"type": float, "help": "rms fluctuation (um)"})
 _DATA = ("data", None, {"help": "measured dataset CSV"})
 _OUTPUT = {"help": "output path"}
+# options that name an input file, in the order of their input_hash header lines;
+# a subcommand that has one of the required ones does not run without it
+_INPUT_FILES = ("data", "theory", "table", "eps_table", "profile_table")
+_REQUIRED_FILES = ("data", "theory", "table")
 
 _COMMANDS = {
     "force": ("compute a sphere-plate force curve", _cmd_force, (
@@ -496,7 +479,10 @@ def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
-            file_conf = json.load(fh)
+            try:
+                file_conf = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(file_conf, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_conf) - set(merged)
@@ -542,6 +528,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge_opts(args.command, args)
+        given = vars(opts)
+        missing = [f"--{name}" for name in _REQUIRED_FILES if name in given and not given[name]]
+        if missing:
+            raise ValueError(f"{args.command} requires {' and '.join(missing)}")
         return args.func(opts)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"casfluct {args.command}: numerical failure: {exc}", file=sys.stderr)

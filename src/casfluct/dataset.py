@@ -5,7 +5,9 @@ bin_width_um`` with a mandatory header and ``#`` comment lines.
 ``sigma_udyne`` is the standard error of the bin's mean force: the sigma
 that chi-squared, the background fit and the amplitude scan divide by.
 ``n_samples`` and ``bin_width_um`` are validated and carried, but no
-computation reads them.  The dataset object keeps the file's native
+computation reads them.  One function holds a bin's rules (d, sigma > 0;
+n >= 1; width >= 0): a file is checked row by row, naming ``path:line``,
+and a dataset built in code column by column.  It keeps the file's native
 micrometer/microdyne values (so a load/save round trip is bit-identical)
 and exposes SI views for the physics layers.  Every input CSV of the
 package, not only datasets, is read by :func:`read_csv`.
@@ -55,14 +57,10 @@ class ForceDataset:
             raise DatasetError(str(exc)) from None
         for name, column in zip(_COLUMNS, checked):
             object.__setattr__(self, name, column)
-        if np.any(self.d_um <= 0):
-            raise DatasetError("all distances must be > 0")
-        if np.any(self.sigma_udyne <= 0):
-            raise DatasetError("all sigma must be > 0")
-        if np.any(self.n_samples <= 0):
-            raise DatasetError("all n_samples must be >= 1")
-        if np.any(self.bin_width_um < 0):
-            raise DatasetError("all bin_width_um must be >= 0")
+        # every column is finite and non-empty, so its minimum breaks a rule if any value does
+        problems = _broken_bin_rules(*(checked[i].min() for i in (0, 2, 3, 4)))
+        if problems:
+            raise DatasetError("; ".join(f"all {rule}" for rule in problems))
 
     def __len__(self) -> int:
         return len(self.d_um)
@@ -160,18 +158,17 @@ def read_table(path, columns: list[str], build):
         raise DatasetError(f"{path}: {exc}") from None
 
 
+def _broken_bin_rules(d, s, n, w) -> list[str]:
+    """The rules that a bin's distance, sigma, sample count and width break."""
+    kept = {"d_um must be > 0": d > 0, "sigma_udyne must be > 0": s > 0,
+            "n_samples must be >= 1": n >= 1, "bin_width_um must be >= 0": w >= 0}
+    return [rule for rule, ok in kept.items() if not ok]
+
+
 def _parse_bin(fields: list[str]) -> tuple:
     d, f, s, w = _floats([fields[i] for i in (0, 1, 2, 4)])
     n = int(fields[3])
-    problems = []
-    if d <= 0:
-        problems.append("d_um must be > 0")
-    if s <= 0:
-        problems.append("sigma_udyne must be > 0")
-    if n <= 0:
-        problems.append("n_samples must be >= 1")
-    if w < 0:
-        problems.append("bin_width_um must be >= 0")
+    problems = _broken_bin_rules(d, s, n, w)
     if problems:
         raise ValueError("; ".join(problems))
     return d, f, s, n, w
@@ -184,14 +181,7 @@ def load_dataset(path) -> ForceDataset:
     in a single :class:`DatasetError`.
     """
     _, rows = read_csv(path, _COLUMNS, _parse_bin)
-    cols = list(zip(*rows.values()))
-    return ForceDataset(
-        d_um=np.array(cols[0]),
-        force_udyne=np.array(cols[1]),
-        sigma_udyne=np.array(cols[2]),
-        n_samples=np.array(cols[3]),
-        bin_width_um=np.array(cols[4]),
-    )
+    return ForceDataset(*(np.array(column) for column in zip(*rows.values())))
 
 
 def save_dataset(ds: ForceDataset, path, comments: list[str] | None = None) -> None:

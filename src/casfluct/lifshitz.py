@@ -523,8 +523,6 @@ class SpherePlateForce:
 class ForceCurve:
     """Sampled sphere-plate force curve, ascending in d, attractive-positive."""
 
-    model: MaterialModel
-    geometry: ExperimentGeometry
     d_m: np.ndarray
     force_N: np.ndarray
 
@@ -545,7 +543,7 @@ def force_curve(model: MaterialModel, geometry: ExperimentGeometry, d_m) -> Forc
     """Evaluate the sphere-plate force on a distance grid in one batched pass."""
     d = np.asarray(d_m, dtype=float)
     forces = sphere_plate_force(model, d, geometry)
-    return ForceCurve(model=model, geometry=geometry, d_m=d, force_N=forces)
+    return ForceCurve(d_m=d, force_N=forces)
 
 
 # spline evaluation: at most 8 buckets per knot interval, and blocks of 8192

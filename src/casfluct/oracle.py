@@ -19,7 +19,7 @@ of the quadratic formula itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -285,16 +285,7 @@ class TrialVerdict:
     report: TimeAverageReport | None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "seed": self.seed,
-            "mean_ok": self.mean_ok,
-            "scatter_ok": self.scatter_ok,
-            "scatter_applicable": self.scatter_applicable,
-            "expansion_breakdown": self.expansion_breakdown,
-            "mean_discrepancy": self.mean_discrepancy,
-            "mean_tolerance": self.mean_tolerance,
-            "scatter_ratio": self.scatter_ratio,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "report"}
         if self.report is not None:
             d.update(self.report.to_json_dict())
         return d

@@ -121,6 +121,10 @@ class TestChiSquared:
         with pytest.raises(ValueError, match="fitted_params must be >= 0, got -3"):
             chi_squared(ds, lambda d: 0.0, fitted_params=-3, dof_override=dof_override)
 
+    def test_one_row_has_no_degrees_of_freedom(self, synthetic_dataset):
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1, got 0"):
+            chi_squared(synthetic_dataset([1.0]), np.zeros_like, fitted_params=1)
+
     def test_theory_failure_names_point(self, synthetic_dataset):
         ds = synthetic_dataset([1.0, 2.0, 3.0])
 
@@ -304,6 +308,10 @@ class TestScanDelta:
             scan_delta(ds, self._force(), [2e-7, 1e-7])
         with pytest.raises(cf.DomainError, match="delta_rms"):
             scan_delta(ds, self._force(), [-1e-7, 1e-7])
+
+    def test_one_row_has_no_degrees_of_freedom(self, synthetic_dataset):
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1, got 0"):
+            scan_delta(synthetic_dataset([1.0]), self._force(), [1e-7, 2e-7])
 
     def test_equals_apparent_force_per_step_bit_for_bit(self, synthetic_dataset):
         data = synthetic_dataset(np.linspace(0.6, 6.0, 200), extra=lambda x: 33.76 / x**3,

@@ -9,7 +9,7 @@ import pytest
 
 import casfluct as cf
 from casfluct.cli import _COMMANDS, _build_parser, _merge_opts, main
-from casfluct.provenance import config_hash
+from casfluct.provenance import config_hash, file_hash
 
 DATA_ROWS = [
     "0.62, 380.0, 11.0, 10, 0.1",
@@ -453,6 +453,18 @@ class TestSimulateCommand:
         if delta_rms != "0":
             assert blob["n_scatter_pass"] == 10
 
+    def test_casimir_alone(self, tmp_path):
+        # --beta 0 with a model averages the Casimir force alone
+        out = tmp_path / "sim.json"
+        rc = main(["simulate", "--beta", "0", "--model", "drude", "--f-lo", "1",
+                   "--duration", "200", "-o", str(out)])
+        assert rc == 0
+        blob = json.loads(out.read_text())
+        casimir = cf.sphere_plate_force(cf.Drude(9.0, 0.035), 1e-6, cf.ExperimentGeometry()) / 1e-11
+        # the mean exceeds F(d) by the small positive 0.5 F'' delta^2, far below the 215 background
+        assert casimir < blob["analytic_mean"] < 1.1 * casimir
+        assert blob["n_mean_pass"] == blob["trials"] == 10
+
     def test_requires_force_choice(self, tmp_path):
         rc = main(["simulate", "--beta", "0", "-o", str(tmp_path / "s.json")])
         assert rc == 1
@@ -715,6 +727,42 @@ def test_subcommand_runs_at_its_defaults(argv, tmp_path, data_csv):
 
 
 @pytest.mark.parametrize(
+    "argv, names",
+    [
+        pytest.param(["force", "--model", "tabulated", "--eps-table", "{eps_table}", "--points", "3"],
+                     ["eps_table"], id="force"),
+        pytest.param(["correct", "--model", "tabulated", "--eps-table", "{eps_table}", "--profile",
+                      "table", "--profile-table", "{profile_table}", "--points", "3"],
+                     ["eps_table", "profile_table"], id="correct"),
+        pytest.param(["fit-beta", "--data", "{data}"], ["data"], id="fit-beta"),
+        pytest.param(["chi2", "--data", "{data}", "--theory", "{theory}"], ["data", "theory"],
+                     id="chi2"),
+        pytest.param(["scan-delta", "--data", "{data}", "--steps", "2"], ["data"], id="scan-delta"),
+        pytest.param(["kk", "--table", "{table}", "--points", "3"], ["table"], id="kk"),
+    ],
+)
+def test_every_input_file_is_hashed(argv, names, tmp_path, data_csv):
+    """Each input file a run reads gets an input_hash line, in header order."""
+    files = {
+        "data": data_csv,
+        "theory": _theory_curve(tmp_path / "theory.csv"),
+        "table": _optical_table(tmp_path / "optical.csv"),
+        "eps_table": _eps_table(tmp_path / "eps.csv"),
+        "profile_table": _profile_table(tmp_path / "profile.csv"),
+    }
+    out = tmp_path / "out"
+    assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 0
+    text = out.read_text()
+    if text.startswith("{"):
+        meta = json.loads(text)["_meta"]
+    else:
+        meta = dict(line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+    hashes = [(key.split(":", 1)[1], value) for key, value in meta.items()
+              if key.startswith("input_hash:")]
+    assert hashes == [(name, file_hash(files[name])) for name in names]
+
+
+@pytest.mark.parametrize(
     "command, digest",
     [
         ("force", "5f58af87dd4b"),
@@ -803,6 +851,23 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "duration must be finite and > 0, got inf", id="simulate-duration-inf"),
         pytest.param(["simulate", "--seed", "-1"], "seed must be an integer >= 0, got -1",
                      id="simulate-seed-negative"),
+        # a missing input file is named by its flag, and only what is missing is named
+        pytest.param(["fit-beta"], "fit-beta requires --data\n", id="fit-beta-no-data"),
+        pytest.param(["chi2", "--theory", "{theory}"], "chi2 requires --data\n",
+                     id="chi2-no-data"),
+        pytest.param(["chi2", "--data", "{data}"], "chi2 requires --theory\n",
+                     id="chi2-no-theory"),
+        pytest.param(["chi2"], "chi2 requires --data and --theory\n", id="chi2-no-files"),
+        pytest.param(["scan-delta"], "scan-delta requires --data\n", id="scan-delta-no-data"),
+        pytest.param(["kk"], "kk requires --table\n", id="kk-no-table"),
+        pytest.param(["force", "--model", "tabulated"], "--model tabulated requires --eps-table",
+                     id="force-tabulated-no-eps-table"),
+        pytest.param(["correct", "--profile", "table"], "--profile table requires --profile-table",
+                     id="correct-profile-no-table"),
+        pytest.param(["force", "--d-min", "2", "--d-max", "1"], "need d_min < d_max, got [2.0, 1.0]",
+                     id="force-d-range"),
+        pytest.param(["chi2", "--data", "{data}", "--theory", "{three_rows}"],
+                     "{three_rows}: need >= 4 theory rows", id="chi2-three-row-theory"),
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
@@ -820,8 +885,10 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
         "narrow": str(_profile_table(tmp_path / "narrow.csv", rows=["1.0,0.1", "2.0,0.2"])),
         "theory": str(_theory_curve(tmp_path / "theory.csv")),
         "headerless": str(tmp_path / "bare.csv"),
+        "three_rows": str(tmp_path / "three.csv"),
     }
     (tmp_path / "bare.csv").write_text("0.5,0.1\n6.5,0.2\n")
+    (tmp_path / "three.csv").write_text("d_um,F_udyne\n0.5,430.0\n1.0,215.0\n2.0,107.5\n")
     out = tmp_path / "out"
     assert main([a.format(**files) for a in argv] + ["-o", str(out)]) == 1
     assert message.format(**files) in capsys.readouterr().err
@@ -935,6 +1002,13 @@ class TestConfigMerge:
         err = capsys.readouterr().err
         assert str(cfg) in err
         assert key is None or key in err
+
+    def test_malformed_config_names_itself(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("not json\n")
+        assert main(["kk", "--config", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"casfluct kk: config file {cfg}: Expecting value: line 1 column 1" in err
 
     def test_config_values_not_coerced(self, tmp_path):
         """An int where the default is a float is kept as an int, so the hash is the file's."""

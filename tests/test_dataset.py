@@ -169,3 +169,44 @@ def test_negative_bin_width_rejected_as_load_dataset_would(tmp_path):
             n_samples=np.array([1, 1, 1]),
             bin_width_um=np.array([0.1, -0.2, 0.1]),
         )
+
+
+@pytest.mark.parametrize(
+    "index, row, rule",
+    [
+        (0, "0.0, 420.0, 11.0, 10, 0.1", "d_um must be > 0"),
+        (2, "1.0, 250.25, 8.0, 0, 0.1", "n_samples must be >= 1"),
+        (2, "1.0, 250.25, 8.0, 10, -0.1", "bin_width_um must be >= 0"),
+    ],
+    ids=["d-zero", "n-zero", "width-negative"],
+)
+def test_broken_bin_names_path_and_line(index, row, rule, write_dataset_csv):
+    rows = list(VALID_ROWS)
+    rows[index] = row
+    path = write_dataset_csv(rows)
+    with pytest.raises(cf.DatasetError) as err:
+        load_dataset(path)
+    line = index + 2  # the header is line 1
+    assert err.value.lines == [line]
+    assert str(err.value) == f"{path}:{line}: {rule}"
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("d_um", [0.0, 2.0, 3.0], "all d_um must be > 0"),
+        ("sigma_udyne", [0.1, 0.0, 0.1], "all sigma_udyne must be > 0"),
+        ("n_samples", [1, 0, 1], "all n_samples must be >= 1"),
+    ],
+)
+def test_constructor_bin_rules(column, values, message):
+    columns = dict(
+        d_um=[1.0, 2.0, 3.0],
+        force_udyne=[1.0, 2.0, 3.0],
+        sigma_udyne=[0.1, 0.1, 0.1],
+        n_samples=[1, 1, 1],
+        bin_width_um=[0.1, 0.1, 0.1],
+    )
+    columns[column] = values
+    with pytest.raises(cf.DatasetError, match=f"^{message}$"):
+        cf.ForceDataset(**{name: np.array(v) for name, v in columns.items()})

@@ -225,11 +225,11 @@ class TestForceCurve:
         mid = 1.1e-6
         assert ev(mid) == pytest.approx(sphere_plate_force(cf.GOLD_DRUDE, mid, geometry), rel=1e-6)
 
-    def test_invariants_enforced(self, geometry):
+    def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            cf.ForceCurve(cf.GOLD_DRUDE, geometry, np.array([2e-6, 1e-6]), np.array([1.0, 2.0]))
+            cf.ForceCurve(np.array([2e-6, 1e-6]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            cf.ForceCurve(cf.GOLD_DRUDE, geometry, np.array([1e-6, 2e-6]), np.array([1.0, 2.0]))
+            cf.ForceCurve(np.array([1e-6, 2e-6]), np.array([1.0, 2.0]))
 
     def test_tabulated_evaluator_domain(self):
         d = np.linspace(1.0, 2.0, 8)

@@ -54,6 +54,11 @@ class TestProcessSpec:
         with pytest.raises(ValueError, match="100 cycles"):
             ProcessSpec(f_lo=0.01, f_hi=5.0, duration=2000.0)
 
+    def test_at_least_two_samples(self):
+        # with f_lo = 0 no stationarity rule bounds the duration from below
+        with pytest.raises(ValueError, match="at least two samples"):
+            ProcessSpec(f_lo=0.0, dt=0.05, duration=0.05)
+
     def test_kind_and_rms_validation(self):
         with pytest.raises(ValueError):
             ProcessSpec(kind="pink", **FAST)
