@@ -7,7 +7,7 @@ amplitude scan), ``simulate`` (Monte Carlo time-averaging check),
 ``tilt-estimate`` (pendulum tilt-noise scaling), and ``kk`` (absorption
 table to eps(i*xi)).  All outputs are plot-ready CSV/JSON written
 atomically, carry provenance headers (tool version, config hash, a hash of
-each input file given), and are byte-reproducible for fixed seeds.  A run
+each input file read), and are byte-reproducible for fixed seeds.  A run
 without the --data, --theory or --table its subcommand has exits 1 naming
 the flag.  Exit codes: 0 ok, 1 validation error, 2 numerical failure.
 """
@@ -95,10 +95,22 @@ def _grid(opts, axis: str) -> np.ndarray:
     return space(lo, hi, opts.points)
 
 
+def _models(opts) -> tuple:
+    """Names of the material models a force or correct run builds: fig1 builds plasma and Drude."""
+    return ("plasma", "drude") if getattr(opts, "emit", None) == "fig1" else (opts.model,)
+
+
+def _reads(name: str, opts) -> bool:
+    """Whether a run opens the file of input-file option ``name`` when it is set."""
+    if name == "eps_table":
+        return "tabulated" in _models(opts)
+    return name != "profile_table" or opts.profile == "table"
+
+
 def _meta(command: str, opts) -> dict:
     meta = {"command": command, "config_hash": config_hash(vars(opts))}
     for name in _INPUT_FILES:
-        if path := getattr(opts, name, None):
+        if (path := getattr(opts, name, None)) and _reads(name, opts):
             meta[f"input_hash:{name}"] = file_hash(path)
     return meta
 
@@ -158,7 +170,7 @@ def _cmd_correct(opts) -> int:
         radius_cm=opts.radius_cm,
     )
     fig1 = opts.emit == "fig1"
-    names = ("plasma", "drude") if fig1 else (opts.model,)
+    names = _models(opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
     grid = _grid(opts, "d")
     d = grid * UM
@@ -359,8 +371,9 @@ _D0 = ("d0", 0.0, {"type": float, "help": "background distance offset (um)"})
 _DELTA_RMS = ("delta_rms", 0.1, {"type": float, "help": "rms fluctuation (um)"})
 _DATA = ("data", None, {"help": "measured dataset CSV"})
 _OUTPUT = {"help": "output path"}
-# options that name an input file, in the order of their input_hash header lines;
-# a subcommand that has one of the required ones does not run without it
+# options that name an input file, in the order of their input_hash header lines
+# (each written only when the run reads the file, ``_reads``); a subcommand that
+# has one of the required ones does not run without it
 _INPUT_FILES = ("data", "theory", "table", "eps_table", "profile_table")
 _REQUIRED_FILES = ("data", "theory", "table")
 
@@ -498,10 +511,11 @@ def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, only that subcommand gets its options.
+    """The CLI parser; with ``command``, one of ``_COMMANDS``, only that subcommand is registered.
 
-    Every subcommand is still registered, so the top-level usage and help
-    read the same either way.
+    Its metavar is then the list argparse prints for all of them, so usage
+    reads the same.  The full parser has none: argparse would print it for
+    "command" in the missing- and unknown-subcommand errors only it raises.
     """
     parser = argparse.ArgumentParser(
         prog="casfluct",
@@ -509,12 +523,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, func, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func, command=name)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func, command=name)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for dest, _, kwargs in options:
             flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)

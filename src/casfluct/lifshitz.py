@@ -97,14 +97,13 @@ def _r2_metal(eps, y, a):
     return r_tm * r_tm, r_te * r_te
 
 
-def _log_scaled(r2, y):
-    """exp(y) * log(1 - r2*exp(-y)), computed without overflow."""
-    q = r2 * np.exp(-y)
-    small = q < 1e-8
-    # direct branch only selected where q >= 1e-8, i.e. y <~ 19 + log(r2)
-    direct = np.exp(np.minimum(y, 40.0)) * np.log1p(-np.where(small, 0.0, q))
-    series = -r2 * (1.0 + 0.5 * q + q * q / 3.0)
-    return np.where(small, series, direct)
+def _log_scaled(r2, y, e):
+    """exp(y) * log(1 - r2*e) for e = exp(-y), without overflow; each branch only where taken."""
+    q = r2 * e
+    out = -r2 * (1.0 + 0.5 * q + q * q / 3.0)  # the series of log1p, where q < 1e-8
+    direct = ~(q < 1e-8)  # q >= 1e-8, i.e. y <~ 19 + log(r2), and NaN
+    out[direct] = np.exp(np.minimum(y[direct], 40.0)) * np.log1p(-q[direct])
+    return out
 
 
 # kernel -> (power p of d in the prefactor, sign).  The thermal prefactor is
@@ -120,11 +119,10 @@ _PC_ZERO_T = {"energy": -2.0 * math.pi**4 / 45.0, "pressure": 2.0 * math.pi**4 /
 _STRICT = frozenset({"pressure", "slope"})
 
 
-def _integrand(kind: str, y, r_tm2, r_te2):
-    """exp(y) times the y-integrand of one kernel, summed over TM and TE."""
+def _integrand(kind: str, y, e, r_tm2, r_te2):
+    """exp(y) times the y-integrand of one kernel, summed over TM and TE, given e = exp(-y)."""
     if kind == "energy":
-        return y * (_log_scaled(r_tm2, y) + _log_scaled(r_te2, y))
-    e = np.exp(-y)
+        return y * (_log_scaled(r_tm2, y, e) + _log_scaled(r_te2, y, e))
     den_tm, den_te = 1.0 - r_tm2 * e, 1.0 - r_te2 * e
     if kind == "pressure":
         return y * y * (r_tm2 / den_tm + r_te2 / den_te)
@@ -139,13 +137,15 @@ def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, need=None):
     can be composed stably.  ``r2_of_y(y, rows)`` gives the squared TM and
     TE reflection coefficients on the grid ``y`` of the listed rows.  Each
     row and each kernel stops at the first order that agrees with the one
-    before, and each row is reduced on its own with ``np.dot``, so a value
-    depends neither on the other rows nor on which other kernels were
-    requested.  ``need``, a (rows x kinds) mask, limits each row to the
-    kernels it marks; every kernel of every row by default.  Returns the
-    values and the mask of those still unconverged at the last order, both
-    shaped (rows x kinds), with 0 and False where a row was not asked for
-    a kernel; callers decide whether an unconverged value is an error.
+    before.  Each row is reduced on its own, by one BLAS ``ddot`` through
+    ``np.vecdot`` (not a matrix-vector product, whose bits depend on the
+    batch), so a value depends neither on the other rows nor on which other
+    kernels were requested.  ``need``, a (rows x kinds) mask, limits each
+    row to the kernels it marks; every kernel of every row by default.
+    Returns the values and the mask of those still unconverged at the last
+    order, both shaped (rows x kinds), with 0 and False where a row was not
+    asked for a kernel; callers decide whether an unconverged value is an
+    error.
     """
     vals = np.zeros((a.size, len(kinds)))
     pending = np.ones(vals.shape, dtype=bool) if need is None else np.array(need, dtype=bool)
@@ -155,13 +155,14 @@ def _inner_rows(a: np.ndarray, r2_of_y: Callable, kinds: tuple, need=None):
             break
         t, w = _lag_nodes(order)
         y = a[rows, None] + t
-        r_tm2, r_te2 = r2_of_y(y, rows)
+        grid = (y, np.exp(-y), *r2_of_y(y, rows))
         for j, kind in enumerate(kinds):
             sub = pending[rows, j]
             if not sub.any():
                 continue
-            f = _integrand(kind, y[sub], r_tm2[sub], r_te2[sub])
-            val = np.array([np.dot(w, row) for row in f])
+            # a kernel every row still needs takes the grid itself: copies would raise peak memory
+            f = _integrand(kind, *(grid if sub.all() else [v[sub] for v in grid]))
+            val = np.vecdot(f, w)
             idx = rows[sub]
             if step:
                 prev = vals[idx, j]
@@ -304,6 +305,23 @@ def _packed_blocks(model, blocks, xi1, kinds) -> list:
     return out
 
 
+def _series_extent(d: float, xi1: float, n: np.ndarray) -> tuple[int, int]:
+    """Stop and block size of the Matsubara series of d, as the full array of a_n gives them.
+
+    The stop counts the a_n = 2 d xi_n / c <= 700 (later terms underflow to
+    zero), the block size those <= ``_BLOCK_A``, at least 1 and at most
+    ``_BLOCK_MAX``.  From a_n ~ n a_1, a_n is computed only through the
+    first term past 700, and over all of ``n`` where that falls short.
+    """
+    a_1 = 2.0 * d * xi1 / CONSTANTS.c
+    guess = n.size if a_1 * n.size <= 700.0 else min(int(700.0 / a_1) + 2, n.size)
+    for m in (guess, n.size):
+        a = 2.0 * d * n[:m] * xi1 / CONSTANTS.c
+        stop = int(np.searchsorted(a, 700.0, side="right"))
+        if stop < m or m == n.size:
+            return stop, min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
+
+
 def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
@@ -321,39 +339,38 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     xi1 = _xi1_rad(T)
     n_max = _MATSUBARA_MAX_TERMS
     n = np.arange(1, n_max + 1)
-    column = {kind: j for j, kind in enumerate(kinds)}
+    columns = range(len(kinds))
+    strict = [kind in _STRICT for kind in kinds]
 
     def series(d, zero):
         """Yields the block it needs next and is sent its (values, unconverged); returns its sums."""
-        a = 2.0 * d * n * xi1 / CONSTANTS.c  # a_n of every term, not kept: each block computes its own
-        stop = int(np.searchsorted(a, 700.0, side="right"))  # later terms underflow to zero
-        size = min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
-        acc = {kind: 0.5 * v for kind, v in zip(kinds, zero)}
-        pending = kinds
+        stop, size = _series_extent(d, xi1, n)
+        acc = [0.5 * v for v in zero]
+        pending = list(columns)  # the kernel columns still summing
         for lo in range(0, stop, size):
+            # computed per block, not kept per d: a grid's series are all alive at once
             a = 2.0 * d * n[lo : lo + size] * xi1 / CONSTANTS.c
-            vals, unconverged = yield a, n[lo : lo + size], [kind in pending for kind in kinds]
+            vals, unconverged = yield a, n[lo : lo + size], [j in pending for j in columns]
             for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
                 scale = math.exp(-a_n)
                 still = []
-                for kind in pending:
-                    inner = row[column[kind]]
-                    if bad[column[kind]] and kind in _STRICT:
-                        raise _unconverged_k_integral(kind, inner)
-                    term = scale * inner
-                    acc[kind] += term
-                    if not abs(term) <= stop_rel * abs(acc[kind]):
-                        still.append(kind)
-                pending = tuple(still)
+                for j in pending:
+                    if bad[j] and strict[j]:
+                        raise _unconverged_k_integral(kinds[j], row[j])
+                    term = scale * row[j]
+                    acc[j] += term
+                    if not abs(term) <= stop_rel * abs(acc[j]):
+                        still.append(j)
+                pending = still
                 if not pending:
-                    return [acc[kind] for kind in kinds]
+                    return acc
         if stop == n_max:
             raise ConvergenceError(
                 f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
                 partial_sum=acc[pending[0]],
                 terms=n_max,
             )
-        return [acc[kind] for kind in kinds]
+        return acc
 
     out = [None] * len(ds)
 

@@ -216,7 +216,7 @@ def time_averaged_force(
     given, and its own exception propagates: a sample outside its domain
     raises the evaluator's :class:`DomainError`.  It is evaluated at every
     sample, so it should be a spline or a closed form, not
-    a :class:`SpherePlateForce` (~0.45 ms per d on a 2-core Xeon: ~8 min
+    a :class:`SpherePlateForce` (~0.2 ms per d on a 2-core Xeon: ~3 min
     for 10^6 samples).
     """
     series = np.asarray(series, dtype=float)

@@ -671,6 +671,61 @@ def test_block_size_does_not_move_a_bit(block_max, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the engine's bit-for-bit premises: each fails loudly on a numpy or BLAS
+# build that breaks it
+
+
+@pytest.mark.parametrize("order", lifshitz._LAG_ORDERS)
+def test_vecdot_rows_equal_per_row_dot(order):
+    """np.vecdot reduces each row as np.dot(w, row) does, whatever the row's layout or batch."""
+    _, w = lifshitz._lag_nodes(order)
+    rng = np.random.default_rng(order)
+    for rows in (1, 7, 256):
+        f = rng.standard_normal((rows, order)) * np.exp(rng.uniform(-30.0, 30.0, (rows, 1)))
+        for grid in (f, np.asfortranarray(f), f[rng.random(rows) < 0.5]):
+            want = np.array([np.dot(w, row) for row in grid])
+            assert np.vecdot(grid, w).tobytes() == want.tobytes()
+
+
+def test_log_scaled_equals_two_where_form():
+    """Each branch computed only where taken gives the bits of both computed everywhere."""
+
+    def two_where(r2, y):
+        q = r2 * np.exp(-y)
+        small = q < 1e-8
+        direct = np.exp(np.minimum(y, 40.0)) * np.log1p(-np.where(small, 0.0, q))
+        series = -r2 * (1.0 + 0.5 * q + q * q / 3.0)
+        return np.where(small, series, direct)
+
+    # y across q = 1e-8 for each r2 (y ~ 17.7 at r2 = 0.5, 18.4 at r2 = 1) and up to 800
+    y = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(40.0, 800.0, 300), [np.nan]])
+    r2 = np.array([0.0, 1e-300, 0.5, 1.0, np.nan])[:, None] * np.ones_like(y)
+    y = np.ones_like(r2) * y
+    q = r2 * np.exp(-y)
+    assert np.any(q < 1e-8) and np.any(q >= 1e-8) and np.any(np.isnan(q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = lifshitz._log_scaled(r2, y, np.exp(-y))
+        assert got.tobytes() == two_where(r2, y).tobytes()
+    assert np.isnan(got[-1]).all() and np.isnan(got[:, -1]).all()
+
+
+def test_series_extent_equals_the_full_arrays():
+    """Stop and block size from the a_n through the first term past 700 equal those from all of them."""
+    n = np.arange(1, lifshitz._MATSUBARA_MAX_TERMS + 1)
+    fallback = 0
+    for T in (1.0, 77.0, 300.0, 3000.0):
+        xi1 = lifshitz._xi1_rad(T)
+        for d in np.geomspace(1e-9, 1e-3, 241).tolist():
+            full = 2.0 * d * n * xi1 / cf.CONSTANTS.c
+            stop = int(np.searchsorted(full, 700.0, side="right"))
+            size = min(max(int(np.searchsorted(full, lifshitz._BLOCK_A, side="right")), 1),
+                       lifshitz._BLOCK_MAX)
+            assert lifshitz._series_extent(d, xi1, n) == (stop, size)
+            fallback += stop == n.size  # 5,000 terms never reach a_n = 700: all of n
+    assert fallback
+
+
+# --------------------------------------------------------------------------
 # a grid of separations in one pass
 
 
