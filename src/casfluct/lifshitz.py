@@ -23,6 +23,7 @@ All k-integrals are taken in the scale-free variable y = 2 kappa_n d.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,41 +269,11 @@ def _xi1_rad(T: float) -> float:
 # The Matsubara series of each d is computed in blocks of terms: the first
 # block holds the terms with a_n <= _BLOCK_A (the default 1e-9 stop lands at
 # a_n ~ 15-40), every later block as many again, and no block more than
-# _BLOCK_MAX terms.  A grid of d is summed in rounds: each round takes the
-# next block of every d still summing and packs them all into _inner_rows
-# calls of at most _BLOCK_MAX rows, which also bounds the memory of one call.
+# _BLOCK_MAX terms.  A grid of d is summed in rounds, each taking the next
+# block of every d still summing; a round's rows go through _inner_rows calls
+# of _BLOCK_MAX rows (the last fewer), which bounds the memory of one call.
 _BLOCK_A = 30.0
 _BLOCK_MAX = 256
-
-
-def _packed_blocks(model, blocks, xi1, kinds) -> list:
-    """(values, unconverged) of ``_inner_rows`` for each block of ``blocks``.
-
-    A block is (a, n, mask): its rows a_n, their Matsubara indices n and
-    the kernels of ``kinds`` its rows compute, one bool per kernel.  The
-    blocks are packed in order into ``_inner_rows`` calls of at most
-    ``_BLOCK_MAX`` rows, no block split between calls, with one
-    ``eps_imag_axis`` call per ``_inner_rows`` call.  Rows are reduced on
-    their own, so each value equals that of a call for its block alone.
-    """
-    groups, rows = [], _BLOCK_MAX
-    for i, (a, _, _) in enumerate(blocks):
-        if rows + a.size > _BLOCK_MAX:
-            groups.append([])
-            rows = 0
-        groups[-1].append(i)
-        rows += a.size
-    out = []
-    for members in groups:
-        a, n, masks = zip(*(blocks[i] for i in members))
-        sizes = [part.size for part in a]
-        a = np.concatenate(a)
-        xi_ev = np.concatenate(n) * xi1 * CONSTANTS.hbar / EV
-        need = np.repeat(masks, sizes, axis=0)
-        vals, unconverged = _inner_rows(a, _r2_factory(model, xi_ev, a), kinds, need)
-        bounds = np.cumsum([0, *sizes]).tolist()
-        out += [(vals[lo:hi], unconverged[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return out
 
 
 def _series_extent(d: float, xi1: float, n: np.ndarray) -> tuple[int, int]:
@@ -325,15 +296,16 @@ def _series_extent(d: float, xi1: float, n: np.ndarray) -> tuple[int, int]:
 def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     """sum'_n exp(-a_n) * inner(a_n) of each kernel at each d of ``ds``, the scale-free Matsubara series.
 
-    inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  Each
-    round packs the next block of terms of every d still summing into
-    shared ``_inner_rows`` calls (``_packed_blocks``), a row computing
-    only the kernels its d still needs.  Then, one d at a time in grid
-    order, the terms are added one at a time in n, each kernel stopping at
-    its own converged term count.  The grid raises the first failure it
-    meets: the n = 0 terms come first (``_n0_scaled``), then the rounds,
-    and within a round the first failing d in grid order.  A block may
-    compute terms past the stop; only a consumed term can raise.
+    inner(a) is the exp(a)-scaled k-integral of ``_inner_rows``.  Round r
+    computes block r, the terms n[r*size:(r+1)*size], of every d still
+    summing, a row computing only the kernels its d still needs; a block
+    may straddle two calls, as each row is reduced on its own.  Then, one d
+    at a time in grid order, the terms are added one at a time in n, each
+    kernel stopping at its own converged term count, and a d whose next
+    block would start at or past its stop is done.  The grid raises the
+    first failure it meets: the n = 0 terms come first (``_n0_scaled``),
+    then the rounds, and within a round the first failing d in grid order.
+    A block may compute terms past the stop; only a consumed term can raise.
     """
     stop_rel = _MATSUBARA_REL_TOL
     xi1 = _xi1_rad(T)
@@ -341,17 +313,27 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     n = np.arange(1, n_max + 1)
     columns = range(len(kinds))
     strict = [kind in _STRICT for kind in kinds]
-
-    def series(d, zero):
-        """Yields the block it needs next and is sent its (values, unconverged); returns its sums."""
-        stop, size = _series_extent(d, xi1, n)
-        acc = [0.5 * v for v in zero]
-        pending = list(columns)  # the kernel columns still summing
-        for lo in range(0, stop, size):
-            # computed per block, not kept per d: a grid's series are all alive at once
-            a = 2.0 * d * n[lo : lo + size] * xi1 / CONSTANTS.c
-            vals, unconverged = yield a, n[lo : lo + size], [j in pending for j in columns]
-            for a_n, row, bad in zip(a.tolist(), vals.tolist(), unconverged.tolist()):
+    sums = [[0.5 * v for v in zero] for zero in _n0_scaled(model, ds, kinds)]
+    # (index, d, stop, block size, kernel columns still summing) of each d still summing
+    live = [(i, d, *_series_extent(d, xi1, n), list(columns)) for i, d in enumerate(ds)]
+    r = 0
+    while live:
+        # block r of each d still summing; a series with no terms (stop 0) takes no rows
+        blocks = [n[r * size : (r + 1) * size] if r * size < stop else n[:0] for _, _, stop, size, _ in live]
+        # computed per round, not kept per d: a grid's series are all alive at once
+        parts = [2.0 * d * block * xi1 / CONSTANTS.c for (_, d, *_), block in zip(live, blocks)]
+        a = np.concatenate(parts)
+        xi_ev = np.concatenate(blocks) * xi1 * CONSTANTS.hbar / EV
+        need = np.repeat([[j in p for j in columns] for *_, p in live], [b.size for b in blocks], axis=0)
+        vals, unconverged = np.zeros(need.shape), np.zeros(need.shape, dtype=bool)
+        for lo in range(0, a.size, _BLOCK_MAX):
+            cut = slice(lo, lo + _BLOCK_MAX)
+            r2 = _r2_factory(model, xi_ev[cut], a[cut])
+            vals[cut], unconverged[cut] = _inner_rows(a[cut], r2, kinds, need[cut])
+        lo, kept = 0, []
+        for (i, d, stop, size, pending), part in zip(live, parts):
+            acc, hi = sums[i], lo + part.size
+            for a_n, row, bad in zip(part.tolist(), vals[lo:hi].tolist(), unconverged[lo:hi].tolist()):
                 scale = math.exp(-a_n)
                 still = []
                 for j in pending:
@@ -363,33 +345,18 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
                         still.append(j)
                 pending = still
                 if not pending:
-                    return acc
-        if stop == n_max:
-            raise ConvergenceError(
-                f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
-                partial_sum=acc[pending[0]],
-                terms=n_max,
-            )
-        return acc
-
-    out = [None] * len(ds)
-
-    def advance(steps) -> list:
-        """Send each (index, series, value) its value, in grid order; the series that ask for more."""
-        live = []
-        for i, gen, sent in steps:
-            try:
-                live.append((i, gen, gen.send(sent)))
-            except StopIteration as done:
-                out[i] = done.value
-        return live
-
-    zeros = _n0_scaled(model, ds, kinds)
-    live = advance((i, series(d, zero), None) for i, (d, zero) in enumerate(zip(ds, zeros)))
-    while live:
-        results = _packed_blocks(model, [block for _, _, block in live], xi1, kinds)
-        live = advance((i, gen, result) for (i, gen, _), result in zip(live, results))
-    return out
+                    break
+            lo = hi
+            if pending and (r + 1) * size < stop:
+                kept.append((i, d, stop, size, pending))
+            elif pending and stop == n_max:
+                raise ConvergenceError(
+                    f"Matsubara sum did not converge within {n_max} terms (d={d:g} m, T={T:g} K)",
+                    partial_sum=acc[pending[0]],
+                    terms=n_max,
+                )
+        live, r = kept, r + 1
+    return sums
 
 
 def _zero_t_integral(model, d, kinds) -> list[float]:
@@ -414,8 +381,11 @@ def _check_pfa(ds, geometry: ExperimentGeometry) -> None:
     ratio = np.asarray(ds, dtype=float) / geometry.sphere_radius
     degraded, invalid = ratio[(ratio > 1e-3) & (ratio < 0.1)], ratio[ratio >= 0.1]
     if degraded.size:
+        up = 1  # warn from the first frame outside this package, whichever entry point led here
+        while sys._getframe(up).f_globals.get("__name__", "").partition(".")[0] == __package__:
+            up += 1
         warnings.warn(f"{degraded.size} of {ratio.size} separations have 1e-3 < d/R < 0.1 (largest "
-                      f"{degraded.max():.3g}): proximity-force approximation degraded", stacklevel=5)
+                      f"{degraded.max():.3g}): proximity-force approximation degraded", stacklevel=up + 1)
     if invalid.size:
         raise PFAValidityError(f"d/R = {invalid[0]:.3g} >= 0.1: proximity-force approximation invalid")
 

@@ -660,14 +660,18 @@ def test_engine_matches_independent_reference(name, T):
         assert plate_pressure(model, d, T) == pytest.approx(pressure, rel=1e-7)
 
 
-@pytest.mark.parametrize("block_max", [1, 3])
+@pytest.mark.parametrize("block_max", [1, 3, 7])
 def test_block_size_does_not_move_a_bit(block_max, monkeypatch):
+    """Smaller blocks and calls, with blocks split between two calls, give the same bits."""
     import casfluct.lifshitz as lif
 
     cases = [(TOWER_MODELS[name], d, T) for name in TOWER_MODELS for d in (0.4e-6, 3e-6) for T in (77.0, 300.0)]
+    grids = [(model, T, kinds) for model in TOWER_MODELS.values() for T in (77.0, 300.0) for kinds in _SCALAR]
     batched = [plate_tower(*case) for case in cases]
+    passes = [lif._plate_kernels(model, GRID_D, T, kinds) for model, T, kinds in grids]
     monkeypatch.setattr(lif, "_BLOCK_MAX", block_max)
     assert [plate_tower(*case) for case in cases] == batched
+    assert [lif._plate_kernels(model, GRID_D, T, kinds) for model, T, kinds in grids] == passes
 
 
 # --------------------------------------------------------------------------
@@ -758,7 +762,14 @@ def test_curve_shares_inner_rows_calls(monkeypatch):
     sizes = [a.size for a in calls]
     assert len(sizes) == 7
     assert sum(sizes) == 1414  # the rows evaluated with one call per block per d
-    assert max(sizes) <= lifshitz._BLOCK_MAX
+    assert sizes == [256] * 5 + [118, 16]  # each round's rows in calls of _BLOCK_MAX, the last fewer
+
+
+def test_round_rows_fill_every_call_but_the_last(monkeypatch):
+    """The 120-knot curve of a delta scan: a block straddles two calls rather than open a new one."""
+    calls = _recording_inner_rows(monkeypatch)
+    force_curve(cf.GOLD_DRUDE, cf.ExperimentGeometry(), np.geomspace(0.48e-6, 7.2e-6, 120))
+    assert [a.size for a in calls] == [256] * 5 + [237, 35]
 
 
 GRID_D = np.geomspace(0.3e-6, 8e-6, 30)
@@ -911,6 +922,28 @@ def test_grid_warns_once():
     force = SpherePlateForce(cf.GOLD_DRUDE, geometry)
     forces, got = _with_warnings(lambda: force(grid))
     assert got == want and forces.tolist() == points
+
+
+def test_pfa_warning_names_the_calling_line():
+    """Each entry point attributes the warning to the caller's line, not to a line of the package."""
+    geometry = cf.ExperimentGeometry(sphere_radius=1e-3, temperature=300.0)
+
+    def fresh():
+        return SpherePlateForce(cf.GOLD_DRUDE, geometry)
+
+    calls = [
+        lambda: sphere_plate_force(cf.GOLD_DRUDE, 2e-6, geometry),
+        lambda: fresh()(2e-6),
+        lambda: fresh().gradient(2e-6),
+        lambda: fresh().curvature(2e-6),
+        lambda: force_curve(cf.GOLD_DRUDE, geometry, [2e-6, 3e-6]),
+        lambda: cf.TotalForceEvaluator(cf.ElectrostaticBackground(beta=1e-17), fresh()).curvature(2e-6),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 def test_grid_call_equals_fresh_scalar_calls(geometry, monkeypatch):
