@@ -69,9 +69,4 @@ from .permittivity import (
     load_optical_table,
 )
 from .provenance import TOOL_VERSION as __version__
-from .units import (
-    CONSTANTS,
-    DomainError,
-    ExperimentGeometry,
-    PhysicalConstants,
-)
+from .units import DomainError, ExperimentGeometry

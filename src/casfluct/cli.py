@@ -41,7 +41,7 @@ from .lifshitz import (
     force_curve,
     sphere_plate_force,
 )
-from .oracle import ProcessSpec, verify_second_order
+from .oracle import _KINDS, ProcessSpec, verify_second_order
 from .permittivity import (
     Drude,
     PerfectConductor,
@@ -50,13 +50,7 @@ from .permittivity import (
     load_eps_table,
     load_optical_table,
 )
-from .provenance import (
-    TOOL_VERSION,
-    atomic_write_text,
-    config_hash,
-    file_hash,
-    meta_comment_lines,
-)
+from .provenance import TOOL_VERSION, atomic_write_text, config_hash, file_hash
 from .units import UDYNE, ExperimentGeometry, check_amplitude, check_positive
 
 UM = 1e-6
@@ -116,7 +110,7 @@ def _meta(command: str, opts) -> dict:
 
 
 def _write_csv(path, meta: dict, columns: list[str], rows) -> None:
-    lines = meta_comment_lines(meta)
+    lines = [f"# tool_version: {TOOL_VERSION}", *(f"# {key}: {value}" for key, value in meta.items())]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
@@ -308,16 +302,15 @@ def _cmd_simulate(opts) -> int:
     else:
         raise ValueError("simulate requires --beta and/or --model")
     record = verify_second_order(force, d, spec, trials=opts.trials)
-    first = next((v.report for v in record.verdicts if v.report is not None), None)
+    first = next((v.report.to_json_dict() for v in record.verdicts if v.report is not None), None)
     meta = _meta("simulate", opts)
     payload = {
         "seed": opts.seed,
         "d_um": opts.d,
         "delta_rms_um": opts.delta_rms,
-        "mc_mean": first.mean_force / UDYNE if first else None,
-        "analytic_mean": first.analytic_mean / UDYNE if first else None,
-        "mc_sigma": float(np.sqrt(first.variance_force)) / UDYNE if first else None,
-        "analytic_sigma": first.analytic_excess_sigma / UDYNE if first else None,
+        # the statistics of the first trial that has a report, in udyne
+        **{key: first[key] / UDYNE if first else None
+           for key in ("mc_mean", "analytic_mean", "mc_sigma", "analytic_sigma")},
         **{f.name: getattr(record, f.name) for f in fields(record) if f.name != "verdicts"},
         "verdicts": [v.to_json_dict() for v in record.verdicts],
     }
@@ -439,7 +432,7 @@ _COMMANDS = {
         ("duration", 10000.0, {"type": float, "help": "series duration (s)"}),
         ("seed", 0, {"type": int}),
         ("trials", 10, {"type": int}),
-        ("kind", "white", {"choices": ("white", "one-over-f")}),
+        ("kind", "white", {"choices": _KINDS}),
         ("output", "simulation_report.json", _OUTPUT),
     )),
     "tilt-estimate": ("scale pendulum tilt noise to another length", _cmd_tilt, (

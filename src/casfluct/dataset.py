@@ -185,8 +185,12 @@ def load_dataset(path) -> ForceDataset:
 
 
 def save_dataset(ds: ForceDataset, path, comments: list[str] | None = None) -> None:
-    """Write a dataset back to CSV atomically; numeric content round-trips bit-identically."""
-    lines = [f"# {c}" for c in (comments or [])]
+    """Write a dataset back to CSV atomically; numeric content round-trips bit-identically.
+
+    Each line of each comment, as ``str.splitlines`` splits it, becomes one
+    ``# `` line (an empty comment one bare ``# ``).
+    """
+    lines = [f"# {line}" for c in (comments or []) for line in (c.splitlines() or [""])]
     lines.append(",".join(_COLUMNS))
     for i in range(len(ds)):
         lines.append(

@@ -40,7 +40,7 @@ from .permittivity import (
     UnsupportedModelError,
     eps_imag_axis,
 )
-from .units import CONSTANTS, EV, ConvergenceError, DomainError, ExperimentGeometry
+from .units import C, EV, HBAR, HBAR_C, K_B, ConvergenceError, DomainError, ExperimentGeometry
 from .units import check_amplitude, check_positive, check_samples
 
 __all__ = [
@@ -239,18 +239,17 @@ def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:
         return [tm] * len(ds)  # TE reflection vanishes at zero frequency
     if not isinstance(model, Plasma):
         raise UnsupportedModelError(f"unknown material model {model!r}")
-    omega_p = model.omega_p_ev * EV / CONSTANTS.hbar  # rad/s
-    b = 2.0 * np.asarray(ds, dtype=float) * omega_p / CONSTANTS.c
+    omega_p = model.omega_p_ev * EV / HBAR  # rad/s
+    b = 2.0 * np.asarray(ds, dtype=float) * omega_p / C
     laguerre = tuple(kind for kind in kinds if kind != "energy")
-    vals, unconverged = np.zeros((b.size, 0)), np.zeros((b.size, 0), dtype=bool)
-    if laguerre:
 
-        def r2(y, rows):
-            s = np.sqrt(y * y + b[rows, None] * b[rows, None])
-            r = (y - s) / (y + s)
-            return np.zeros_like(y), r * r
+    def r2(y, rows):
+        s = np.sqrt(y * y + b[rows, None] * b[rows, None])
+        r = (y - s) / (y + s)
+        return np.zeros_like(y), r * r
 
-        vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre)
+    # energy alone leaves no kinds here: _inner_rows then gives (rows x 0) arrays, never calling r2
+    vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre)
     out = []
     for b_d, row, bad in zip(b.tolist(), vals.tolist(), unconverged.tolist()):
         te = {"energy": _n0_te_energy(b_d)} if "energy" in kinds else {}
@@ -263,7 +262,7 @@ def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:
 
 
 def _xi1_rad(T: float) -> float:
-    return 2.0 * math.pi * CONSTANTS.k_B * T / CONSTANTS.hbar
+    return 2.0 * math.pi * K_B * T / HBAR
 
 
 # The Matsubara series of each d is computed in blocks of terms: the first
@@ -284,10 +283,10 @@ def _series_extent(d: float, xi1: float, n: np.ndarray) -> tuple[int, int]:
     ``_BLOCK_MAX``.  From a_n ~ n a_1, a_n is computed only through the
     first term past 700, and over all of ``n`` where that falls short.
     """
-    a_1 = 2.0 * d * xi1 / CONSTANTS.c
+    a_1 = 2.0 * d * xi1 / C
     guess = n.size if a_1 * n.size <= 700.0 else min(int(700.0 / a_1) + 2, n.size)
     for m in (guess, n.size):
-        a = 2.0 * d * n[:m] * xi1 / CONSTANTS.c
+        a = 2.0 * d * n[:m] * xi1 / C
         stop = int(np.searchsorted(a, 700.0, side="right"))
         if stop < m or m == n.size:
             return stop, min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
@@ -321,9 +320,9 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
         # block r of each d still summing; a series with no terms (stop 0) takes no rows
         blocks = [n[r * size : (r + 1) * size] if r * size < stop else n[:0] for _, _, stop, size, _ in live]
         # computed per round, not kept per d: a grid's series are all alive at once
-        parts = [2.0 * d * block * xi1 / CONSTANTS.c for (_, d, *_), block in zip(live, blocks)]
+        parts = [2.0 * d * block * xi1 / C for (_, d, *_), block in zip(live, blocks)]
         a = np.concatenate(parts)
-        xi_ev = np.concatenate(blocks) * xi1 * CONSTANTS.hbar / EV
+        xi_ev = np.concatenate(blocks) * xi1 * HBAR / EV
         need = np.repeat([[j in p for j in columns] for *_, p in live], [b.size for b in blocks], axis=0)
         vals, unconverged = np.zeros(need.shape), np.zeros(need.shape, dtype=bool)
         for lo in range(0, a.size, _BLOCK_MAX):
@@ -367,7 +366,7 @@ def _zero_t_integral(model, d, kinds) -> list[float]:
     (the 64-node rule differs by ~2e-4).
     """
     A, W = _lag_nodes(128)
-    xi_ev = A * CONSTANTS.c * CONSTANTS.hbar / (2.0 * d * EV)
+    xi_ev = A * C * HBAR / (2.0 * d * EV)
     vals, _ = _inner_rows(A, _r2_factory(model, xi_ev, A), kinds)
     sums = [0.0] * len(kinds)
     for w, row in zip(W.tolist(), vals.tolist()):
@@ -390,14 +389,11 @@ def _check_pfa(ds, geometry: ExperimentGeometry) -> None:
         raise PFAValidityError(f"d/R = {invalid[0]:.3g} >= 0.1: proximity-force approximation invalid")
 
 
-def _plate_kernels(model, ds, T, kinds: tuple, geometry=None) -> list[list[float]]:
+def _plate_kernels(model, ds, T, kinds: tuple) -> list[list[float]]:
     """SI values of the requested kernels at each d of ``ds``, from one Matsubara (or T = 0) pass.
 
-    Every d is checked before the first sum: against the PFA for
-    ``geometry`` when one is given, then for finite d > 0, then T >= 0.
+    Every d is checked before the first sum: for finite d > 0, then T >= 0.
     """
-    if geometry is not None:
-        _check_pfa(ds, geometry)
     check_positive("separation", ds)
     check_amplitude("temperature", T)
     zero_t = T == 0.0
@@ -416,9 +412,9 @@ def _plate_kernels(model, ds, T, kinds: tuple, geometry=None) -> list[list[float
         for kind, v in zip(kinds, row):
             power, sign = _KERNELS[kind]
             if zero_t:
-                si.append(sign * (CONSTANTS.hbar_c / (32.0 * math.pi**2 * d ** (power + 1)) * v))
+                si.append(sign * (HBAR_C / (32.0 * math.pi**2 * d ** (power + 1)) * v))
             else:
-                si.append(sign * (CONSTANTS.k_B * T / (8.0 * math.pi * d**power) * v))
+                si.append(sign * (K_B * T / (8.0 * math.pi * d**power) * v))
         out.append([float(v) for v in si])
     return out
 
@@ -444,11 +440,13 @@ def _sphere_kernels(model, d, geometry, kinds: tuple) -> np.ndarray:
     """-2 pi R times each kernel of ``kinds`` at each d of ``d``, shaped d's shape + (len(kinds),).
 
     Under the PFA that is F for the energy, F' for the pressure and F'' for
-    the slope, from one ``_plate_kernels`` pass over every d.
+    the slope, from one ``_plate_kernels`` pass over every d.  Every d is
+    checked against the PFA before that pass checks it further.
     """
     grid = np.asarray(d, dtype=float)
     ds = (d,) if grid.ndim == 0 else grid.ravel()
-    values = np.array(_plate_kernels(model, ds, geometry.temperature, kinds, geometry))
+    _check_pfa(ds, geometry)
+    values = np.array(_plate_kernels(model, ds, geometry.temperature, kinds))
     # (-2 pi R) * E, left to right, as for one Python float E
     return -2.0 * math.pi * geometry.sphere_radius * values.reshape(grid.shape + (len(kinds),))
 

@@ -291,6 +291,13 @@ class TrialVerdict:
         return d
 
 
+# every field but the seed of the verdict on a trial whose series left the force's domain
+_BREAKDOWN = dict(
+    mean_ok=False, scatter_ok=False, scatter_applicable=False, expansion_breakdown=True,
+    mean_discrepancy=math.nan, mean_tolerance=math.nan, scatter_ratio=math.nan, report=None,
+)
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     """Aggregate pass/fail record over independent seeds."""
@@ -340,19 +347,7 @@ def verify_second_order(
         try:
             report = time_averaged_force(force, d, series, _work=work)
         except DomainError:
-            verdicts.append(
-                TrialVerdict(
-                    seed=trial_spec.seed,
-                    mean_ok=False,
-                    scatter_ok=False,
-                    scatter_applicable=False,
-                    expansion_breakdown=True,
-                    mean_discrepancy=math.nan,
-                    mean_tolerance=math.nan,
-                    scatter_ratio=math.nan,
-                    report=None,
-                )
-            )
+            verdicts.append(TrialVerdict(seed=trial_spec.seed, **_BREAKDOWN))
             continue
         allowance = fourth_order_allowance(force, d, report.realized_rms)
         discrepancy = abs(report.mean_force - report.analytic_mean)

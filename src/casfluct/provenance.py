@@ -19,7 +19,6 @@ __all__ = [
     "config_hash",
     "file_hash",
     "atomic_write_text",
-    "meta_comment_lines",
     "parallel_map",
 ]
 
@@ -54,14 +53,6 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def meta_comment_lines(meta: dict) -> list[str]:
-    """Render provenance metadata as '#' comment lines for CSV headers."""
-    lines = [f"# tool_version: {TOOL_VERSION}"]
-    for key, value in meta.items():
-        lines.append(f"# {key}: {value}")
-    return lines
 
 
 def parallel_map(fn, items):

@@ -15,16 +15,23 @@ import numpy as np
 __all__ = [
     "DomainError",
     "ConvergenceError",
-    "PhysicalConstants",
-    "CONSTANTS",
     "ExperimentGeometry",
     "UDYNE",
     "EV",
+    "HBAR",
+    "C",
+    "K_B",
+    "HBAR_C",
 ]
 
 # 1 microdyne in newtons; 1 eV in joules (exact, CODATA 2018).
 UDYNE = 1e-11
 EV = 1.602176634e-19
+# CODATA 2018: hbar in J s, c in m/s, k_B in J/K, and hbar * c in J m.
+HBAR = 1.054571817e-34
+C = 299792458.0
+K_B = 1.380649e-23
+HBAR_C = HBAR * C
 
 
 class DomainError(ValueError):
@@ -86,23 +93,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.partial_sum = partial_sum
         self.terms = terms
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 constants used by the force kernels. Immutable."""
-
-    hbar: float = 1.054571817e-34  # J s
-    c: float = 299792458.0  # m/s
-    k_B: float = 1.380649e-23  # J/K
-
-    @property
-    def hbar_c(self) -> float:
-        """hbar * c in J m."""
-        return self.hbar * self.c
-
-
-CONSTANTS = PhysicalConstants()
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,11 @@ class TestChi2Sf:
             oracle, _ = scipy.integrate.quad(density, x, np.inf, limit=200)
             assert chi2_sf(x, k) == pytest.approx(oracle, abs=1e-7)
 
+    @pytest.mark.parametrize("x, k", [(1480.0, 1480), (2000.0, 2000), (2100.0, 2000), (1600.0, 200)])
+    def test_large_even_dof_against_scipy(self, x, k):
+        # exp(-x/2) is subnormal or zero here, so the finite Poisson sum would lose every digit
+        assert chi2_sf(x, k) == pytest.approx(float(scipy.special.chdtrc(k, x)), rel=1e-12, abs=0.0)
+
     def test_strictly_decreasing_to_zero(self):
         for k in (1, 4, 7):
             xs = np.linspace(0.0, 60.0, 40)

@@ -95,6 +95,12 @@ class TestFit:
         with pytest.raises(FitError, match=">= 3"):
             fit_background(ds)
 
+    def test_zero_forces_give_singular_normal_equations(self, synthetic_dataset):
+        # beta = 0 zeroes the d0 column of the Jacobian, so J^T W J cannot be inverted
+        ds = synthetic_dataset([2.2, 3.0, 4.0, 5.0, 6.0], beta=0.0)
+        with pytest.raises(FitError, match="^singular normal equations"):
+            fit_background(ds)
+
     def test_offset_recovery(self, synthetic_dataset):
         ds = synthetic_dataset([2.2, 3.0, 4.0, 5.0, 6.0], d0_um=0.15)
         fit = fit_background(ds)

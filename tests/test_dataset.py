@@ -110,6 +110,14 @@ def test_roundtrip_bit_identical(write_dataset_csv, tmp_path):
     assert np.array_equal(ds.n_samples, ds2.n_samples)
 
 
+def test_multi_line_comments_roundtrip(write_dataset_csv, tmp_path):
+    ds = load_dataset(write_dataset_csv(VALID_ROWS))
+    out = tmp_path / "commented.csv"
+    save_dataset(ds, out, comments=["two\nlines", "", "crlf\r\nend\r"])
+    assert out.read_text().splitlines()[:5] == ["# two", "# lines", "# ", "# crlf", "# end"]
+    assert np.array_equal(load_dataset(out).force_udyne, ds.force_udyne)
+
+
 def test_roundtrip_preserves_awkward_floats(tmp_path):
     ds = cf.ForceDataset(
         d_um=np.array([0.1, 0.2, 0.30000000000000004]),

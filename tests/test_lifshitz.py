@@ -115,12 +115,20 @@ class TestSpherePlate:
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
 
     def test_model_ordering(self, geometry):
-        for d_um in (0.5, 1.0, 3.0, 10.0):
+        for d_um in (0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 80.0):
             d = d_um * 1e-6
             f_d = sphere_plate_force(cf.GOLD_DRUDE, d, geometry)
             f_p = sphere_plate_force(cf.GOLD_PLASMA, d, geometry)
             f_pc = sphere_plate_force(cf.PerfectConductor(), d, geometry)
             assert f_d <= f_p <= f_pc
+
+    def test_plasma_drude_gap_tends_to_the_n0_te_term(self, geometry):
+        # far apart, plasma and Drude differ by the n = 0 TE term alone: zeta(3) k_B T R / (8 d^2)
+        d = np.array([6e-6, 10e-6, 20e-6, 40e-6, 80e-6])
+        gap = sphere_plate_force(cf.GOLD_PLASMA, d, geometry) - sphere_plate_force(cf.GOLD_DRUDE, d, geometry)
+        ratio = gap * d**2 / (ZETA3 * KB * geometry.temperature * geometry.sphere_radius / 8.0)
+        assert np.all(np.diff(ratio) > 0) and np.all(ratio < 1.0)
+        assert np.all(np.abs(ratio[1:] - 1.0) < 0.01)  # d >= 10 um
 
     def test_monotone_decreasing(self, geometry):
         grid = np.geomspace(0.3e-6, 10e-6, 12)
@@ -230,6 +238,8 @@ class TestForceCurve:
             cf.ForceCurve(np.array([2e-6, 1e-6]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             cf.ForceCurve(np.array([1e-6, 2e-6]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="must be attractive"):
+            cf.ForceCurve(np.array([1e-6, 2e-6]), np.array([1.0, 0.0]))
 
     def test_tabulated_evaluator_domain(self):
         d = np.linspace(1.0, 2.0, 8)
@@ -720,7 +730,7 @@ def test_series_extent_equals_the_full_arrays():
     for T in (1.0, 77.0, 300.0, 3000.0):
         xi1 = lifshitz._xi1_rad(T)
         for d in np.geomspace(1e-9, 1e-3, 241).tolist():
-            full = 2.0 * d * n * xi1 / cf.CONSTANTS.c
+            full = 2.0 * d * n * xi1 / C
             stop = int(np.searchsorted(full, 700.0, side="right"))
             size = min(max(int(np.searchsorted(full, lifshitz._BLOCK_A, side="right")), 1),
                        lifshitz._BLOCK_MAX)
@@ -842,7 +852,7 @@ def test_grid_raises_first_failure_it_meets(monkeypatch):
     n = np.arange(1, 101)
 
     def a_of(d):
-        return 2.0 * d * n * lifshitz._xi1_rad(T) / cf.CONSTANTS.c
+        return 2.0 * d * n * lifshitz._xi1_rad(T) / C
 
     a_early = a_of(d_early)
     flagged = {float(a_early[np.searchsorted(a_early, lifshitz._BLOCK_A, side="right")]): "early",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import casfluct as cf
 from casfluct.cli import UDYNE_UM, UM
-from casfluct.units import EV, UDYNE, check_samples
+from casfluct.units import C, EV, HBAR, HBAR_C, K_B, UDYNE, check_samples
 
 
 def test_microdyne_definition():
@@ -28,16 +27,10 @@ def test_force_gradient_and_curvature_units():
 
 
 def test_constants_codata_2018():
-    c = cf.CONSTANTS
-    assert c.hbar == 1.054571817e-34
-    assert c.c == 299792458.0
-    assert c.k_B == 1.380649e-23
-    assert c.hbar_c == pytest.approx(1.054571817e-34 * 299792458.0, rel=0)
-
-
-def test_constants_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cf.CONSTANTS.hbar = 1.0
+    assert HBAR == 1.054571817e-34
+    assert C == 299792458.0
+    assert K_B == 1.380649e-23
+    assert HBAR_C == pytest.approx(1.054571817e-34 * 299792458.0, rel=0)
 
 
 def test_geometry_defaults_and_validation():
