@@ -17,7 +17,7 @@ import numpy as np
 
 from .corrections import apparent_from_values
 from .dataset import ForceDataset
-from .units import DomainError, check_amplitude, check_samples
+from .units import ConvergenceError, DomainError, check_amplitude, check_samples
 
 __all__ = [
     "Chi2Report",
@@ -51,17 +51,20 @@ def evaluate_theory(theory: Callable, d_m: np.ndarray) -> np.ndarray:
 
 def _upper_gamma_reg(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x), NR-style series/CF split."""
+    max_iter = _MAX_ITER + int(10.0 * math.sqrt(a))  # the series takes ~8 sqrt(a) at x ~ a
     if x < a + 1.0:
         # lower series, then complement
         term = 1.0 / a
         total = term
         n = a
-        for _ in range(_MAX_ITER):
+        for _ in range(max_iter):
             n += 1.0
             term *= x / n
             total += term
             if abs(term) < abs(total) * _EPS:
                 break
+        else:
+            raise ConvergenceError(f"Q({a:g}, {x:g}): series unconverged", total, max_iter)
         p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
         return min(max(1.0 - p, 0.0), 1.0)
     # Lentz continued fraction for the upper function
@@ -70,7 +73,7 @@ def _upper_gamma_reg(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, max_iter):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -84,6 +87,8 @@ def _upper_gamma_reg(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ConvergenceError(f"Q({a:g}, {x:g}): continued fraction unconverged", h, max_iter)
     q = h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     return min(max(q, 0.0), 1.0)
 
@@ -94,7 +99,8 @@ def chi2_sf(x: float, k: int) -> float:
     Even k with x/2 <= 700 uses the exact finite sum exp(-x/2) *
     sum_{j<k/2} (x/2)^j / j!, whose first term loses digits past that; every
     other k goes through the regularized incomplete gamma function.  Absolute
-    accuracy is ~1e-12 (5e-12 at k ~ 1e4), well below the 1e-9 contract.
+    accuracy is ~1e-12 (5e-12 at k ~ 1e4, 4e-10 at 1e6); past k ~ 1e6 the
+    prefactor's cancellation breaks the 1e-9 contract (3e-9 at k = 4e6).
     """
     check_amplitude("chi2 statistic", x)
     if not isinstance(k, (int, np.integer)) or k < 1:

@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ForceDataset
-from .lifshitz import float_or_array
-from .units import UDYNE, DomainError, check_amplitude, check_positive
+from .units import UDYNE, DomainError, check_amplitude, check_positive, float_or_array
 
 __all__ = [
     "ElectrostaticBackground",

@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lifshitz import float_or_array
-from .units import DomainError, check_amplitude, check_positive, check_samples
+from .units import DomainError, check_amplitude, check_positive, check_samples, float_or_array
 
 __all__ = [
     "ConstantProfile",

@@ -41,7 +41,7 @@ from .permittivity import (
     eps_imag_axis,
 )
 from .units import C, EV, HBAR, HBAR_C, K_B, ConvergenceError, DomainError, ExperimentGeometry
-from .units import check_amplitude, check_positive, check_samples
+from .units import check_amplitude, check_positive, check_samples, float_or_array
 
 __all__ = [
     "ConvergenceError",
@@ -710,9 +710,3 @@ def derivative(func: Callable, x: float, order: int = 1) -> DerivativeResult:
     error = abs(fine - coarse) / 3.0
     flagged = error > 0.01 * abs(value) if value != 0.0 else error > 0.0
     return DerivativeResult(value=value, error=error, flagged=flagged, step=h)
-
-
-def float_or_array(value) -> float | np.ndarray:
-    """A scalar result as a Python float, an array result as a float array."""
-    out = np.asarray(value, dtype=float)
-    return float(out) if out.ndim == 0 else out

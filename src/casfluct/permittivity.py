@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import read_table
-from .units import ConvergenceError, check_positive, check_samples
+from .units import ConvergenceError, check_positive, check_samples, float_or_array
 
 __all__ = [
     "PerfectConductor",
@@ -117,9 +117,8 @@ def eps_imag_axis(model: MaterialModel, xi_ev):
             "PerfectConductor has no finite eps(i*xi); the force kernel applies "
             "unit reflection coefficients for it directly"
         )
-    xi = np.asarray(xi_ev, dtype=float)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
+    grid = np.asarray(xi_ev, dtype=float)
+    xi = np.atleast_1d(grid)
     check_positive("xi_ev", xi)
     if isinstance(model, Plasma):
         out = 1.0 + (model.omega_p_ev / xi) ** 2
@@ -129,7 +128,7 @@ def eps_imag_axis(model: MaterialModel, xi_ev):
         out = _eps_tabulated(model, xi)
     else:
         raise UnsupportedModelError(f"unknown material model {model!r}")
-    return float(out[0]) if scalar else out
+    return float_or_array(out.reshape(grid.shape))
 
 
 def _eps_tabulated(model: Tabulated, xi: np.ndarray) -> np.ndarray:
@@ -303,7 +302,7 @@ def kk_transform(table: OpticalAbsorptionTable, xi_ev):
     tail_est = (2.0 / np.pi) * table.eps_imag[-1] / 3.0
     if tail_est > 1e-3:
         log.debug("kk_transform: truncated high-frequency tail ~ %.3g (eps units)", tail_est)
-    return float(out[0]) if grid.ndim == 0 else out.reshape(grid.shape)
+    return float_or_array(out.reshape(grid.shape))
 
 
 def load_optical_table(path) -> OpticalAbsorptionTable:

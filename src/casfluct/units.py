@@ -34,6 +34,12 @@ K_B = 1.380649e-23
 HBAR_C = HBAR * C
 
 
+def float_or_array(value) -> float | np.ndarray:
+    """A scalar result as a Python float, an array result as a float array."""
+    out = np.asarray(value, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
 class DomainError(ValueError):
     """An argument left the physical domain of an operation (e.g. d <= 0)."""
 
@@ -87,7 +93,7 @@ def check_samples(names, *columns, min_len: int = 1) -> tuple[np.ndarray, ...]:
 
 class ConvergenceError(RuntimeError):
     """A sum or integral failed to converge; carries the partial value and the
-    number of terms (Matsubara terms, or the quadrature order of a KK integral)."""
+    number of terms (Matsubara or incomplete-gamma terms, or a KK integral's order)."""
 
     def __init__(self, message: str, partial_sum: float, terms: int):
         super().__init__(message)

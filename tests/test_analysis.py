@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import casfluct as cf
+from casfluct import analysis
 from casfluct.analysis import (
     chi2_sf,
     chi_squared,
@@ -58,6 +59,20 @@ class TestChi2Sf:
     def test_large_even_dof_against_scipy(self, x, k):
         # exp(-x/2) is subnormal or zero here, so the finite Poisson sum would lose every digit
         assert chi2_sf(x, k) == pytest.approx(float(scipy.special.chdtrc(k, x)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [20_001, 100_001])
+    def test_large_dof_at_the_median_against_scipy(self, k):
+        # the series needs ~8 sqrt(k/2) terms here, more than a fixed 600-step cap allows
+        assert chi2_sf(float(k), k) == pytest.approx(float(scipy.special.chdtrc(k, k)), abs=1e-10)
+
+    def test_exhausted_incomplete_gamma_raises(self, monkeypatch):
+        # a cap of 5 terms at a = 1000.5 (the sqrt(a) allowance taken back out of _MAX_ITER):
+        # the series runs out at x < a + 1, the continued fraction above
+        monkeypatch.setattr(analysis, "_MAX_ITER", 5 - int(10.0 * math.sqrt(1000.5)))
+        for x, method in ((2001.0, "series"), (2100.0, "continued fraction")):
+            with pytest.raises(cf.ConvergenceError, match=method) as err:
+                chi2_sf(x, 2001)
+            assert err.value.terms == 5
 
     def test_strictly_decreasing_to_zero(self):
         for k in (1, 4, 7):

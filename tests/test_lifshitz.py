@@ -609,7 +609,7 @@ def test_unconverged_k_integral_raises_at_first_consumed_term(name, monkeypatch)
 
 
 def _reference_plate(model, d, T):
-    """E (J/m^2) and P (Pa) by adaptive quadrature over k and a plain Matsubara loop.
+    """E (J/m^2), P (Pa) and dP/dd (Pa/m) by adaptive quadrature over k and a plain Matsubara loop.
 
     Shares nothing with the engine but the material parameters: the
     integrals run over u = k d in [0, inf) with ``quad``, the reflection
@@ -647,7 +647,14 @@ def _reference_plate(model, d, T):
             e = math.exp(-2.0 * q)
             return u * q * sum(r2 * e / (1.0 - r2 * e) for r2 in reflections(n, u))
 
-        return [quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0] for f in (energy, pressure)]
+        def slope(u):
+            # at fixed k, d/dd of r^2 e / (1 - r^2 e) is -2 kappa r^2 e / (1 - r^2 e)^2, kappa = q / d
+            q2 = u * u + q0 * q0
+            e = math.exp(-2.0 * math.sqrt(q2))
+            return u * q2 * sum(r2 * e / (1.0 - r2 * e) ** 2 for r2 in reflections(n, u))
+
+        integrands = (energy, pressure, slope)
+        return [quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0] for f in integrands]
 
     sums = [0.5 * v for v in term(0)]
     n = 0
@@ -657,7 +664,11 @@ def _reference_plate(model, d, T):
         sums = [s + v for s, v in zip(sums, values)]
         if all(abs(v) <= 1e-12 * abs(s) for v, s in zip(values, sums)):
             break
-    return KB * T / (2.0 * math.pi * d * d) * sums[0], KB * T / (math.pi * d**3) * sums[1]
+    return (
+        KB * T / (2.0 * math.pi * d * d) * sums[0],
+        KB * T / (math.pi * d**3) * sums[1],
+        -2.0 * KB * T / (math.pi * d**4) * sums[2],
+    )
 
 
 @pytest.mark.parametrize("T", [77.0, 300.0])
@@ -665,9 +676,10 @@ def _reference_plate(model, d, T):
 def test_engine_matches_independent_reference(name, T):
     model = TOWER_MODELS[name]
     for d in (0.5e-6, 1.5e-6, 4e-6):
-        energy, pressure = _reference_plate(model, d, T)
+        energy, pressure, slope = _reference_plate(model, d, T)
         assert plate_energy(model, d, T) == pytest.approx(energy, rel=1e-7)
         assert plate_pressure(model, d, T) == pytest.approx(pressure, rel=1e-7)
+        assert lifshitz._plate_kernels(model, [d], T, ("slope",))[0][0] == pytest.approx(slope, rel=1e-7)
 
 
 @pytest.mark.parametrize("block_max", [1, 3, 7])
