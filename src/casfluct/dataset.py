@@ -93,8 +93,9 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     """Header and parsed data rows, keyed by line number, of an input CSV.
 
     Blank lines and ``#`` comment lines are skipped, and each line is split
-    into stripped fields by the ``csv`` module, so a quoted field may hold a
-    comma.  The first other line is the header: it must equal ``columns``
+    into stripped fields at its commas, or by the ``csv`` module if it holds
+    a ``"`` (a quoted field may hold a comma; csv splits any other line alike).
+    The first other line is the header: it must equal ``columns``
     (case-insensitively) or, unless ``exact``, begin with them.  Every data
     row must have as many fields as the header and is turned into a value
     by ``parse`` (by default, one finite float per field), which raises
@@ -112,7 +113,8 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in next(csv.reader([line], skipinitialspace=True))]
+        split = next(csv.reader([line], skipinitialspace=True)) if '"' in line else line.split(",")
+        fields = [*map(str.strip, split)]
         if header is None:
             names = [f.lower() for f in fields]
             if names[: len(columns)] != columns or (exact and len(names) != len(columns)):
@@ -168,9 +170,8 @@ def _broken_bin_rules(d, s, n, w) -> list[str]:
 def _parse_bin(fields: list[str]) -> tuple:
     d, f, s, w = _floats([fields[i] for i in (0, 1, 2, 4)])
     n = int(fields[3])
-    problems = _broken_bin_rules(d, s, n, w)
-    if problems:
-        raise ValueError("; ".join(problems))
+    if not (d > 0 and s > 0 and n >= 1 and w >= 0):  # _broken_bin_rules, named only for a bad row
+        raise ValueError("; ".join(_broken_bin_rules(d, s, n, w)))
     return d, f, s, n, w
 
 

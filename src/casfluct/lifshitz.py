@@ -197,32 +197,37 @@ _N0_TE_T = np.linspace(-3.5, 2.5, 193)
 _N0_TE_REL_TOL = 1e-11
 
 
-def _n0_te_energy(b: float) -> float:
+def _n0_te_energy(b):
     """int_0^inf y log(1 - r^2 e^-y) dy, r = (y - s)/(y + s), s = sqrt(y^2 + b^2).
 
     r^2 = (b/(y + s))^4 is taken as (1 - u)^4 with u = (y + y^2/(s + b))/(y + s),
-    so 1 - r^2 e^-y keeps its digits where it goes like y near y = 0.  Raises
-    ``ConvergenceError`` when the two steps disagree beyond ``_N0_TE_REL_TOL``.
+    so 1 - r^2 e^-y keeps its digits where it goes like y near y = 0.  A 1-D ``b``
+    gives a list, from one (b x node) grid with a ``math.fsum`` per row, as each
+    scalar would.  The first b whose steps differ beyond ``_N0_TE_REL_TOL`` raises.
     """
     t = _N0_TE_T
     y = np.exp(0.5 * math.pi * np.sinh(t))
-    s = np.sqrt(y * y + b * b)
-    z = 4.0 * np.log1p(-(y + y * y / (s + b)) / (y + s)) - y  # log(r^2 e^-y)
+    col = np.reshape(b, (-1, 1)).astype(float)
+    s = np.sqrt(y * y + col * col)
+    z = 4.0 * np.log1p(-(y + y * y / (s + col)) / (y + s)) - y  # log(r^2 e^-y)
     q = np.exp(z)
     # log(1 - q), from expm1 near q = 1 and from log1p elsewhere
     log_1mq = np.where(q > 0.5, np.log(-np.expm1(z)), np.log1p(-np.minimum(q, 0.5)))
     f = y * log_1mq * (0.5 * math.pi * np.cosh(t) * y)
     h = float(t[1] - t[0])
-    fine = h * math.fsum(f)
-    coarse = 2.0 * h * math.fsum(f[::2])
-    if not abs(fine - coarse) <= _N0_TE_REL_TOL * abs(fine):
-        raise ConvergenceError(
-            f"plasma n = 0 TE energy integral did not converge (b = {b:g}): "
-            f"step {h:g} gives {fine!r}, step {2.0 * h:g} gives {coarse!r}",
-            partial_sum=fine,
-            terms=t.size,
-        )
-    return fine
+    out = []
+    for b_d, row in zip(col[:, 0].tolist(), f.tolist()):
+        fine = h * math.fsum(row)
+        coarse = 2.0 * h * math.fsum(row[::2])
+        if not abs(fine - coarse) <= _N0_TE_REL_TOL * abs(fine):
+            raise ConvergenceError(
+                f"plasma n = 0 TE energy integral did not converge (b = {b_d:g}): "
+                f"step {h:g} gives {fine!r}, step {2.0 * h:g} gives {coarse!r}",
+                partial_sum=fine,
+                terms=t.size,
+            )
+        out.append(fine)
+    return out[0] if np.ndim(b) == 0 else out
 
 
 def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:
@@ -250,15 +255,15 @@ def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:
 
     # energy alone leaves no kinds here: _inner_rows then gives (rows x 0) arrays, never calling r2
     vals, unconverged = _inner_rows(np.zeros(b.size), r2, laguerre)
-    out = []
-    for b_d, row, bad in zip(b.tolist(), vals.tolist(), unconverged.tolist()):
-        te = {"energy": _n0_te_energy(b_d)} if "energy" in kinds else {}
-        for kind, value, flagged in zip(laguerre, row, bad):
-            if flagged:
-                raise _unconverged_k_integral(kind, value)
-            te[kind] = value
-        out.append([v + te[kind] for kind, v in zip(kinds, tm)])
-    return out
+    # the d of the first flagged row fails unless an earlier d, or its own energy, fails first
+    first = int(np.argmax(unconverged.any(axis=1))) if unconverged.any() else b.size
+    te = {kind: vals[: first + 1, j] for j, kind in enumerate(laguerre)}
+    if "energy" in kinds:
+        te["energy"] = np.array(_n0_te_energy(b[: first + 1]))
+    if first < b.size:
+        j = int(np.argmax(unconverged[first]))
+        raise _unconverged_k_integral(laguerre[j], float(vals[first, j]))
+    return (np.array(tm) + np.stack([te[kind] for kind in kinds], axis=1)).tolist()
 
 
 def _xi1_rad(T: float) -> float:
@@ -280,16 +285,19 @@ def _series_extent(d: float, xi1: float, n: np.ndarray) -> tuple[int, int]:
 
     The stop counts the a_n = 2 d xi_n / c <= 700 (later terms underflow to
     zero), the block size those <= ``_BLOCK_A``, at least 1 and at most
-    ``_BLOCK_MAX``.  From a_n ~ n a_1, a_n is computed only through the
-    first term past 700, and over all of ``n`` where that falls short.
+    ``_BLOCK_MAX``, over n <= ``n.size``.  a_n, rounded as the array rounds it, never falls
+    as n grows, so each count is found by stepping from limit / a_1 (from ``n.size`` when
+    a_1 * ``n.size`` is within the limit, so that a tiny a_1 never reaches int(inf)).
     """
-    a_1 = 2.0 * d * xi1 / C
-    guess = n.size if a_1 * n.size <= 700.0 else min(int(700.0 / a_1) + 2, n.size)
-    for m in (guess, n.size):
-        a = 2.0 * d * n[:m] * xi1 / C
-        stop = int(np.searchsorted(a, 700.0, side="right"))
-        if stop < m or m == n.size:
-            return stop, min(max(int(np.searchsorted(a, _BLOCK_A, side="right")), 1), _BLOCK_MAX)
+    n_max, a_1, counts = n.size, 2.0 * d * xi1 / C, []
+    for limit in (700.0, _BLOCK_A):
+        k = n_max if a_1 * n_max <= limit else min(int(limit / a_1), n_max)
+        while k < n_max and 2.0 * d * (k + 1) * xi1 / C <= limit:
+            k += 1
+        while k and 2.0 * d * k * xi1 / C > limit:
+            k -= 1
+        counts.append(k)
+    return counts[0], min(max(counts[1], 1), _BLOCK_MAX)
 
 
 def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
@@ -319,20 +327,20 @@ def _thermal_sum(model, ds, T, kinds) -> list[list[float]]:
     while live:
         # block r of each d still summing; a series with no terms (stop 0) takes no rows
         blocks = [n[r * size : (r + 1) * size] if r * size < stop else n[:0] for _, _, stop, size, _ in live]
-        # computed per round, not kept per d: a grid's series are all alive at once
-        parts = [2.0 * d * block * xi1 / C for (_, d, *_), block in zip(live, blocks)]
-        a = np.concatenate(parts)
-        xi_ev = np.concatenate(blocks) * xi1 * HBAR / EV
-        need = np.repeat([[j in p for j in columns] for *_, p in live], [b.size for b in blocks], axis=0)
+        sizes, ns = [block.size for block in blocks], np.concatenate(blocks)
+        # per round, not kept per d (a grid's series are all alive at once), rounded as _series_extent rounds
+        a = 2.0 * np.repeat([d for _, d, *_ in live], sizes) * ns * xi1 / C
+        xi_ev = ns * xi1 * HBAR / EV
+        need = np.repeat([[j in p for j in columns] for *_, p in live], sizes, axis=0)
         vals, unconverged = np.zeros(need.shape), np.zeros(need.shape, dtype=bool)
         for lo in range(0, a.size, _BLOCK_MAX):
             cut = slice(lo, lo + _BLOCK_MAX)
             r2 = _r2_factory(model, xi_ev[cut], a[cut])
             vals[cut], unconverged[cut] = _inner_rows(a[cut], r2, kinds, need[cut])
         lo, kept = 0, []
-        for (i, d, stop, size, pending), part in zip(live, parts):
-            acc, hi = sums[i], lo + part.size
-            for a_n, row, bad in zip(part.tolist(), vals[lo:hi].tolist(), unconverged[lo:hi].tolist()):
+        for (i, d, stop, size, pending), rows in zip(live, sizes):
+            acc, hi = sums[i], lo + rows
+            for a_n, row, bad in zip(a[lo:hi].tolist(), vals[lo:hi].tolist(), unconverged[lo:hi].tolist()):
                 scale = math.exp(-a_n)
                 still = []
                 for j in pending:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,30 @@ from casfluct.analysis import (
 
 UM = 1e-6
 UDYNE = 1e-11
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _poisson_sf(x: float, k: int) -> float:
+    """P(X >= x) for even k as the Poisson sum e^-m sum_{j<k/2} m^j/j!, m = x/2, in 40 digits.
+
+    The sum runs down from j = k/2 - 1, whose term comes from Stirling's
+    series for lgamma(k/2) (to 1/(1260 a^5), exact to ~1e-40 for k >= 1e6),
+    and stops once a term is below 1e-25 of the sum.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, m = Decimal(k // 2), Decimal(x) / 2
+        lgamma_a = ((a - Decimal("0.5")) * a.ln() - a + (2 * _PI).ln() / 2
+                    + 1 / (12 * a) - 1 / (360 * a**3) + 1 / (1260 * a**5))
+        term = (-m + (a - 1) * m.ln() - lgamma_a).exp()
+        total, j = Decimal(0), k // 2 - 1
+        while j >= 0 and term > total * Decimal("1e-25"):
+            total += term
+            term = term * j / m
+            j -= 1
+        return float(total)
 
 
 class TestChi2Sf:
@@ -64,6 +89,14 @@ class TestChi2Sf:
     def test_large_dof_at_the_median_against_scipy(self, k):
         # the series needs ~8 sqrt(k/2) terms here, more than a fixed 600-step cap allows
         assert chi2_sf(float(k), k) == pytest.approx(float(scipy.special.chdtrc(k, k)), abs=1e-10)
+
+    @pytest.mark.parametrize("k", [4_000_000, 10_000_000])
+    def test_huge_dof_near_the_median_against_the_exact_poisson_sum(self, k):
+        # exp(-x + a log x - lgamma(a)) cancels terms of size ~a log a here (~3e-9 off at
+        # k = 1e7); scipy's chdtrc is itself 7e-11 off at 4e6 and 2e-9 at 1e7 below x = k
+        for z in np.linspace(-8.0, 8.0, 9):
+            x = float(k + z * math.sqrt(2.0 * k))
+            assert chi2_sf(x, k) == pytest.approx(_poisson_sf(x, k), abs=1e-12)
 
     def test_exhausted_incomplete_gamma_raises(self, monkeypatch):
         # a cap of 5 terms at a = 1000.5 (the sqrt(a) allowance taken back out of _MAX_ITER):
@@ -346,6 +379,17 @@ class TestScanDelta:
         assert (result.chi2[0], result.reduced[0], result.p_value[0]) == (
             at_zero.chi2, at_zero.reduced, at_zero.p_value)
         assert result.argmin_delta == result.deltas[int(np.argmin(result.chi2))]
+
+    @pytest.mark.parametrize("block", [1, 450])
+    def test_blocks_of_steps_do_not_move_a_bit(self, block, synthetic_dataset, monkeypatch):
+        """Steps scored a row at a time, or two rows at a time and a last one, give the bits of one block."""
+        data = synthetic_dataset(np.linspace(0.6, 6.0, 200), extra=lambda x: 33.76 / x**3,
+                                 rng=np.random.default_rng(4))
+        force = TestArrayEvaluation._total()
+        grid = np.linspace(0.0, 0.3, 31) * UM
+        whole = scan_delta(data, force, grid)
+        monkeypatch.setattr(analysis, "_SCAN_BLOCK", block)
+        assert scan_delta(data, force, grid) == whole
 
     @pytest.mark.parametrize("steps", [1, 5, 101])
     def test_one_evaluation_of_f_and_f2_per_scan(self, steps):

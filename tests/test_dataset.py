@@ -1,10 +1,11 @@
+import csv
 import os
 
 import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct.dataset import load_dataset, save_dataset
+from casfluct.dataset import load_dataset, read_csv, save_dataset
 
 VALID_ROWS = [
     "0.62, 420.0, 11.0, 10, 0.1",
@@ -185,8 +186,9 @@ def test_negative_bin_width_rejected_as_load_dataset_would(tmp_path):
         (0, "0.0, 420.0, 11.0, 10, 0.1", "d_um must be > 0"),
         (2, "1.0, 250.25, 8.0, 0, 0.1", "n_samples must be >= 1"),
         (2, "1.0, 250.25, 8.0, 10, -0.1", "bin_width_um must be >= 0"),
+        (2, "1.0, 250.25, -8.0, 0, 0.1", "sigma_udyne must be > 0; n_samples must be >= 1"),
     ],
-    ids=["d-zero", "n-zero", "width-negative"],
+    ids=["d-zero", "n-zero", "width-negative", "two-rules"],
 )
 def test_broken_bin_names_path_and_line(index, row, rule, write_dataset_csv):
     rows = list(VALID_ROWS)
@@ -218,3 +220,58 @@ def test_constructor_bin_rules(column, values, message):
     columns[column] = values
     with pytest.raises(cf.DatasetError, match=f"^{message}$"):
         cf.ForceDataset(**{name: np.array(v) for name, v in columns.items()})
+
+
+def _read_each_line_with_csv(path, parse):
+    """Header, rows and bad line numbers with every line split by the csv module: read_csv's reference."""
+    header, rows, bad = None, {}, []
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in next(csv.reader([line], skipinitialspace=True))]
+        if header is None:
+            header = fields
+            continue
+        try:
+            if len(fields) != len(header):
+                raise ValueError("field count")
+            rows[lineno] = parse(fields)
+        except ValueError:
+            bad.append(lineno)
+    return header, rows, bad
+
+
+MIXED_LINES = [
+    '# a comment, with "quotes"',
+    'd_um,  "label, with comma" , note',
+    "0.5, plain, x",
+    '0.6, "quoted, comma", y',
+    ' 0.7 ,  spaced  ,  "  padded  "',
+    '0.8,"",',
+    '0.9, a "b" c, z',
+    '1.0, "x"y, z',
+    "",
+    "1.1,\ttab\t,\t",
+]
+MIXED_BAD = ["1.2, too, many, fields", '1.3, "one, field"', "oops, x, y", '"nan", x, y']
+
+
+def test_read_csv_splits_plain_and_quoted_lines_as_the_csv_module_does(tmp_path):
+    path = tmp_path / "mixed.csv"
+    columns = ["d_um", "label, with comma", "note"]
+
+    def parse(fields):
+        value = float(fields[0])
+        if value != value:
+            raise ValueError("nan")
+        return (value, *fields[1:])
+
+    path.write_text("\n".join(MIXED_LINES) + "\n")
+    header, rows = read_csv(path, columns, parse)
+    assert (header, rows, []) == _read_each_line_with_csv(path, parse)
+    assert rows[4] == (0.6, "quoted, comma", "y") and rows[10] == (1.1, "tab", "")
+    path.write_text("\n".join(MIXED_LINES + MIXED_BAD) + "\n")
+    with pytest.raises(cf.DatasetError) as err:
+        read_csv(path, columns, parse)
+    assert err.value.lines == _read_each_line_with_csv(path, parse)[2] == [11, 12, 13, 14]

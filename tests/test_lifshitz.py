@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_laguerre, zeta
 
@@ -152,6 +154,40 @@ class TestSpherePlate:
             plate_pressure(cf.GOLD_DRUDE, 1e-6, -1.0)
 
 
+MODELS_BY_STRENGTH = (cf.GOLD_DRUDE, cf.GOLD_PLASMA, cf.PerfectConductor())
+
+
+# d T >= 10 um K keeps every Matsubara series within its 5,000 terms
+@settings(max_examples=10, deadline=None)
+@given(d_um=st.floats(0.2, 50.0), T=st.floats(50.0, 1000.0))
+def test_model_ordering_over_d_and_t(d_um, T):
+    geometry = cf.ExperimentGeometry(temperature=T)
+    f_d, f_p, f_pc = (sphere_plate_force(model, d_um * 1e-6, geometry) for model in MODELS_BY_STRENGTH)
+    assert 0.0 < f_d <= f_p <= f_pc
+
+
+@settings(max_examples=10, deadline=None)
+@given(d_um=st.floats(0.2, 30.0), ratio=st.floats(1.001, 3.0), T=st.floats(50.0, 1000.0))
+def test_force_decays_in_d(d_um, ratio, T):
+    geometry = cf.ExperimentGeometry(temperature=T)
+    for model in MODELS_BY_STRENGTH:
+        near, far = sphere_plate_force(model, np.array([d_um, d_um * ratio]) * 1e-6, geometry)
+        assert near > far > 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(d_um=st.floats(2.0, 80.0), T=st.floats(1000.0, 5000.0))
+def test_plasma_is_twice_drude_at_high_temperature(d_um, T):
+    # with a_1 = 4 pi k_B T d / (hbar c) >= 11 only the n = 0 terms are left: TM alike for
+    # both, and the plasma TE term -zeta(3) (1 - 8/b) with b = 2 d omega_p / c, so
+    # F_plasma / F_Drude = 2 - 8/b + O(1/b^2)
+    geometry = cf.ExperimentGeometry(temperature=T)
+    d = d_um * 1e-6
+    b = 2.0 * d * (cf.GOLD_PLASMA.omega_p_ev * EV / HBAR) / C
+    ratio = sphere_plate_force(cf.GOLD_PLASMA, d, geometry) / sphere_plate_force(cf.GOLD_DRUDE, d, geometry)
+    assert abs((2.0 - ratio) * b - 8.0) < 60.0 / b
+
+
 def test_zeta3_literal_is_scipy_zeta3():
     # lifshitz spells zeta(3) out so that the engine needs no scipy
     assert lifshitz._ZETA3 == float(zeta(3))
@@ -186,6 +222,56 @@ def test_n0_te_energy_matches_quad(omega_p_ev):
         got = lifshitz._n0_te_energy(b)
         assert type(got) is float
         assert got == pytest.approx(_quad_n0_te_energy(b), rel=1e-13, abs=0.0)
+
+
+def _scalar_n0_te_energy(b: float) -> float:
+    """The fine step of the n = 0 TE rule for one b, as 1-D arrays: the reference of the batched rule."""
+    t = lifshitz._N0_TE_T
+    y = np.exp(0.5 * math.pi * np.sinh(t))
+    s = np.sqrt(y * y + b * b)
+    z = 4.0 * np.log1p(-(y + y * y / (s + b)) / (y + s)) - y
+    q = np.exp(z)
+    log_1mq = np.where(q > 0.5, np.log(-np.expm1(z)), np.log1p(-np.minimum(q, 0.5)))
+    f = y * log_1mq * (0.5 * math.pi * np.cosh(t) * y)
+    return float(t[1] - t[0]) * math.fsum(f)
+
+
+@pytest.mark.parametrize("omega_p_ev", [1.0, 9.0, 30.0])
+def test_batched_n0_te_energy_equals_the_scalar_rule(omega_p_ev):
+    b = 2.0 * np.geomspace(0.05e-6, 50e-6, 13) * (omega_p_ev * EV / HBAR) / C
+    want = [_scalar_n0_te_energy(v) for v in b.tolist()]
+    assert lifshitz._n0_te_energy(b) == want
+    assert [lifshitz._n0_te_energy(v) for v in b.tolist()] == want
+
+
+def test_plasma_n0_grid_raises_what_its_first_failing_d_raises(monkeypatch):
+    """Within a d its energy rule fails before its Laguerre terms, and an earlier d before a later one."""
+    ds, flagged = [1e-6, 3e-6], []
+    real = lifshitz._inner_rows
+
+    def flagging(a, *args):
+        vals, bad = real(a, *args)
+        bad = bad.copy()
+        bad[flagged] = True  # the only call here is the n = 0 one, a row per d
+        return vals, bad
+
+    monkeypatch.setattr(lifshitz, "_inner_rows", flagging)
+    # 49 nodes against 25 at 1e-5: the rule of 1 um passes (1.7e-6 apart), that of 3 um fails (1.7e-5)
+    monkeypatch.setattr(lifshitz, "_N0_TE_T", np.linspace(-3.5, 2.5, 49))
+    monkeypatch.setattr(lifshitz, "_N0_TE_REL_TOL", 1e-5)
+
+    def raised(rows):
+        flagged[:] = rows
+        with pytest.raises(ConvergenceError) as err:
+            lifshitz._n0_scaled(cf.GOLD_PLASMA, ds, lifshitz._TOWER)
+        return str(err.value)
+
+    b_far = 2.0 * ds[1] * (cf.GOLD_PLASMA.omega_p_ev * EV / HBAR) / C
+    assert f"n = 0 TE energy integral did not converge (b = {b_far:g})" in raised([])
+    assert raised([1]) == raised([])
+    assert raised([0]).startswith("pressure k-integral did not converge")
+    flagged.clear()
+    lifshitz._n0_scaled(cf.GOLD_PLASMA, ds, ("pressure", "slope"))  # the energy rule alone failed
 
 
 def test_n0_te_rule_that_misses_its_check_raises(monkeypatch):
@@ -736,12 +822,16 @@ def test_log_scaled_equals_two_where_form():
 
 
 def test_series_extent_equals_the_full_arrays():
-    """Stop and block size from the a_n through the first term past 700 equal those from all of them."""
+    """Stop and block size counted without an a_n array equal those of the full array."""
     n = np.arange(1, lifshitz._MATSUBARA_MAX_TERMS + 1)
     fallback = 0
-    for T in (1.0, 77.0, 300.0, 3000.0):
+    for T in (1e-3, 1.0, 77.0, 300.0, 3000.0):
         xi1 = lifshitz._xi1_rad(T)
-        for d in np.geomspace(1e-9, 1e-3, 241).tolist():
+        # a_1 so small that a_1 * n.size <= 700 (the guard), or that a_1 underflows to 0;
+        # and d at which a_n = 700 exactly for some n, with its neighbours one ulp away
+        exact = [700.0 * C / (2.0 * k * xi1) for k in (1, 2, 23, n.size - 1, n.size)]
+        edges = [5e-324, 1e-300] + [float(v) for d in exact for v in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))]
+        for d in np.geomspace(1e-9, 1e-3, 241).tolist() + edges:
             full = 2.0 * d * n * xi1 / C
             stop = int(np.searchsorted(full, 700.0, side="right"))
             size = min(max(int(np.searchsorted(full, lifshitz._BLOCK_A, side="right")), 1),
