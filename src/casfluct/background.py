@@ -208,8 +208,6 @@ def fit_background(
     sig = data.sigma_N[sel]
     if len(d) < 3:
         raise FitError(f"need >= 3 points with d > {d_min:g} m, got {len(d)}")
-    if np.ptp(d) == 0:
-        raise FitError("degenerate design: all selected distances are equal")
     if casimir_subtractor is not None:
         f = f - casimir_subtractor(d)
     w = 1.0 / sig**2

@@ -138,31 +138,21 @@ def _profile(opts):
 # subcommands
 
 
-def _cmd_force(opts) -> int:
+def _cmd_force(opts, meta: dict) -> int:
     model = _build_model(opts.model, opts)
     geometry = _geometry(opts)
     grid = _grid(opts, "d") * UM
     curve = force_curve(model, geometry, grid)
-    meta = _meta("force", opts)
-    meta.update(
-        model=opts.model,
-        temperature_K=geometry.temperature,
-        radius_cm=opts.radius_cm,
-    )
+    meta.update(model=opts.model, temperature_K=geometry.temperature, radius_cm=opts.radius_cm)
     rows = zip(curve.d_m / UM, curve.force_N / UDYNE)
     _write_csv(opts.output, meta, ["d_um", "F_udyne"], rows)
     return 0
 
 
-def _cmd_correct(opts) -> int:
+def _cmd_correct(opts, meta: dict) -> int:
     geometry = _geometry(opts)
     profile = _profile(opts)
-    meta = _meta("correct", opts)
-    meta.update(
-        beta_udyne_um=opts.beta,
-        temperature_K=geometry.temperature,
-        radius_cm=opts.radius_cm,
-    )
+    meta.update(beta_udyne_um=opts.beta, temperature_K=geometry.temperature, radius_cm=opts.radius_cm)
     fig1 = opts.emit == "fig1"
     names = _models(opts)
     bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
@@ -197,7 +187,7 @@ def _cmd_correct(opts) -> int:
     return 0
 
 
-def _cmd_fit_beta(opts) -> int:
+def _cmd_fit_beta(opts, meta: dict) -> int:
     data = load_dataset(opts.data)
     subtractor = None
     if opts.subtract:
@@ -206,7 +196,6 @@ def _cmd_fit_beta(opts) -> int:
         # F only: SpherePlateForce would also pay for F' and F''
         subtractor = lambda d: sphere_plate_force(model, d, geometry)
     fit = fit_background(data, d_min=opts.d_min * UM, casimir_subtractor=subtractor)
-    meta = _meta("fit-beta", opts)
     _write_json(opts.output, meta, fit.to_json_dict())
     return 0
 
@@ -232,18 +221,17 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
     return TabulatedForceCurve(d_um * UM, f_ud * UDYNE)
 
 
-def _cmd_chi2(opts) -> int:
+def _cmd_chi2(opts, meta: dict) -> int:
     data = load_dataset(opts.data)
     theory = _load_theory_curve(opts.theory, column=opts.column)
     report = chi_squared(
         data, theory, fitted_params=opts.fitted_params, dof_override=opts.dof
     )
-    meta = _meta("chi2", opts)
     _write_json(opts.output, meta, report.to_json_dict())
     return 0
 
 
-def _cmd_scan_delta(opts) -> int:
+def _cmd_scan_delta(opts, meta: dict) -> int:
     if opts.steps < 1:
         raise ValueError(f"need >= 1 scan step, got steps = {opts.steps}")
     check_amplitude("delta_min", opts.delta_min)
@@ -263,14 +251,13 @@ def _cmd_scan_delta(opts) -> int:
     if grid[0] == 0.0:
         grid[0] = 1e-15  # strictly ascending grid; zero handled as 'no fluctuation'
     result = scan_delta(data, total, grid)
-    meta = _meta("scan-delta", opts)
     meta["argmin_delta_um"] = result.argmin_delta / UM
     rows = zip(np.divide(result.deltas, UM), result.chi2, result.reduced, result.p_value)
     _write_csv(opts.output, meta, ["delta_um", "chi2", "reduced", "p"], rows)
     return 0
 
 
-def _cmd_simulate(opts) -> int:
+def _cmd_simulate(opts, meta: dict) -> int:
     check_positive("d", opts.d)
     d = opts.d * UM
     delta = opts.delta_rms * UM
@@ -303,7 +290,6 @@ def _cmd_simulate(opts) -> int:
         raise ValueError("simulate requires --beta and/or --model")
     record = verify_second_order(force, d, spec, trials=opts.trials)
     first = next((v.report.to_json_dict() for v in record.verdicts if v.report is not None), None)
-    meta = _meta("simulate", opts)
     payload = {
         "seed": opts.seed,
         "d_um": opts.d,
@@ -318,7 +304,7 @@ def _cmd_simulate(opts) -> int:
     return 0
 
 
-def _cmd_tilt(opts) -> int:
+def _cmd_tilt(opts, meta: dict) -> int:
     estimate_nm = tilt_noise_estimate(
         ref_noise=opts.ref_noise_nm * 1e-9,
         ref_length=opts.ref_length_cm * 1e-2,
@@ -329,15 +315,14 @@ def _cmd_tilt(opts) -> int:
     if opts.output:
         echo = {dest: getattr(opts, dest) for dest, _, _ in _COMMANDS["tilt-estimate"][2]}
         del echo["output"]
-        _write_json(opts.output, _meta("tilt-estimate", opts), {**echo, "estimate_nm": estimate_nm})
+        _write_json(opts.output, meta, {**echo, "estimate_nm": estimate_nm})
     return 0
 
 
-def _cmd_kk(opts) -> int:
+def _cmd_kk(opts, meta: dict) -> int:
     table = load_optical_table(opts.table)
     grid = _grid(opts, "xi")
     eps = kk_transform(table, grid)
-    meta = _meta("kk", opts)
     _write_csv(opts.output, meta, ["xi_ev", "eps"], zip(grid, eps))
     return 0
 
@@ -540,7 +525,8 @@ def main(argv=None) -> int:
         missing = [f"--{name}" for name in _REQUIRED_FILES if name in given and not given[name]]
         if missing:
             raise ValueError(f"{args.command} requires {' and '.join(missing)}")
-        return args.func(opts)
+        # the header first: a missing input file is named in header order, before any work
+        return args.func(opts, _meta(args.command, opts))
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"casfluct {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2

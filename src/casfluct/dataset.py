@@ -105,7 +105,7 @@ def read_csv(path, columns: list[str], parse=_floats, exact: bool = True):
     column must be strictly ascending; the first row that breaks the
     order is named as ``path:line``.
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # spreadsheets may write a BOM
         text = fh.read()
     header = None
     rows, problems = {}, {}

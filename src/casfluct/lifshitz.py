@@ -405,15 +405,12 @@ def _plate_kernels(model, ds, T, kinds: tuple) -> list[list[float]]:
     check_positive("separation", ds)
     check_amplitude("temperature", T)
     zero_t = T == 0.0
-    if zero_t:
-        values = []
-        for d in ds:
-            if isinstance(model, PerfectConductor):
-                values.append([_PC_ZERO_T[kind] for kind in kinds])
-            else:
-                values.append(_zero_t_integral(model, d, kinds))
-    else:
+    if not zero_t:
         values = _thermal_sum(model, ds, T, kinds)
+    elif isinstance(model, PerfectConductor):
+        values = [[_PC_ZERO_T[kind] for kind in kinds]] * len(ds)
+    else:
+        values = [_zero_t_integral(model, d, kinds) for d in ds]
     out = []
     for d, row in zip(ds, values):
         si = []
@@ -539,9 +536,7 @@ def force_curve(model: MaterialModel, geometry: ExperimentGeometry, d_m) -> Forc
     return ForceCurve(d_m=d, force_N=forces)
 
 
-# spline evaluation: at most 8 buckets per knot interval, and blocks of 8192
-# points, whose temporaries (64 KiB each) stay in cache
-_SPLINE_BUCKETS, _SPLINE_BLOCK = 8, 8192
+_SPLINE_BUCKETS = 8  # at most this many buckets per knot interval in spline evaluation
 
 
 def _not_a_knot_slopes(x, dx, slope) -> np.ndarray:
@@ -647,22 +642,18 @@ class TabulatedForceCurve:
         return x
 
     def _evaluate(self, x, rows):
+        # one pass over all of x: a caller with many points (the time average) blocks them
         x = self._check(x)
-        flat = x.reshape(-1)
-        out = np.empty(flat.size)
-        for a in range(0, flat.size, _SPLINE_BLOCK):
-            xb = flat[a : a + _SPLINE_BLOCK]
-            i = self._start.take(self._bucket(xb))
-            for _ in range(self._steps):
-                i += xb >= self._upper.take(i)
-            s = xb - self._knots.take(i)
-            # scipy's evaluate_poly1 order: ((0.0 + c_3) + c_2*s) + c_1*(s*s) + c_0*((s*s)*s)
-            value, power = rows[0].take(i), s
-            for row in rows[1:-1]:
-                value += row.take(i) * power
-                power = power * s
-            out[a : a + _SPLINE_BLOCK] = value + rows[-1].take(i) * power
-        return float_or_array(out.reshape(x.shape))
+        i = self._start.take(self._bucket(x))
+        for _ in range(self._steps):
+            i += x >= self._upper.take(i)
+        s = x - self._knots.take(i)
+        # scipy's evaluate_poly1 order: ((0.0 + c_3) + c_2*s) + c_1*(s*s) + c_0*((s*s)*s)
+        value, power = rows[0].take(i), s
+        for row in rows[1:-1]:
+            value += row.take(i) * power
+            power = power * s
+        return float_or_array(value + rows[-1].take(i) * power)
 
     def __call__(self, x):
         return self._evaluate(x, self._rows[0])

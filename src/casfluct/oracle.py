@@ -92,7 +92,7 @@ class BandError(ValueError):
     """Requested band contains no frequency bins at this dt/duration."""
 
 
-_BLOCK = 1 << 16  # samples per evaluator call in time_averaged_force
+_BLOCK = 1 << 13  # samples per evaluator call in time_averaged_force; no evaluator blocks again
 
 
 class _Workspace:
@@ -216,7 +216,7 @@ def time_averaged_force(
     given, and its own exception propagates: a sample outside its domain
     raises the evaluator's :class:`DomainError`.  It is evaluated at every
     sample, so it should be a spline or a closed form, not
-    a :class:`SpherePlateForce` (~0.2 ms per d on a 2-core Xeon: ~3 min
+    a :class:`SpherePlateForce` (~0.1 ms per d on a 2-core Xeon: ~1.5-2 min
     for 10^6 samples).
     """
     series = np.asarray(series, dtype=float)

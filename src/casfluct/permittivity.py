@@ -137,15 +137,11 @@ def _eps_tabulated(model: Tabulated, xi: np.ndarray) -> np.ndarray:
     below = xi < lo
     above = xi > hi
     inside = ~(below | above)
-    if np.any(below):
-        out[below] = eps_imag_axis(model.low_freq, xi[below])
-    if np.any(above):
-        out[above] = 1.0 + (model.low_freq.omega_p_ev / xi[above]) ** 2
-    if np.any(inside):
-        # interpolate log(eps-ish) against log(xi); eps >= 1 so logs are safe
-        out[inside] = np.exp(
-            np.interp(np.log(xi[inside]), np.log(model.xi_ev), np.log(model.eps))
-        )
+    # an empty selection assigns nothing
+    out[below] = eps_imag_axis(model.low_freq, xi[below])
+    out[above] = 1.0 + (model.low_freq.omega_p_ev / xi[above]) ** 2
+    # interpolate log(eps-ish) against log(xi); eps >= 1 so logs are safe
+    out[inside] = np.exp(np.interp(np.log(xi[inside]), np.log(model.xi_ev), np.log(model.eps)))
     return out
 
 

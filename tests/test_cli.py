@@ -772,6 +772,21 @@ def test_every_input_file_is_hashed(argv, names, tmp_path, data_csv):
     assert hashes == [(name, file_hash(files[name])) for name in names]
 
 
+def test_missing_input_files_named_in_header_order(tmp_path, capsys, monkeypatch):
+    """Inputs are hashed, in header order, before the subcommand runs: the first missing file is named."""
+    eps, profile, out = tmp_path / "A.csv", tmp_path / "B.csv", tmp_path / "out.csv"
+    argv = ["correct", "--model", "tabulated", "--eps-table", str(eps), "--profile", "table",
+            "--profile-table", str(profile), "--points", "3", "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(eps) in err and str(profile) not in err
+    assert not out.exists()
+    # a run without an output file writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["tilt-estimate"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, digest",
     [

@@ -275,3 +275,31 @@ def test_read_csv_splits_plain_and_quoted_lines_as_the_csv_module_does(tmp_path)
     with pytest.raises(cf.DatasetError) as err:
         read_csv(path, columns, parse)
     assert err.value.lines == _read_each_line_with_csv(path, parse)[2] == [11, 12, 13, 14]
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    """A spreadsheet's UTF-8 byte-order mark before the header changes nothing that loads."""
+    from casfluct.cli import _load_theory_curve
+
+    texts = {
+        "data": "\n".join(["d_um, force_udyne, sigma_udyne, n_samples, bin_width_um", *VALID_ROWS]),
+        "theory": "d_um,F_udyne\n" + "".join(f"{d},{300.0 / d**3!r}\n" for d in (0.5, 1.0, 2.0, 4.0, 8.0)),
+        "eps": "xi_ev,eps\n0.01,9e5\n0.1,9e3\n1.0,80.0\n10.0,1.8\n",
+    }
+    # each loaded object as the bytes of the arrays it holds
+    loaders = {
+        "data": lambda path: [column.tobytes() for column in vars(load_dataset(path)).values()],
+        "theory": lambda path: [row.tobytes() for row in _load_theory_curve(path)._rows[0]],
+        "eps": lambda path: [cf.load_eps_table(path).xi_ev.tobytes(), cf.load_eps_table(path).eps.tobytes()],
+    }
+    for name, text in texts.items():
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}-bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert loaders[name](marked) == loaders[name](plain)
+    bad = tmp_path / "bad-bom.csv"
+    bad.write_text(texts["data"].replace(VALID_ROWS[2], "1.0, 250.0, 0.0, 10, 0.1"), encoding="utf-8-sig")
+    with pytest.raises(cf.DatasetError, match=f"{bad}:4") as err:
+        load_dataset(bad)
+    assert err.value.lines == [4]

@@ -395,6 +395,31 @@ def test_tabulated_spline_equals_cubic_spline_bit_for_bit(name):
             assert got == float(ref(v))
 
 
+def test_spline_call_longer_than_three_blocks_is_one_pass():
+    """A call on more than 3 * oracle._BLOCK points, the knots and d_max among
+    them, equals CubicSpline and its derivatives bit for bit, and so does each
+    block of it that the time average evaluates on its own."""
+    from scipy.interpolate import CubicSpline
+
+    from casfluct.oracle import _BLOCK
+
+    knots = _KNOT_SETS["simulate-geomspace"]
+    force = PFA_FD3 / knots**3
+    curve, reference = TabulatedForceCurve(knots, force), CubicSpline(knots, force)
+    rng = np.random.default_rng(5)
+    # 3 * _BLOCK + 88 points: the knots, d_max more times, and random points, shuffled
+    x = rng.permutation(np.concatenate([rng.uniform(knots[0], knots[-1], 3 * _BLOCK), knots, [knots[-1]] * 8]))
+    pairs = ((curve, reference), (curve.gradient, reference.derivative(1)),
+             (curve.curvature, reference.derivative(2)))
+    for method, ref in pairs:
+        got = method(x)
+        assert np.array_equal(got.view(np.int64), ref(x).view(np.int64))
+        blocks = [method(x[a : a + _BLOCK]) for a in range(0, x.size, _BLOCK)]
+        assert np.array_equal(np.concatenate(blocks).view(np.int64), got.view(np.int64))
+        grid = x.reshape(8, -1).T  # 2-D, not C-contiguous
+        assert np.array_equal(method(grid).view(np.int64), ref(grid).view(np.int64))
+
+
 def _random_knot_sets(count, seed=11):
     """Seeded (knots, values) pairs, n >= 4, on the grids a spline meets and on worse ones."""
     rng = np.random.default_rng(seed)

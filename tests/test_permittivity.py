@@ -79,6 +79,19 @@ class TestTabulated:
         tab = self.make()
         assert eps_imag_axis(tab, 1e4) == pytest.approx(1.0 + (9.0 / 1e4) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            pytest.param(np.array([1e-4, 0.01, 0.5, 3.0, 100.0, 2e3]), id="below-inside-above"),
+            pytest.param(np.geomspace(0.02, 80.0, 9), id="inside"),
+            pytest.param(np.array([1e-5, 1e-3, 2e2, 1e4]), id="outside"),
+        ],
+    )
+    def test_grid_equals_per_xi_calls(self, xi):
+        tab = self.make()
+        got = eps_imag_axis(tab, xi)
+        assert got.tobytes() == np.array([eps_imag_axis(tab, x) for x in xi]).tobytes()
+
     def test_monotonic_non_increasing(self):
         tab = self.make()
         xi = np.geomspace(1e-3, 1e4, 300)
