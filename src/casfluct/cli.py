@@ -12,51 +12,20 @@ without the --data, --theory or --table its subcommand has exits 1 naming
 the flag.  Exit codes: 0 ok, 1 validation error, 2 numerical failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 from types import SimpleNamespace
 
-import numpy as np
-
-from .analysis import chi_squared, scan_delta
-from .background import ElectrostaticBackground, TotalForceEvaluator, fit_background
-from .corrections import (
-    ConstantProfile,
-    SqrtLawProfile,
-    TableProfile,
-    apparent_force,
-    apparent_from_values,
-    inflated_sigma,
-    tilt_noise_estimate,
-)
-from .dataset import load_dataset, read_csv, read_table
-from .lifshitz import (
-    ConvergenceError,
-    SpherePlateForce,
-    TabulatedForceCurve,
-    force_curve,
-    sphere_plate_force,
-)
-from .oracle import _KINDS, ProcessSpec, verify_second_order
-from .permittivity import (
-    Drude,
-    PerfectConductor,
-    Plasma,
-    kk_transform,
-    load_eps_table,
-    load_optical_table,
-)
+# numpy and the layers but provenance are imported in the functions that use them: --help loads neither
+from . import _KINDS
 from .provenance import TOOL_VERSION, atomic_write_text, config_hash, file_hash
-from .units import UDYNE, ExperimentGeometry, check_amplitude, check_positive
 
 UM = 1e-6
-UDYNE_UM = UDYNE * UM  # beta unit in SI
+
 
 def _build_model(name: str, opts):
+    from .permittivity import Drude, PerfectConductor, Plasma, load_eps_table
     if name == "perfect":
         return PerfectConductor()
     if name == "plasma":
@@ -69,15 +38,16 @@ def _build_model(name: str, opts):
     return load_eps_table(opts.eps_table, low_freq=Drude(opts.omega_p, opts.gamma))
 
 
-def _geometry(opts) -> ExperimentGeometry:
-    return ExperimentGeometry(
-        sphere_radius=opts.radius_cm * 1e-2, temperature=opts.temperature
-    )
+def _geometry(opts):
+    from .units import ExperimentGeometry
+    return ExperimentGeometry(sphere_radius=opts.radius_cm * 1e-2, temperature=opts.temperature)
 
 
-def _grid(opts, axis: str) -> np.ndarray:
+def _grid(opts, axis: str):
     """``--points`` values from ``--<axis>-min`` to ``--<axis>-max`` (log-spaced
     with ``--log-spacing``)."""
+    import numpy as np
+    from .units import check_positive
     lo, hi = getattr(opts, f"{axis}_min"), getattr(opts, f"{axis}_max")
     check_positive(f"{axis}_min", lo)
     check_positive(f"{axis}_max", hi)
@@ -123,6 +93,8 @@ def _write_json(path, meta: dict, payload: dict) -> None:
 
 
 def _profile(opts):
+    from .corrections import ConstantProfile, SqrtLawProfile, TableProfile
+    from .dataset import read_table
     if opts.profile == "sqrt":
         return SqrtLawProfile(scale=opts.scale * UM, amplitude=opts.amplitude * UM)
     if opts.profile == "table":
@@ -139,6 +111,8 @@ def _profile(opts):
 
 
 def _cmd_force(opts, meta: dict) -> int:
+    from .lifshitz import force_curve
+    from .units import UDYNE
     model = _build_model(opts.model, opts)
     geometry = _geometry(opts)
     grid = _grid(opts, "d") * UM
@@ -150,12 +124,19 @@ def _cmd_force(opts, meta: dict) -> int:
 
 
 def _cmd_correct(opts, meta: dict) -> int:
+    from dataclasses import replace
+    import numpy as np
+    from .background import ElectrostaticBackground, TotalForceEvaluator
+    from .corrections import apparent_force, apparent_from_values, inflated_sigma
+    from .lifshitz import SpherePlateForce, sphere_plate_force
+    from .permittivity import PerfectConductor
+    from .units import UDYNE
     geometry = _geometry(opts)
     profile = _profile(opts)
     meta.update(beta_udyne_um=opts.beta, temperature_K=geometry.temperature, radius_cm=opts.radius_cm)
     fig1 = opts.emit == "fig1"
     names = _models(opts)
-    bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
+    bg = ElectrostaticBackground(beta=opts.beta * (UDYNE * UM), d0=opts.d0 * UM)
     grid = _grid(opts, "d")
     d = grid * UM
     delta = np.array([profile(x) for x in d])
@@ -188,6 +169,9 @@ def _cmd_correct(opts, meta: dict) -> int:
 
 
 def _cmd_fit_beta(opts, meta: dict) -> int:
+    from .background import fit_background
+    from .dataset import load_dataset
+    from .lifshitz import sphere_plate_force
     data = load_dataset(opts.data)
     subtractor = None
     if opts.subtract:
@@ -200,13 +184,17 @@ def _cmd_fit_beta(opts, meta: dict) -> int:
     return 0
 
 
-def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
+def _load_theory_curve(path, column: str | None = None):
     """Spline evaluator from a theory CSV: d_um first, the force column second.
 
     ``column`` selects a named force column from the header instead, so
     e.g. the F_apparent_udyne column of a corrected-curve file can be
     compared directly.  Like the header, it is matched case-insensitively.
     """
+    import numpy as np
+    from .dataset import read_csv
+    from .lifshitz import TabulatedForceCurve
+    from .units import UDYNE
     header, rows = read_csv(path, ["d_um"], exact=False)
     names = [name.lower() for name in header[1:]]
     if not names:
@@ -222,6 +210,8 @@ def _load_theory_curve(path, column: str | None = None) -> TabulatedForceCurve:
 
 
 def _cmd_chi2(opts, meta: dict) -> int:
+    from .analysis import chi_squared
+    from .dataset import load_dataset
     data = load_dataset(opts.data)
     theory = _load_theory_curve(opts.theory, column=opts.column)
     report = chi_squared(
@@ -232,6 +222,12 @@ def _cmd_chi2(opts, meta: dict) -> int:
 
 
 def _cmd_scan_delta(opts, meta: dict) -> int:
+    import numpy as np
+    from .analysis import scan_delta
+    from .background import ElectrostaticBackground, TotalForceEvaluator
+    from .dataset import load_dataset
+    from .lifshitz import force_curve
+    from .units import UDYNE, check_amplitude, check_positive
     if opts.steps < 1:
         raise ValueError(f"need >= 1 scan step, got steps = {opts.steps}")
     check_amplitude("delta_min", opts.delta_min)
@@ -241,7 +237,7 @@ def _cmd_scan_delta(opts, meta: dict) -> int:
     data = load_dataset(opts.data)
     geometry = _geometry(opts)
     model = _build_model(opts.model, opts)
-    bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=opts.d0 * UM)
+    bg = ElectrostaticBackground(beta=opts.beta * (UDYNE * UM), d0=opts.d0 * UM)
     # dense spline of the dispersion curve: F and F'' at the data come from it once per scan
     lo, hi = float(data.d_m.min()) * 0.8, float(data.d_m.max()) * 1.2
     dense = np.geomspace(lo, hi, 120)
@@ -258,6 +254,12 @@ def _cmd_scan_delta(opts, meta: dict) -> int:
 
 
 def _cmd_simulate(opts, meta: dict) -> int:
+    from dataclasses import fields
+    import numpy as np
+    from .background import ElectrostaticBackground, TotalForceEvaluator
+    from .lifshitz import force_curve
+    from .oracle import ProcessSpec, verify_second_order
+    from .units import UDYNE, check_positive
     check_positive("d", opts.d)
     d = opts.d * UM
     delta = opts.delta_rms * UM
@@ -270,7 +272,7 @@ def _cmd_simulate(opts, meta: dict) -> int:
         dt=opts.dt,
         duration=opts.duration,
     )
-    bg = ElectrostaticBackground(beta=opts.beta * UDYNE_UM, d0=0.0) if opts.beta else None
+    bg = ElectrostaticBackground(beta=opts.beta * (UDYNE * UM), d0=0.0) if opts.beta else None
     casimir = None
     if opts.model:
         geometry = _geometry(opts)
@@ -305,6 +307,7 @@ def _cmd_simulate(opts, meta: dict) -> int:
 
 
 def _cmd_tilt(opts, meta: dict) -> int:
+    from .corrections import tilt_noise_estimate
     estimate_nm = tilt_noise_estimate(
         ref_noise=opts.ref_noise_nm * 1e-9,
         ref_length=opts.ref_length_cm * 1e-2,
@@ -320,6 +323,7 @@ def _cmd_tilt(opts, meta: dict) -> int:
 
 
 def _cmd_kk(opts, meta: dict) -> int:
+    from .permittivity import kk_transform, load_optical_table
     table = load_optical_table(opts.table)
     grid = _grid(opts, "xi")
     eps = kk_transform(table, grid)
@@ -469,7 +473,7 @@ def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
     merged = {dest: default for dest, (default, _) in options.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8-sig") as fh:
             try:
                 file_conf = json.load(fh)
             except ValueError as exc:
@@ -489,10 +493,11 @@ def _merge_opts(command: str, args: argparse.Namespace) -> SimpleNamespace:
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, one of ``_COMMANDS``, only that subcommand is registered.
+    """The CLI parser: subcommand ``command`` of ``_COMMANDS`` with all its options, or,
+    with no ``command``, every subcommand by name and help text alone.
 
-    Its metavar is then the list argparse prints for all of them, so usage
-    reads the same.  The full parser has none: argparse would print it for
+    With ``command`` the metavar is the list argparse prints for all of
+    them, so usage reads the same.  Without, argparse prints that list for
     "command" in the missing- and unknown-subcommand errors only it raises.
     """
     parser = argparse.ArgumentParser(
@@ -504,21 +509,25 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, func, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func, command=name)
-        p.add_argument("--config", help="JSON config file; explicit flags override it")
-        for dest, _, kwargs in options:
-            flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)
-            p.add_argument(*flags, dest=dest, **kwargs)
+        if command is None:  # names alone: each subcommand's flags and -h are left to its own parser
+            sub.add_parser(name, help=help_text, add_help=False)
+        elif name == command:
+            p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+            p.set_defaults(func=func, command=name)
+            p.add_argument("--config", help="JSON config file; explicit flags override it")
+            for dest, _, kwargs in options:
+                flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)
+                p.add_argument(*flags, dest=dest, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is None:  # the names find it; --version, --help and a missing or unknown one exit here
+        command = _build_parser().parse_known_args(argv)[0].command
+    args = _build_parser(command).parse_args(argv)
+    from .units import ConvergenceError
     try:
         opts = _merge_opts(args.command, args)
         given = vars(opts)

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _KINDS
 from .analysis import evaluate_theory
 from .corrections import apparent_force, inflated_sigma
 from .units import DomainError, check_amplitude, check_positive
@@ -39,8 +40,6 @@ __all__ = [
     "verify_second_order",
     "fourth_order_allowance",
 ]
-
-_KINDS = ("white", "one-over-f")
 
 
 @dataclass(frozen=True)

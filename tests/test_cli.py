@@ -402,10 +402,10 @@ class TestScanDeltaCommand:
 
 
     def test_one_force_evaluation_per_scan(self, tmp_path, data_csv, monkeypatch):
-        import casfluct.cli as cli
+        import casfluct.analysis as analysis
 
         shapes = []
-        real = cli.scan_delta
+        real = analysis.scan_delta
 
         class Counting:
             def __init__(self, force):
@@ -419,7 +419,8 @@ class TestScanDeltaCommand:
                 shapes.append(("F''", np.shape(d)))
                 return self.force.curvature(d)
 
-        monkeypatch.setattr(cli, "scan_delta", lambda data, force, grid: real(data, Counting(force), grid))
+        counted = lambda data, force, grid: real(data, Counting(force), grid)
+        monkeypatch.setattr(analysis, "scan_delta", counted)
         rc = main(["scan-delta", "--data", str(data_csv), "--steps", "31",
                    "-o", str(tmp_path / "scan.csv")])
         assert rc == 0
@@ -582,6 +583,21 @@ def test_boolean_flag_equals_config_file(command, dest, default, tmp_path):
     np.testing.assert_allclose(rows["default"][:, 0], spacing[default](lo, hi, n), rtol=0, atol=0)
 
 
+def _full_parser():
+    """Every option of every subcommand in one parser: what the parsers main builds must read like."""
+    parser = argparse.ArgumentParser(
+        prog="casfluct", description=cf.cli.__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=cf.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
+        for dest, _, kwargs in options:
+            flags = ("-o", "--output") if dest == "output" else ("--" + dest.replace("_", "-"),)
+            p.add_argument(*flags, dest=dest, **kwargs)
+    return parser
+
+
 def _parse_outcome(parse, argv, capsys):
     """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
     with pytest.raises(SystemExit) as exc:
@@ -600,12 +616,16 @@ def _parse_outcome(parse, argv, capsys):
         pytest.param(["simulate", "--points", "x"], id="unrecognized-argument"),
         pytest.param(["--version"], id="version"),
         pytest.param(["force", "--no-such-flag"], id="unknown-flag"),
+        # the subcommand after an unknown flag: the names-only parser finds it
+        pytest.param(["--no-such-flag", "force", "--points", "3"], id="flag-before-subcommand"),
+        pytest.param(["--no-such-flag", "force", "--also-no-flag"], id="flags-around-subcommand"),
+        pytest.param(["--no-such-flag", "kk", "--help"], id="help-after-subcommand"),
     ],
 )
 def test_parser_output_matches_full_parser(argv, capsys, monkeypatch):
-    """main builds only the invoked subcommand; what a user reads is unchanged."""
+    """main builds only the subcommand it runs, or only the names; what a user reads is unchanged."""
     monkeypatch.setenv("COLUMNS", "100")
-    full = _parse_outcome(lambda a: _build_parser().parse_args(a), argv, capsys)
+    full = _parse_outcome(lambda a: _full_parser().parse_args(a), argv, capsys)
     assert _parse_outcome(main, argv, capsys) == full
     assert full[1] or full[2]
 
@@ -896,12 +916,12 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
     ],
 )
 def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatch):
-    import casfluct.cli as cli
+    import casfluct.lifshitz as lifshitz
 
     def no_lifshitz_work(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any force curve")
 
-    monkeypatch.setattr(cli, "force_curve", no_lifshitz_work)
+    monkeypatch.setattr(lifshitz, "force_curve", no_lifshitz_work)
     files = {
         "data": str(data_csv),
         "table": str(_optical_table(tmp_path / "optical.csv")),
@@ -1034,6 +1054,20 @@ class TestConfigMerge:
         assert main(["kk", "--config", str(cfg), "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"casfluct kk: config file {cfg}: Expecting value: line 1 column 1" in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A config saved with a UTF-8 byte-order mark runs, with the hash of the same config without it."""
+        out = tmp_path / "c.csv"
+        runs = {}
+        for name, bom in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_bytes(bom + b'{"points": 3}')
+            assert main(["force", "--config", str(cfg), "-o", str(out)]) == 0
+            runs[name] = read_csv(out)
+        assert runs["marked"][2].shape[0] == 3
+        assert [c for c in runs["marked"][0] if c.startswith("# config_hash:")] == [
+            c for c in runs["plain"][0] if c.startswith("# config_hash:")]
+        assert runs["marked"][2].tobytes() == runs["plain"][2].tobytes()
 
     def test_config_values_not_coerced(self, tmp_path):
         """An int where the default is a float is kept as an int, so the hash is the file's."""

@@ -1,4 +1,8 @@
-"""Start-up cost: no CLI subcommand needs scipy.
+"""Start-up cost: ``import casfluct`` loads no numpy, and no subcommand needs scipy.
+
+The package and its CLI load numpy and each layer on first use: after
+``--version``, ``--help`` or a missing subcommand no layer but
+provenance is loaded, and ``kk`` loads only the layers it runs.
 
 The Lifshitz engine reads its Gauss-Laguerre nodes from package data and
 takes its plasma n = 0 TE integral by a numpy rule; the force spline and
@@ -8,7 +12,7 @@ dependency, the oracle those ports are checked against.  So every
 subcommand runs in a fresh interpreter without loading scipy, and with
 scipy made unimportable, as in an install of the runtime dependencies
 alone.  Each check runs in a fresh interpreter, because this test process
-has scipy loaded already.
+has numpy, scipy and every layer loaded already.
 """
 
 import json
@@ -91,16 +95,20 @@ def _write_inputs(cwd: Path) -> None:
         for i in range(25)))
 
 
-def _run(cwd: Path, scipy: str) -> dict:
-    _write_inputs(cwd)
+def _python(cwd: Path, code: str, *args: str):
+    """The JSON of the last line a fresh interpreter running ``code`` prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_STEPS, json.dumps(_SCIPY_FREE_STEPS), scipy], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _run(cwd: Path, scipy: str) -> dict:
+    _write_inputs(cwd)
+    return _python(cwd, _RUN_STEPS, json.dumps(_SCIPY_FREE_STEPS), scipy)
 
 
 def test_steps_cover_every_subcommand():
@@ -121,3 +129,72 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
 def test_every_subcommand_runs_without_scipy(tmp_path):
     """A runtime-only install has no scipy: an import of it would end the run."""
     _check_every_step_ran(_run(tmp_path, "blocked"), tmp_path)
+
+
+# Runs each argv in turn through main and prints, after each, its exit code
+# and the numpy and casfluct submodules then loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+import casfluct, casfluct.cli
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = casfluct.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    loaded.append([rc, sorted(m for m in sys.modules if m == "numpy" or m.startswith("casfluct."))])
+print(json.dumps(loaded))
+"""
+
+
+def test_version_help_and_no_subcommand_load_no_numpy(tmp_path):
+    steps = [["--version"], ["--help"], []]
+    lean = ["casfluct.cli", "casfluct.provenance"]
+    assert _python(tmp_path, _LOADED_AFTER, json.dumps(steps)) == [[0, lean], [0, lean], [2, lean]]
+
+
+def test_kk_loads_only_the_layers_it_runs(tmp_path):
+    _write_inputs(tmp_path)
+    kk = ["kk", "--table", "optical.csv", "-o", "eps.csv"]
+    [[rc, loaded]] = _python(tmp_path, _LOADED_AFTER, json.dumps([kk]))
+    assert rc == 0 and (tmp_path / "eps.csv").exists()
+    assert "numpy" in loaded and "casfluct.permittivity" in loaded
+    unused = ("lifshitz", "oracle", "analysis", "background", "corrections")
+    assert [m for m in loaded if m.split(".")[-1] in unused] == []
+
+
+LAYERS = ("analysis", "background", "corrections", "dataset", "lifshitz", "oracle", "permittivity")
+
+# The package's lazy exports: a submodule import loads that module alone,
+# dir() lists every exported name, and the star import binds them all.
+_LAZY_EXPORTS = """
+import importlib, json, sys
+from casfluct import cli
+numpy_after_cli = "numpy" in sys.modules
+from casfluct import lifshitz
+import casfluct
+exported = ["DomainError", "ExperimentGeometry"]
+for layer in json.loads(sys.argv[1]):
+    exported += importlib.import_module("casfluct." + layer).__all__
+star = {}
+exec("from casfluct import *", star)
+print(json.dumps({
+    "numpy after cli": numpy_after_cli,
+    "lifshitz is the submodule": lifshitz is sys.modules["casfluct.lifshitz"],
+    "missing from dir": [n for n in exported + ["__version__"] if n not in dir(casfluct)],
+    "missing from star import": [n for n in exported if star.get(n) is not getattr(casfluct, n)],
+    "unknown name": hasattr(casfluct, "no_such_name"),
+}))
+"""
+
+
+def test_package_exports_load_on_first_use(tmp_path):
+    assert _python(tmp_path, _LAZY_EXPORTS, json.dumps(LAYERS)) == {
+        "numpy after cli": False,
+        "lifshitz is the submodule": True,
+        "missing from dir": [],
+        "missing from star import": [],
+        "unknown name": False,
+    }

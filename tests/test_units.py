@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct.cli import UDYNE_UM, UM
+from casfluct.cli import UM
 from casfluct.units import C, EV, HBAR, HBAR_C, K_B, UDYNE, check_samples
 
 
@@ -18,7 +18,7 @@ def test_micrometer_definition():
 
 def test_background_strength_unit():
     # 215 udyne*um in SI
-    assert 215.0 * UDYNE_UM == pytest.approx(2.15e-15, rel=1e-12)
+    assert 215.0 * (UDYNE * UM) == pytest.approx(2.15e-15, rel=1e-12)
 
 
 def test_force_gradient_and_curvature_units():
