@@ -46,7 +46,7 @@ for trial in range(300):
         bin_width_um=np.full(len(d_um), 0.2),
     )
     f = cf.fit_background(ds)
-    pulls.append((f.background.beta - truth_beta * UDYNE_UM) / f.background.beta_sigma)
+    pulls.append((f.background.beta - truth_beta * UDYNE_UM) / f.beta_sigma)
 pulls = np.array(pulls)
 print(f"pull distribution over 300 trials: mean {pulls.mean():+.3f}, "
       f"sd {pulls.std(ddof=1):.3f} (want ~0 and ~1)")

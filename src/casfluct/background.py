@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ForceDataset
-from .units import UDYNE, DomainError, check_amplitude, check_positive, float_or_array
+from .units import UDYNE, DomainError, check_positive, float_or_array
 
 __all__ = [
     "ElectrostaticBackground",
@@ -48,13 +48,11 @@ class ElectrostaticBackground:
 
     beta: float
     d0: float = 0.0
-    beta_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive("beta", self.beta)
         if not math.isfinite(self.d0):
-            raise ValueError(f"d0 must be finite, got {self.d0}")
-        check_amplitude("beta_sigma", self.beta_sigma)
+            raise DomainError(f"d0 must be finite, got {self.d0}")
 
     def _gap(self, d):
         d = np.asarray(d, dtype=float)
@@ -81,6 +79,7 @@ class BackgroundFit:
     """Fitted background with covariance-based uncertainties and diagnostics."""
 
     background: ElectrostaticBackground
+    beta_sigma: float
     d0_sigma: float
     chi2: float
     dof: int
@@ -91,7 +90,7 @@ class BackgroundFit:
         bg = self.background
         return {
             "beta_udyne_um": bg.beta / (UDYNE * 1e-6),
-            "beta_sigma": bg.beta_sigma / (UDYNE * 1e-6),
+            "beta_sigma": self.beta_sigma / (UDYNE * 1e-6),
             "d0_um": bg.d0 / 1e-6,
             "d0_sigma": self.d0_sigma / 1e-6,
             "chi2": self.chi2,
@@ -229,13 +228,10 @@ def fit_background(
         cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular normal equations: {exc}") from exc
-    beta_sigma = math.sqrt(max(cov[0, 0], 0.0))
-    d0_sigma = math.sqrt(max(cov[1, 1], 0.0))
-
-    bg = ElectrostaticBackground(beta=beta, d0=d0, beta_sigma=beta_sigma)
     return BackgroundFit(
-        background=bg,
-        d0_sigma=d0_sigma,
+        background=ElectrostaticBackground(beta=beta, d0=d0),
+        beta_sigma=math.sqrt(max(cov[0, 0], 0.0)),
+        d0_sigma=math.sqrt(max(cov[1, 1], 0.0)),
         chi2=chi2,
         dof=len(d) - 2,
         points_used=len(d),

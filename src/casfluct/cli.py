@@ -8,8 +8,8 @@ amplitude scan), ``simulate`` (Monte Carlo time-averaging check),
 table to eps(i*xi)).  All outputs are plot-ready CSV/JSON written
 atomically, carry provenance headers (tool version, config hash, a hash of
 each input file read), and are byte-reproducible for fixed seeds.  A run
-without the --data, --theory or --table its subcommand has exits 1 naming
-the flag.  Exit codes: 0 ok, 1 validation error, 2 numerical failure.
+without an input file it reads exits 1 naming the flag.  Exit codes: 0 ok,
+1 validation error, 2 numerical failure.
 """
 
 import argparse
@@ -33,8 +33,6 @@ def _build_model(name: str, opts):
     if name == "drude":
         return Drude(omega_p_ev=opts.omega_p, gamma_ev=opts.gamma)
     # tabulated: argparse choices and the config check let no other name through
-    if not opts.eps_table:
-        raise ValueError("--model tabulated requires --eps-table")
     return load_eps_table(opts.eps_table, low_freq=Drude(opts.omega_p, opts.gamma))
 
 
@@ -65,7 +63,7 @@ def _models(opts) -> tuple:
 
 
 def _reads(name: str, opts) -> bool:
-    """Whether a run opens the file of input-file option ``name`` when it is set."""
+    """Whether a run opens, and so needs, the file of input-file option ``name``."""
     if name == "eps_table":
         return "tabulated" in _models(opts)
     return name != "profile_table" or opts.profile == "table"
@@ -98,8 +96,6 @@ def _profile(opts):
     if opts.profile == "sqrt":
         return SqrtLawProfile(scale=opts.scale * UM, amplitude=opts.amplitude * UM)
     if opts.profile == "table":
-        if not opts.profile_table:
-            raise ValueError("--profile table requires --profile-table")
         return read_table(
             opts.profile_table, ["d_um", "delta_um"], lambda d, delta: TableProfile(d * UM, delta * UM)
         )
@@ -353,11 +349,9 @@ _D0 = ("d0", 0.0, {"type": float, "help": "background distance offset (um)"})
 _DELTA_RMS = ("delta_rms", 0.1, {"type": float, "help": "rms fluctuation (um)"})
 _DATA = ("data", None, {"help": "measured dataset CSV"})
 _OUTPUT = {"help": "output path"}
-# options that name an input file, in the order of their input_hash header lines
-# (each written only when the run reads the file, ``_reads``); a subcommand that
-# has one of the required ones does not run without it
+# options that name an input file, in the order of their input_hash header lines;
+# a run needs, and hashes, exactly the files it reads (``_reads``)
 _INPUT_FILES = ("data", "theory", "table", "eps_table", "profile_table")
-_REQUIRED_FILES = ("data", "theory", "table")
 
 _COMMANDS = {
     "force": ("compute a sphere-plate force curve", _cmd_force, (
@@ -531,10 +525,11 @@ def main(argv=None) -> int:
     try:
         opts = _merge_opts(args.command, args)
         given = vars(opts)
-        missing = [f"--{name}" for name in _REQUIRED_FILES if name in given and not given[name]]
+        missing = [f"--{name.replace('_', '-')}" for name in _INPUT_FILES
+                   if name in given and not given[name] and _reads(name, opts)]
         if missing:
             raise ValueError(f"{args.command} requires {' and '.join(missing)}")
-        # the header first: a missing input file is named in header order, before any work
+        # the header first: an input file that cannot be opened is named in header order, before any work
         return args.func(opts, _meta(args.command, opts))
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"casfluct {args.command}: numerical failure: {exc}", file=sys.stderr)

@@ -201,13 +201,13 @@ def _n0_te_energy(b):
     """int_0^inf y log(1 - r^2 e^-y) dy, r = (y - s)/(y + s), s = sqrt(y^2 + b^2).
 
     r^2 = (b/(y + s))^4 is taken as (1 - u)^4 with u = (y + y^2/(s + b))/(y + s),
-    so 1 - r^2 e^-y keeps its digits where it goes like y near y = 0.  A 1-D ``b``
-    gives a list, from one (b x node) grid with a ``math.fsum`` per row, as each
-    scalar would.  The first b whose steps differ beyond ``_N0_TE_REL_TOL`` raises.
+    so 1 - r^2 e^-y keeps its digits where it goes like y near y = 0.  A 1-D float
+    array ``b`` gives a list, from one (b x node) grid with a ``math.fsum`` per row.
+    The first b whose steps differ beyond ``_N0_TE_REL_TOL`` raises.
     """
     t = _N0_TE_T
     y = np.exp(0.5 * math.pi * np.sinh(t))
-    col = np.reshape(b, (-1, 1)).astype(float)
+    col = b[:, None]
     s = np.sqrt(y * y + col * col)
     z = 4.0 * np.log1p(-(y + y * y / (s + col)) / (y + s)) - y  # log(r^2 e^-y)
     q = np.exp(z)
@@ -216,7 +216,7 @@ def _n0_te_energy(b):
     f = y * log_1mq * (0.5 * math.pi * np.cosh(t) * y)
     h = float(t[1] - t[0])
     out = []
-    for b_d, row in zip(col[:, 0].tolist(), f.tolist()):
+    for b_d, row in zip(b.tolist(), f.tolist()):
         fine = h * math.fsum(row)
         coarse = 2.0 * h * math.fsum(row[::2])
         if not abs(fine - coarse) <= _N0_TE_REL_TOL * abs(fine):
@@ -227,7 +227,7 @@ def _n0_te_energy(b):
                 terms=t.size,
             )
         out.append(fine)
-    return out[0] if np.ndim(b) == 0 else out
+    return out
 
 
 def _n0_scaled(model: MaterialModel, ds, kinds: tuple) -> list:

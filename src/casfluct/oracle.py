@@ -307,12 +307,6 @@ class VerificationRecord:
     n_scatter_applicable: int
     trials: int
 
-    @property
-    def all_passed(self) -> bool:
-        return self.n_mean_pass == self.trials and (
-            self.n_scatter_pass == self.n_scatter_applicable
-        )
-
 
 def verify_second_order(
     force: Callable,

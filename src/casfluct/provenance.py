@@ -7,10 +7,11 @@ byte-reproducible.  Output files never contain timestamps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
+
+# hashlib (OpenSSL) and tempfile are imported in the functions that use them:
+# --version and --help load neither
 
 TOOL_VERSION = "0.1.0"
 
@@ -25,12 +26,14 @@ __all__ = [
 
 def config_hash(config: dict) -> str:
     """Short stable hash of a JSON-serializable configuration mapping."""
+    import hashlib
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def file_hash(path) -> str:
     """Short sha256 of a file's bytes."""
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -40,6 +43,7 @@ def file_hash(path) -> str:
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to ``path`` via a temp file + rename in the same directory."""
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:

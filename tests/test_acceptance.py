@@ -157,7 +157,7 @@ def test_criterion_06_background_fit_calibration(synthetic_dataset):
             sigma = 7.0 / d_um  # beta-scale noise of 7 udyne um
             ds = synthetic_dataset(d_um, sigma=sigma, rng=rng)
             f = cf.fit_background(ds)
-            pull = abs(f.background.beta - 215.0 * UDYNE * UM) / f.background.beta_sigma
+            pull = abs(f.background.beta - 215.0 * UDYNE * UM) / f.beta_sigma
             inside += pull <= 3.0
     assert noiseless_rel <= 1e-10
     assert inside >= math.ceil(0.99 * trials), f"coverage {inside}/{trials}"

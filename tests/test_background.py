@@ -63,8 +63,6 @@ class TestElectrostaticForce:
     def test_validation(self):
         with pytest.raises(ValueError):
             ElectrostaticBackground(beta=0.0)
-        with pytest.raises(ValueError):
-            ElectrostaticBackground(beta=1.0, beta_sigma=-1.0)
 
 
 class TestFit:
@@ -145,7 +143,7 @@ class TestFit:
             sigma = 7.0 / np.asarray(d_um)
             ds = synthetic_dataset(d_um, sigma=sigma, rng=rng)
             fit = fit_background(ds)
-            pull = abs(fit.background.beta - 215.0 * UDYNE_UM) / fit.background.beta_sigma
+            pull = abs(fit.background.beta - 215.0 * UDYNE_UM) / fit.beta_sigma
             if pull <= 3.0:
                 inside += 1
         assert inside >= math.ceil(0.95 * n_trials)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import casfluct as cf
-from casfluct.cli import _COMMANDS, _build_parser, _merge_opts, main
+from casfluct.cli import _COMMANDS, _INPUT_FILES, _build_parser, _merge_opts, main
 from casfluct.provenance import config_hash, file_hash
 
 DATA_ROWS = [
@@ -768,6 +768,11 @@ def test_subcommand_runs_at_its_defaults(argv, tmp_path, data_csv):
                       "{eps_table}", "--points", "3"], [], id="correct-fig1-eps-table"),
         pytest.param(["correct", "--profile-table", "{missing}", "--points", "3"], [],
                      id="correct-const-profile-table"),
+        # unread and not given: neither required nor hashed
+        pytest.param(["correct", "--emit", "fig1", "--model", "tabulated", "--points", "3"], [],
+                     id="correct-fig1-no-eps-table"),
+        pytest.param(["correct", "--profile", "const", "--points", "3"], [],
+                     id="correct-const-no-profile-table"),
     ],
 )
 def test_every_input_file_is_hashed(argv, names, tmp_path, data_csv):
@@ -836,6 +841,29 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
     assert "invalid choice: 'tabulated'" in capsys.readouterr().err
 
 
+# the options that make a run read an input file it may leave unread
+_READS_FILE = {"eps_table": ["--model", "tabulated"], "profile_table": ["--profile", "table"]}
+
+
+def _missing_file_cases():
+    """Per subcommand and input-file option, a run that reads every input file the
+    subcommand has and is given all but that one; and, where it has more than one,
+    a run given none.  Each must exit 1 naming every missing flag, in ``_INPUT_FILES``
+    order, and only those.  The files it is given do not exist: opening or hashing
+    one before the check would exit 1 with another message."""
+    for command, (_, _, options) in _COMMANDS.items():
+        names = [dest for dest, _, _ in options if dest in _INPUT_FILES]
+        reads = [arg for name in names for arg in _READS_FILE.get(name, [])]
+        flags = {name: "--" + name.replace("_", "-") for name in names}
+        for name in names:
+            given = [arg for other in names if other != name for arg in (flags[other], "{absent}")]
+            yield pytest.param([command, *reads, *given], f"{command} requires {flags[name]}\n",
+                               id=f"{command}-no-{flags[name][2:]}")
+        if len(names) > 1:
+            yield pytest.param([command, *reads], f"{command} requires {' and '.join(flags.values())}\n",
+                               id=f"{command}-no-files")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -896,19 +924,7 @@ def test_tabulated_model_needs_eps_table_option(argv, tmp_path, data_csv, capsys
                      "duration must be finite and > 0, got inf", id="simulate-duration-inf"),
         pytest.param(["simulate", "--seed", "-1"], "seed must be an integer >= 0, got -1",
                      id="simulate-seed-negative"),
-        # a missing input file is named by its flag, and only what is missing is named
-        pytest.param(["fit-beta"], "fit-beta requires --data\n", id="fit-beta-no-data"),
-        pytest.param(["chi2", "--theory", "{theory}"], "chi2 requires --data\n",
-                     id="chi2-no-data"),
-        pytest.param(["chi2", "--data", "{data}"], "chi2 requires --theory\n",
-                     id="chi2-no-theory"),
-        pytest.param(["chi2"], "chi2 requires --data and --theory\n", id="chi2-no-files"),
-        pytest.param(["scan-delta"], "scan-delta requires --data\n", id="scan-delta-no-data"),
-        pytest.param(["kk"], "kk requires --table\n", id="kk-no-table"),
-        pytest.param(["force", "--model", "tabulated"], "--model tabulated requires --eps-table",
-                     id="force-tabulated-no-eps-table"),
-        pytest.param(["correct", "--profile", "table"], "--profile table requires --profile-table",
-                     id="correct-profile-no-table"),
+        *_missing_file_cases(),
         pytest.param(["force", "--d-min", "2", "--d-max", "1"], "need d_min < d_max, got [2.0, 1.0]",
                      id="force-d-range"),
         pytest.param(["chi2", "--data", "{data}", "--theory", "{three_rows}"],
@@ -931,6 +947,7 @@ def test_bad_input_exits_1(argv, message, tmp_path, data_csv, capsys, monkeypatc
         "theory": str(_theory_curve(tmp_path / "theory.csv")),
         "headerless": str(tmp_path / "bare.csv"),
         "three_rows": str(tmp_path / "three.csv"),
+        "absent": str(tmp_path / "absent.csv"),
     }
     (tmp_path / "bare.csv").write_text("0.5,0.1\n6.5,0.2\n")
     (tmp_path / "three.csv").write_text("d_um,F_udyne\n0.5,430.0\n1.0,215.0\n2.0,107.5\n")

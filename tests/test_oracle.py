@@ -274,7 +274,6 @@ class TestVerifySecondOrder:
         assert record.n_mean_pass == 10
         assert record.n_scatter_applicable == 10
         assert record.n_scatter_pass == 10
-        assert record.all_passed
         # discrepancy is float rounding only: ~1e-13 relative to F(d) = 1e-12
         assert max(v.mean_discrepancy for v in record.verdicts) < 1e-24
 
@@ -290,7 +289,7 @@ class TestVerifySecondOrder:
         spec = ProcessSpec(target_rms=0.5 * UM, seed=300, **FAST)
         record = verify_second_order(bg, 1e-6, spec, trials=10)
         assert any(v.expansion_breakdown for v in record.verdicts)
-        assert not record.all_passed
+        assert record.n_mean_pass < record.trials
 
     def test_sample_outside_evaluator_range_is_breakdown(self):
         knots = np.linspace(0.9, 1.1, 12) * UM

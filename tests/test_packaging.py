@@ -30,7 +30,7 @@ def test_every_data_file_matches_a_package_data_glob():
 
 # `wc -l src/casfluct/*.py` at the last change to the package's size.  A change
 # that grows src/ raises this in the same diff and says why in CHANGES.md.
-SRC_LINE_CEILING = 3016
+SRC_LINE_CEILING = 3005
 
 
 def test_src_line_count_stays_under_ceiling():

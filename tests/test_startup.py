@@ -95,12 +95,13 @@ def _write_inputs(cwd: Path) -> None:
         for i in range(25)))
 
 
-def _python(cwd: Path, code: str, *args: str):
-    """The JSON of the last line a fresh interpreter running ``code`` prints."""
+def _python(cwd: Path, code: str, *args: str, flags: tuple = ()):
+    """The JSON of the last line a fresh interpreter, started with ``flags``, running ``code`` prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *flags, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -153,6 +154,27 @@ def test_version_help_and_no_subcommand_load_no_numpy(tmp_path):
     steps = [["--version"], ["--help"], []]
     lean = ["casfluct.cli", "casfluct.provenance"]
     assert _python(tmp_path, _LOADED_AFTER, json.dumps(steps)) == [[0, lean], [0, lean], [2, lean]]
+
+
+# Runs --version and --help through main and prints which of OpenSSL's hashlib
+# binding and tempfile are then loaded.  The interpreter starts without site
+# (-S), whose .pth hooks may load either before casfluct is imported.
+_STDLIB_AFTER = """
+import contextlib, io, json, sys
+import casfluct.cli
+
+for argv in (["--version"], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            casfluct.cli.main(argv)
+        except SystemExit:
+            pass
+print(json.dumps([m for m in ("_hashlib", "tempfile") if m in sys.modules]))
+"""
+
+
+def test_version_and_help_load_no_hashlib_or_tempfile(tmp_path):
+    assert _python(tmp_path, _STDLIB_AFTER, flags=("-S",)) == []
 
 
 def test_kk_loads_only_the_layers_it_runs(tmp_path):

@@ -121,7 +121,6 @@ _SCALARS = {
     "sphere_radius": lambda v: cf.ExperimentGeometry(sphere_radius=v),
     "temperature": lambda v: cf.ExperimentGeometry(temperature=v),
     "beta": lambda v: cf.ElectrostaticBackground(beta=v),
-    "beta_sigma": lambda v: cf.ElectrostaticBackground(beta=1e-15, beta_sigma=v),
     "d0": lambda v: cf.ElectrostaticBackground(beta=1e-15, d0=v),
     "dt": lambda v: cf.ProcessSpec(dt=v),
     "duration": lambda v: cf.ProcessSpec(duration=v),
@@ -131,7 +130,7 @@ _SCALARS = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", list(_SCALARS))
 def test_physical_scalars_must_be_finite(name, bad):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(cf.DomainError, match=f"^{name} must be finite"):
         _SCALARS[name](bad)
 
 
